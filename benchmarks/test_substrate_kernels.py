@@ -3,6 +3,8 @@
 Not a paper artifact — these time the hot paths (dilated conv forward +
 backward, LSTM step, GBT tree growth, ARIMA fit) so performance
 regressions in the from-scratch framework are caught by CI history.
+``test_bench_holt_fit`` times the Holt grid-search fit at the fleet's
+pooled refit shape, the fit that runs on every in-line refit tick.
 
 ``test_perf_smoke_kernel_snapshot`` (marker ``perf_smoke``) additionally
 writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
@@ -13,6 +15,7 @@ successive PRs accumulate a kernel-throughput trajectory:
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -20,10 +23,13 @@ import numpy as np
 import pytest
 
 from repro.models.arima import ARIMA
+from repro.models.exponential import HoltForecaster
 from repro.models.gbt import GradientBoostedTrees
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
 from repro.nn.tensor import Tensor
+
+from ._machine import machine_info
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,20 @@ def test_bench_arima_fit(benchmark, rng):
     assert model.fitted
 
 
+def _holt_pool(rng):
+    """The fleet's pooled refit input: 1024 windows of 12, one target."""
+    x = rng.random((1024, 12, 1))
+    y = rng.random((1024, 1))
+    return x, y
+
+
+def test_bench_holt_fit(benchmark, rng):
+    x, y = _holt_pool(rng)
+
+    model = benchmark(lambda: HoltForecaster().fit(x, y))
+    assert model.fitted and model.alpha_ in model.alphas
+
+
 def test_bench_trace_generation(benchmark):
     from repro.traces.generator import ClusterTraceGenerator, TraceConfig
 
@@ -142,6 +162,9 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     lstm_fwd_ops = _ops_per_sec(lstm_fwd)
 
+    xh, yh = _holt_pool(rng)
+    holt_fit = _ops_per_sec(lambda: HoltForecaster().fit(xh, yh))
+
     gen = ClusterTraceGenerator(TraceConfig(n_steps=400, seed=0))
     entity = gen.generate_entity("mutation", entity_id="c_smoke", low=0.3, high=0.7)
     stream = entity.cpu / 100.0
@@ -163,12 +186,19 @@ def test_perf_smoke_kernel_snapshot(rng):
             "conv1d_backward": "x(16,8,64) w(8,8,3) pad=(4,0) dil=2 (incl. fwd+loss)",
             "lstm_forward": "LSTM(8->32) x(32,12,8) no_grad",
             "online_serving": "holt predictor, 400-step mutation stream",
+            "holt_fit": "HoltForecaster.fit, 1024 windows of 12, default 5x4 grid",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
             "conv1d_backward": round(conv_bwd, 1),
             "lstm_forward": round(lstm_fwd_ops, 1),
             "online_serving_records_per_sec": round(serving_throughput, 1),
+            "holt_fit": round(holt_fit, 1),
+        },
+        "machine": {
+            **machine_info(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
     }
 
@@ -180,7 +210,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     data["entries"][label] = snapshot
     path.write_text(json.dumps(data, indent=2) + "\n")
 
-    assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0
+    assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert serving_throughput > 100.0
 
 
