@@ -4,7 +4,9 @@ Not a paper artifact — these time the hot paths (dilated conv forward +
 backward, LSTM step, GBT tree growth, ARIMA fit) so performance
 regressions in the from-scratch framework are caught by CI history.
 ``test_bench_holt_fit`` times the Holt grid-search fit at the fleet's
-pooled refit shape, the fit that runs on every in-line refit tick.
+pooled refit shape, the fit that runs on every in-line refit tick;
+``test_bench_gbt_predict`` times one forecast of the boosted trees at the
+closed cluster loop's shape (30 rows through 40 trees of depth 3).
 
 ``test_perf_smoke_kernel_snapshot`` (marker ``perf_smoke``) additionally
 writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
@@ -81,6 +83,25 @@ def test_bench_gbt_fit(benchmark, rng):
 
     model = benchmark(fit)
     assert len(model.trees) == 20
+
+
+def _gbt_pool(rng):
+    """The cluster loop's pooled refit input: 1431 windows of 8, flattened."""
+    x = rng.random((1431, 8))
+    y = x[:, -1] + 0.5 * np.sin(6 * x[:, -2]) + 0.05 * rng.random(1431)
+    return x, y
+
+
+def _gbt_autoscale_fit(x, y):
+    return GradientBoostedTrees(n_estimators=40, max_depth=3).fit(x, y)
+
+
+def test_bench_gbt_predict(benchmark, rng):
+    x, y = _gbt_pool(rng)
+    model = _gbt_autoscale_fit(x, y)
+
+    pred = benchmark(lambda: model.predict(x[:30]))
+    assert pred.shape == (30,)
 
 
 def test_bench_arima_fit(benchmark, rng):
@@ -165,6 +186,11 @@ def test_perf_smoke_kernel_snapshot(rng):
     xh, yh = _holt_pool(rng)
     holt_fit = _ops_per_sec(lambda: HoltForecaster().fit(xh, yh))
 
+    xg, yg = _gbt_pool(rng)
+    gbt_fit = _ops_per_sec(lambda: _gbt_autoscale_fit(xg, yg), min_time=1.0)
+    gbt = _gbt_autoscale_fit(xg, yg)
+    gbt_predict = _ops_per_sec(lambda: gbt.predict(xg[:30]))
+
     gen = ClusterTraceGenerator(TraceConfig(n_steps=400, seed=0))
     entity = gen.generate_entity("mutation", entity_id="c_smoke", low=0.3, high=0.7)
     stream = entity.cpu / 100.0
@@ -187,6 +213,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "lstm_forward": "LSTM(8->32) x(32,12,8) no_grad",
             "online_serving": "holt predictor, 400-step mutation stream",
             "holt_fit": "HoltForecaster.fit, 1024 windows of 12, default 5x4 grid",
+            "gbt_fit": "GradientBoostedTrees.fit, 1431 windows of 8, 40 trees, depth 3",
+            "gbt_predict": "predict of that model, 30 rows",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
@@ -194,6 +222,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "lstm_forward": round(lstm_fwd_ops, 1),
             "online_serving_records_per_sec": round(serving_throughput, 1),
             "holt_fit": round(holt_fit, 1),
+            "gbt_fit": round(gbt_fit, 1),
+            "gbt_predict": round(gbt_predict, 1),
         },
         "machine": {
             **machine_info(),
@@ -211,6 +241,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     path.write_text(json.dumps(data, indent=2) + "\n")
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
+    assert gbt_fit > 0 and gbt_predict > 0
     assert serving_throughput > 100.0
 
 

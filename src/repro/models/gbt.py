@@ -7,19 +7,47 @@ each tree greedily maximizes the regularized gain
 
 with leaf weights ``-G/(H+lambda)``. For the squared-error objective used
 here the hessian is 1, so this reduces exactly to XGBoost's regression
-path. Split search is vectorized: per feature, samples are sorted once and
-prefix sums of gradients give every candidate split's gain in one pass.
+path. Other objectives (the pinball loss in :mod:`repro.models.quantile`)
+override :meth:`GradientBoostedTrees._base_score` and
+:meth:`GradientBoostedTrees._gradient` and share the boosting loop.
+
+**Split search is exact greedy over presorted columns.** Each column is
+stable-sorted once per fit, or once per tree when rows are subsampled: a
+subsampled tree numbers its rows by their position in the sample, and
+ties must break in that order. A node keeps its rows in every candidate
+column's sorted order, a ``(C, m)`` array; one call gathers the
+gradients in that order, takes prefix sums along each row and scores
+every split of every column. The column is the first one, in
+``feature_ids`` order, whose best gain strictly beats the running best
+(starting at 0); a NaN gain never wins. Children take their orders by a
+stable boolean partition of the parent's. This is bit-exact against
+stable-sorting each node's rows afresh: a stable sort restricted to an
+ascending subset of rows is that subset's own stable sort, so every node
+sees the same order, the same sequential prefix sums and so the same
+gains.
+
+**Prediction routes every tree at once.** After ``fit`` the trees' node
+arrays are stacked into ``(T, K)`` arrays in which leaves route to
+themselves, so all rows walk all trees together, one step per depth
+level. The trees' shrunken leaf values are then summed by a cumulative
+sum along the tree axis: the same sequential ``base + lr * leaf_1 +
+lr * leaf_2 + ...`` as adding the trees one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .base import Forecaster, register_forecaster
 
 __all__ = ["TreeParams", "RegressionTree", "GradientBoostedTrees", "GBTForecaster"]
+
+#: rows routed per block by :meth:`GradientBoostedTrees.predict` (bounds
+#: the ``(T, rows)`` working arrays)
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -34,6 +62,71 @@ class TreeParams:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
             raise ValueError("regularization parameters must be non-negative")
+
+
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of each column of ``x``: ``(C, n)`` row order and sorted values."""
+    cols = np.ascontiguousarray(x.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    return order, np.take_along_axis(cols, order, axis=1)
+
+
+def _partition(
+    order: np.ndarray, vals: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the rows where ``mask`` holds, in each column's order."""
+    pos = np.flatnonzero(mask[order])
+    c = len(order)
+    return order.ravel()[pos].reshape(c, -1), vals.ravel()[pos].reshape(c, -1)
+
+
+class _Forest(NamedTuple):
+    """Node arrays of ``T`` trees, stacked ``(T, K)`` and raveled.
+
+    Leaves and padding route to themselves (on feature 0), so ``depth``
+    routing steps take every row to its leaf in every tree; child links
+    are indices into the raveled arrays and ``roots`` holds each tree's
+    root.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+
+def _stack(trees: Sequence["RegressionTree"]) -> _Forest:
+    k = max(tree.n_nodes for tree in trees)
+    size = len(trees) * k
+    feature = np.zeros(size, dtype=np.intp)
+    threshold = np.zeros(size)
+    left = np.arange(size)
+    right = np.arange(size)
+    value = np.zeros(size)
+    for t, tree in enumerate(trees):
+        base = t * k
+        split = np.flatnonzero(tree._feature != -1)
+        at = base + split
+        feature[at] = tree._feature[split]
+        threshold[at] = tree._threshold[split]
+        left[at] = base + tree._left[split]
+        right[at] = base + tree._right[split]
+        value[base : base + tree.n_nodes] = tree._value
+    roots = np.arange(len(trees)) * k
+    return _Forest(feature, threshold, left, right, value, roots, max(t.depth for t in trees))
+
+
+def _route(forest: _Forest, x: np.ndarray) -> np.ndarray:
+    """Leaf value reached by every row of ``x`` in every tree, ``(T, rows)``."""
+    rows = np.arange(len(x))
+    node = np.repeat(forest.roots[:, None], len(x), axis=1)
+    for _ in range(forest.depth):
+        go_left = x[rows, forest.feature[node]] <= forest.threshold[node]
+        node = np.where(go_left, forest.left[node], forest.right[node])
+    return forest.value[node]
 
 
 class RegressionTree:
@@ -67,43 +160,46 @@ class RegressionTree:
         return -g_sum / (h_sum + reg_lambda)
 
     def _best_split(
-        self, x: np.ndarray, g: np.ndarray, h: np.ndarray, feature_ids: np.ndarray
+        self,
+        g: np.ndarray,
+        h: np.ndarray,
+        order: np.ndarray,
+        vals: np.ndarray,
+        g_total: float,
+        h_total: float,
     ) -> tuple[float, int, float] | None:
-        """Return (gain, feature, threshold) of the best split, or None."""
-        p = self.params
-        g_total = g.sum()
-        h_total = h.sum()
-        parent_score = g_total**2 / (h_total + p.reg_lambda)
+        """Return (gain, column, threshold) of the node's best split, or None.
 
-        best_gain = 0.0
-        best: tuple[float, int, float] | None = None
-        for f in feature_ids:
-            col = x[:, f]
-            order = np.argsort(col, kind="stable")
-            vals = col[order]
-            if vals[0] == vals[-1]:
-                continue
-            gs = np.cumsum(g[order])[:-1]
-            hs = np.cumsum(h[order])[:-1]
-            # split between positions i and i+1 only where the value changes
-            valid = vals[1:] != vals[:-1]
-            valid &= (hs >= p.min_child_weight) & ((h_total - hs) >= p.min_child_weight)
-            if not valid.any():
-                continue
-            gl, hl = gs[valid], hs[valid]
-            gr, hr = g_total - gl, h_total - hl
+        ``order``/``vals`` hold the node's rows and values in each
+        candidate column's sorted order; ``column`` indexes their rows.
+        """
+        if not len(order):
+            return None
+        p = self.params
+        parent_score = g_total**2 / (h_total + p.reg_lambda)
+        gs = np.cumsum(g[order], axis=1)[:, :-1]
+        hs = np.cumsum(h[order], axis=1)[:, :-1]
+        # split between positions i and i+1 only where the value changes
+        valid = vals[:, 1:] != vals[:, :-1]
+        gr, hr = g_total - gs, h_total - hs
+        valid &= (hs >= p.min_child_weight) & (hr >= p.min_child_weight)
+        with np.errstate(all="ignore"):
             gains = 0.5 * (
-                gl**2 / (hl + p.reg_lambda)
+                gs**2 / (hs + p.reg_lambda)
                 + gr**2 / (hr + p.reg_lambda)
                 - parent_score
             ) - p.gamma
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                idx = np.flatnonzero(valid)[k]
-                thr = 0.5 * (vals[idx] + vals[idx + 1])
-                best_gain = float(gains[k])
-                best = (best_gain, int(f), float(thr))
-        return best
+        gains[~valid] = -np.inf
+        k = np.argmax(gains, axis=1)
+        best = gains[np.arange(len(k)), k]
+        # first column whose gain strictly beats the running best (from 0);
+        # a NaN gain never does
+        best[~(best > 0.0)] = -np.inf
+        c = int(np.argmax(best))
+        if not best[c] > 0.0:
+            return None
+        thr = 0.5 * (vals[c, k[c]] + vals[c, k[c] + 1])
+        return float(best[c]), c, float(thr)
 
     def fit(
         self,
@@ -120,33 +216,47 @@ class RegressionTree:
         feature_ids = (
             np.arange(x.shape[1]) if feature_ids is None else np.asarray(feature_ids)
         )
+        return self._grow(g, h, feature_ids, *_presort(x[:, feature_ids]))
 
+    def _grow(
+        self,
+        g: np.ndarray,
+        h: np.ndarray,
+        feature_ids: np.ndarray,
+        order: np.ndarray,
+        vals: np.ndarray,
+    ) -> "RegressionTree":
+        """Grow on presorted columns: ``order[c]`` is the stable sort of
+        column ``feature_ids[c]`` over the rows of ``g``/``h``, ``vals[c]``
+        its sorted values."""
+        p = self.params
         root = self._new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(len(x)), 0)]
+        stack = [(root, np.arange(len(g)), order, vals, 0)]
         while stack:
-            node, idx, depth = stack.pop()
-            g_node, h_node = g[idx], h[idx]
+            node, idx, order, vals, depth = stack.pop()
+            g_sum, h_sum = g[idx].sum(), h[idx].sum()
             split = (
-                self._best_split(x[idx], g_node, h_node, feature_ids)
-                if depth < self.params.max_depth and len(idx) >= 2
+                self._best_split(g, h, order, vals, g_sum, h_sum)
+                if depth < p.max_depth and len(idx) >= 2
                 else None
             )
             if split is None:
-                self.value[node] = self._leaf_weight(
-                    g_node.sum(), h_node.sum(), self.params.reg_lambda
-                )
+                self.value[node] = self._leaf_weight(g_sum, h_sum, p.reg_lambda)
                 continue
-            gain, f, thr = split
-            self.feature[node] = f
+            gain, c, thr = split
+            self.feature[node] = int(feature_ids[c])
             self.threshold[node] = thr
             self._gain[node] = gain
-            go_left = x[idx, f] <= thr
-            left_id = self._new_node()
-            right_id = self._new_node()
-            self.left[node] = left_id
-            self.right[node] = right_id
-            stack.append((left_id, idx[go_left], depth + 1))
-            stack.append((right_id, idx[~go_left], depth + 1))
+            go_left = np.zeros(len(g), dtype=bool)
+            go_left[order[c]] = vals[c] <= thr
+            self.left[node] = left_id = self._new_node()
+            self.right[node] = right_id = self._new_node()
+            for child, mask in ((left_id, go_left), (right_id, ~go_left)):
+                # a child at max_depth is a leaf: it needs no column order
+                sorted_rows = (
+                    _partition(order, vals, mask) if depth + 1 < p.max_depth else (None, None)
+                )
+                stack.append((child, idx[mask[idx]], *sorted_rows, depth + 1))
         self._freeze()
         return self
 
@@ -156,6 +266,13 @@ class RegressionTree:
         self._left = np.asarray(self.left)
         self._right = np.asarray(self.right)
         self._value = np.asarray(self.value)
+        self._forest = _stack([self])
+
+    def _routing(self) -> _Forest:
+        forest = getattr(self, "_forest", None)
+        if forest is None:  # unpickled from before trees were stacked
+            forest = self._forest = _stack([self])
+        return forest
 
     def split_gains(self, n_features: int) -> np.ndarray:
         """Total gain contributed by each feature's splits in this tree."""
@@ -183,18 +300,7 @@ class RegressionTree:
         return int(depths.max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        node = np.zeros(len(x), dtype=int)
-        active = self._feature[node] != -1
-        while active.any():
-            f = self._feature[node[active]]
-            thr = self._threshold[node[active]]
-            rows = np.flatnonzero(active)
-            go_left = x[rows, f] <= thr
-            node[rows[go_left]] = self._left[node[rows[go_left]]]
-            node[rows[~go_left]] = self._right[node[rows[~go_left]]]
-            active = self._feature[node] != -1
-        return self._value[node]
+        return _route(self._routing(), np.asarray(x, float))[0]
 
 
 class GradientBoostedTrees:
@@ -236,6 +342,16 @@ class GradientBoostedTrees:
         self.best_iteration_: int | None = None
         self.eval_history_: list[float] = []
         self.fitted = False
+        self._forest: _Forest | None = None
+
+    def _base_score(self, y: np.ndarray) -> float:
+        """Constant prediction the boosting starts from (squared loss: the mean)."""
+        return float(y.mean())
+
+    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row gradient and hessian of the loss at ``pred``."""
+        # squared loss: g = pred - y, h = 1
+        return pred - y, np.ones(len(y))
 
     def fit(
         self,
@@ -256,29 +372,35 @@ class GradientBoostedTrees:
 
         self.trees = []
         self.eval_history_ = []
-        self.base_score_ = float(y.mean())
+        self.base_score_ = self._base_score(y)
         pred = np.full(len(y), self.base_score_)
         val_pred = np.full(len(y_val), self.base_score_) if has_val else None
 
         best_val = float("inf")
         best_iter = -1
         n, f = x.shape
+        # without row subsampling every tree splits the same rows: sort once
+        presorted = _presort(x) if self.subsample == 1.0 else None
         for it in range(self.n_estimators):
-            # squared loss: g = pred - y, h = 1
-            g = pred - y
-            h = np.ones(n)
-
+            g, h = self._gradient(pred, y)
             rows = (
                 rng.choice(n, size=max(1, int(n * self.subsample)), replace=False)
                 if self.subsample < 1.0
-                else np.arange(n)
+                else None
             )
             cols = (
                 rng.choice(f, size=max(1, int(f * self.colsample)), replace=False)
                 if self.colsample < 1.0
                 else np.arange(f)
             )
-            tree = RegressionTree(self.tree_params).fit(x[rows], g[rows], h[rows], cols)
+            if rows is not None:
+                order, vals = _presort(x[np.ix_(rows, cols)])
+                g, h = g[rows], h[rows]
+            elif self.colsample < 1.0:
+                order, vals = presorted[0][cols], presorted[1][cols]
+            else:  # the fit-level sort as is: a gather would copy it per tree
+                order, vals = presorted
+            tree = RegressionTree(self.tree_params)._grow(g, h, cols, order, vals)
             self.trees.append(tree)
             pred += self.learning_rate * tree.predict(x)
 
@@ -300,16 +422,28 @@ class GradientBoostedTrees:
             self.trees = self.trees[: best_iter + 1]
         else:
             self.best_iteration_ = len(self.trees) - 1
+        self._forest = _stack(self.trees)
         self.fitted = True
         return self
+
+    def _staged(self, x: np.ndarray) -> np.ndarray:
+        """Ensemble output after 0, 1, ..., T trees, ``(T + 1, rows)``."""
+        forest = getattr(self, "_forest", None)
+        if forest is None:  # unpickled from before trees were stacked
+            forest = self._forest = _stack(self.trees)
+        leaves = _route(forest, x)
+        steps = np.empty((len(leaves) + 1, len(x)))
+        steps[0] = self.base_score_
+        np.multiply(self.learning_rate, leaves, out=steps[1:])
+        return np.cumsum(steps, axis=0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if not self.fitted:
             raise RuntimeError("fit before predict")
         x = np.asarray(x, float)
-        out = np.full(len(x), self.base_score_)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(x)
+        out = np.empty(len(x))
+        for s in range(0, len(x), _BLOCK):
+            out[s : s + _BLOCK] = self._staged(x[s : s + _BLOCK])[-1]
         return out
 
     def feature_importances(self, n_features: int) -> np.ndarray:
@@ -333,12 +467,7 @@ class GradientBoostedTrees:
             raise RuntimeError("fit before staged_train_loss")
         x = np.asarray(x, float)
         y = np.asarray(y, float).reshape(-1)
-        pred = np.full(len(x), self.base_score_)
-        losses = []
-        for tree in self.trees:
-            pred += self.learning_rate * tree.predict(x)
-            losses.append(float(np.mean((pred - y) ** 2)))
-        return losses
+        return [float(np.mean((pred - y) ** 2)) for pred in self._staged(x)[1:]]
 
 
 @register_forecaster("xgboost")

@@ -19,7 +19,7 @@ from ..nn.losses import _Loss
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .base import Forecaster, NeuralForecaster, register_forecaster
-from .gbt import GradientBoostedTrees, RegressionTree, TreeParams
+from .gbt import GradientBoostedTrees
 from .rptcn import RPTCN
 
 __all__ = ["PinballLoss", "QuantileGBTForecaster", "QuantileRPTCNForecaster"]
@@ -69,31 +69,17 @@ class _QuantileGBT(GradientBoostedTrees):
         super().__init__(**kwargs)
         self.tau = tau
 
-    def fit(self, x, y, x_val=None, y_val=None) -> "_QuantileGBT":
-        x = np.asarray(x, float)
-        y = np.asarray(y, float).reshape(-1)
-        rng = np.random.default_rng(self.seed)
+    def _base_score(self, y: np.ndarray) -> float:
+        return float(np.quantile(y, self.tau))
 
-        self.trees = []
-        self.eval_history_ = []
-        self.base_score_ = float(np.quantile(y, self.tau))
-        pred = np.full(len(y), self.base_score_)
-        n, f = x.shape
-        for _ in range(self.n_estimators):
-            # pinball gradient: d/dpred = (1 - tau) where pred > y else -tau
-            g = np.where(pred >= y, 1.0 - self.tau, -self.tau)
-            h = np.ones(n)
-            rows = (
-                rng.choice(n, size=max(1, int(n * self.subsample)), replace=False)
-                if self.subsample < 1.0
-                else np.arange(n)
-            )
-            tree = RegressionTree(self.tree_params).fit(x[rows], g[rows], h[rows])
-            self.trees.append(tree)
-            pred += self.learning_rate * tree.predict(x)
-        self.best_iteration_ = len(self.trees) - 1
-        self.fitted = True
-        return self
+    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # pinball gradient: d/dpred = (1 - tau) where pred > y else -tau
+        return np.where(pred >= y, 1.0 - self.tau, -self.tau), np.ones(len(y))
+
+    def fit(self, x, y, x_val=None, y_val=None) -> "_QuantileGBT":
+        """Boost for all ``n_estimators`` rounds; validation data is not
+        used, since early stopping scores RMSE rather than pinball loss."""
+        return super().fit(x, y)
 
 
 @register_forecaster("quantile_xgboost")

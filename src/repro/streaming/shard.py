@@ -4,18 +4,23 @@
 into one process; on a multi-core host that one process is the ceiling.
 :class:`ShardedFleetPredictor` removes it by partitioning the N streams
 of a fleet across a pool of **persistent** worker processes, each
-running its own :class:`FleetPredictor` shard, and driving them in
-lock-step, one tick at a time:
+running its own :class:`FleetPredictor` shard. Ticks are driven in
+order, either under a lock-step barrier (each tick collected before the
+next is sent, the default) or through a two-deep pipeline
+(``pipeline=True`` or :meth:`~ShardedFleetPredictor.submit_tick` /
+:meth:`~ShardedFleetPredictor.collect_tick`), which sends tick *t+1*
+before tick *t* is collected, so at most two ticks are in flight:
 
-* the coordinator writes the ``(N, F)`` tick into a shared-memory block
-  (:class:`~repro.streaming.shm.ShmBlock`) and sends each worker a
+* the coordinator writes the ``(N, F)`` tick into its bank of a
+  shared-memory block (:class:`~repro.streaming.shm.SlottedShmBlock`,
+  one bank per in-flight tick) and sends each worker a
   constant-size control token — per-tick traffic over the pipes is
   O(shards), never O(N), and no record is ever pickled on the hot path;
 * each worker reads its contiguous row-slice of the tick, runs its
   shard's ``process_tick``, and writes the columnar
   :class:`~repro.streaming.fleet.FleetTick` mirror (predictions,
   actuals, errors, drift, health, gate actions) back into the same
-  block;
+  bank;
 * worker stream histories live in a fleet-wide
   :class:`~repro.streaming.shm.SharedMatrixRingBuffer`, so the
   coordinator can read any stream's recent records zero-copy

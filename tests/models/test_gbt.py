@@ -1,8 +1,11 @@
 """Gradient-boosted-trees tests, including hypothesis invariants."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models.gbt import (
@@ -187,3 +190,255 @@ class TestForecasterWrapper:
         x, y = make_windows(series[:, None], series, window=8)
         f = GBTForecaster(n_estimators=15).fit(x[:200], y[:200], x[200:300], y[200:300])
         assert len(f.loss_curves["val_loss"]) >= 1
+
+
+# --- oracle: per-node argsort split search, per-tree routing, per-tree sum ---
+
+
+def _oracle_best_split(x, g, h, feature_ids, p):
+    g_total = g.sum()
+    h_total = h.sum()
+    parent_score = g_total**2 / (h_total + p.reg_lambda)
+    best_gain = 0.0
+    best = None
+    for f in feature_ids:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        vals = col[order]
+        if vals[0] == vals[-1]:
+            continue
+        gs = np.cumsum(g[order])[:-1]
+        hs = np.cumsum(h[order])[:-1]
+        valid = vals[1:] != vals[:-1]
+        valid &= (hs >= p.min_child_weight) & ((h_total - hs) >= p.min_child_weight)
+        if not valid.any():
+            continue
+        gl, hl = gs[valid], hs[valid]
+        gr, hr = g_total - gl, h_total - hl
+        gains = 0.5 * (
+            gl**2 / (hl + p.reg_lambda) + gr**2 / (hr + p.reg_lambda) - parent_score
+        ) - p.gamma
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            i = np.flatnonzero(valid)[k]
+            best_gain = float(gains[k])
+            best = (best_gain, int(f), float(0.5 * (vals[i] + vals[i + 1])))
+    return best
+
+
+def _oracle_tree(x, g, h, feature_ids, p):
+    t = SimpleNamespace(feature=[], threshold=[], left=[], right=[], value=[], gain=[])
+
+    def new_node():
+        for field, v in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                         ("right", -1), ("value", 0.0), ("gain", 0.0)):
+            getattr(t, field).append(v)
+        return len(t.feature) - 1
+
+    stack = [(new_node(), np.arange(len(x)), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        g_node, h_node = g[idx], h[idx]
+        split = (
+            _oracle_best_split(x[idx], g_node, h_node, feature_ids, p)
+            if depth < p.max_depth and len(idx) >= 2
+            else None
+        )
+        if split is None:
+            t.value[node] = -g_node.sum() / (h_node.sum() + p.reg_lambda)
+            continue
+        t.gain[node], t.feature[node], t.threshold[node] = split
+        go_left = x[idx, t.feature[node]] <= t.threshold[node]
+        t.left[node], t.right[node] = new_node(), new_node()
+        stack.append((t.left[node], idx[go_left], depth + 1))
+        stack.append((t.right[node], idx[~go_left], depth + 1))
+    return t
+
+
+def _oracle_route(t, x):
+    out = np.empty(len(x))
+    for r, row in enumerate(x):
+        node = 0
+        while t.feature[node] != -1:
+            go_left = row[t.feature[node]] <= t.threshold[node]
+            node = t.left[node] if go_left else t.right[node]
+        out[r] = t.value[node]
+    return out
+
+
+def _oracle_predict(trees, base, lr, x):
+    out = np.full(len(x), base)
+    for t in trees:
+        out += lr * _oracle_route(t, x)
+    return out
+
+
+def _oracle_boost(x, y, x_val, y_val, kw):
+    """The squared-loss boosting loop with oracle trees (trees, base, history)."""
+    m = GradientBoostedTrees(**kw)  # validated hyperparameters only
+    rng = np.random.default_rng(m.seed)
+    has_val = x_val is not None
+    base = float(y.mean())
+    pred = np.full(len(y), base)
+    val_pred = np.full(len(y_val), base) if has_val else None
+    trees, history = [], []
+    best_val, best_iter = float("inf"), -1
+    n, f = x.shape
+    for it in range(m.n_estimators):
+        g, h = pred - y, np.ones(n)
+        rows = (
+            rng.choice(n, size=max(1, int(n * m.subsample)), replace=False)
+            if m.subsample < 1.0 else np.arange(n)
+        )
+        cols = (
+            rng.choice(f, size=max(1, int(f * m.colsample)), replace=False)
+            if m.colsample < 1.0 else np.arange(f)
+        )
+        t = _oracle_tree(x[rows], g[rows], h[rows], cols, m.tree_params)
+        trees.append(t)
+        pred += m.learning_rate * _oracle_route(t, x)
+        if has_val:
+            val_pred += m.learning_rate * _oracle_route(t, x_val)
+            val_rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
+            history.append(val_rmse)
+            if val_rmse < best_val - 1e-12:
+                best_val, best_iter = val_rmse, it
+            elif it - best_iter >= m.early_stopping_rounds:
+                break
+    if has_val and best_iter >= 0:
+        trees = trees[: best_iter + 1]
+    return trees, base, history
+
+
+def _assert_same_tree(tree, oracle):
+    assert tree.feature == oracle.feature
+    assert tree.left == oracle.left and tree.right == oracle.right
+    for got, want in ((tree.threshold, oracle.threshold), (tree.value, oracle.value),
+                      (tree._gain, oracle.gain)):
+        assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
+def _bits(a):
+    return np.asarray(a, float).tobytes()
+
+
+@st.composite
+def _design(draw, max_n=400, max_f=10):
+    """A feature matrix with many ties, sometimes a constant column."""
+    n = draw(st.integers(2, max_n))
+    f = draw(st.integers(1, max_f))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, f))
+    levels = draw(st.sampled_from([1, 3, 20, None]))
+    if levels is not None:
+        x = np.round(x * levels) / levels  # quantized: heavy value ties
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, f - 1))] = 0.25
+    return x, rng
+
+
+class TestPresortedParity:
+    """Presorted split search and stacked routing vs the per-node oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=_design(),
+        depth=st.integers(1, 6),
+        mcw=st.sampled_from([0.0, 1.0, 3.0]),
+        reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
+        gamma=st.sampled_from([0.0, 0.1]),
+        grads=st.sampled_from(["normal", "constant", "sign"]),
+        hessian=st.booleans(),
+        permute=st.booleans(),
+    )
+    def test_tree_matches_oracle(
+        self, design, depth, mcw, reg_lambda, gamma, grads, hessian, permute
+    ):
+        x, rng = design
+        n, f = x.shape
+        g = {  # constant gradients give splits of gain exactly 0, which must lose
+            "normal": np.round(rng.standard_normal(n), 1),
+            "constant": np.ones(n),
+            "sign": rng.choice([-1.0, 1.0], n),
+        }[grads]
+        h = rng.random(n) + 0.5 if hessian else np.ones(n)
+        fids = rng.permutation(f)[: rng.integers(1, f + 1)] if permute else np.arange(f)
+        p = TreeParams(max_depth=depth, min_child_weight=mcw, reg_lambda=reg_lambda, gamma=gamma)
+        with np.errstate(all="ignore"):
+            tree = RegressionTree(p).fit(x, g, h, fids)
+            oracle = _oracle_tree(x, g, h, fids, p)
+            _assert_same_tree(tree, oracle)
+            probe = np.vstack([x, rng.standard_normal((5, f))])
+            assert _bits(tree.predict(probe)) == _bits(_oracle_route(oracle, probe))
+
+    def test_tied_columns_pick_first_in_feature_ids_order(self, rng):
+        x = rng.random((50, 1))
+        x = np.hstack([x, x, x])  # identical gains on every column
+        g = np.where(x[:, 0] > 0.5, 1.0, -1.0)
+        for fids in ([0, 1, 2], [2, 0, 1], [1, 2]):
+            tree = RegressionTree(TreeParams(max_depth=1)).fit(x, g, np.ones(50), fids)
+            assert tree.feature[0] == fids[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=_design(),
+        n_estimators=st.integers(1, 8),
+        lr=st.sampled_from([0.1, 0.5, 1.0]),
+        depth=st.integers(1, 6),
+        mcw=st.sampled_from([0.0, 1.0, 3.0]),
+        reg_lambda=st.sampled_from([0.0, 1.0]),
+        gamma=st.sampled_from([0.0, 0.1]),
+        subsample=st.sampled_from([1.0, 0.7]),
+        colsample=st.sampled_from([1.0, 0.5]),
+        n_val=st.sampled_from([0, 1, 40]),
+        rounds=st.integers(1, 3),
+    )
+    @example(
+        design=(np.arange(2.0)[:, None], np.random.default_rng(0)), n_estimators=1, lr=1.0,
+        depth=1, mcw=0.0, reg_lambda=0.0, gamma=0.0, subsample=1.0, colsample=1.0,
+        n_val=0, rounds=1,
+    )
+    def test_ensemble_matches_oracle(
+        self, design, n_estimators, lr, depth, mcw, reg_lambda, gamma, subsample,
+        colsample, n_val, rounds,
+    ):
+        x, rng = design
+        n, f = x.shape
+        y = np.round(2.0 * x[:, 0] + np.sin(x[:, -1]) + 0.3 * rng.standard_normal(n), 2)
+        x_val = rng.standard_normal((n_val, f)) if n_val else None
+        y_val = x_val[:, 0] + 0.3 * rng.standard_normal(n_val) if n_val else None
+        kw = dict(
+            n_estimators=n_estimators, learning_rate=lr, max_depth=depth,
+            min_child_weight=mcw, reg_lambda=reg_lambda, gamma=gamma,
+            subsample=subsample, colsample=colsample, early_stopping_rounds=rounds,
+            seed=int(rng.integers(1000)),
+        )
+        with np.errstate(all="ignore"):
+            model = GradientBoostedTrees(**kw).fit(x, y, x_val, y_val)
+            trees, base, history = _oracle_boost(x, y, x_val, y_val, kw)
+            assert len(model.trees) == len(trees)
+            for tree, oracle in zip(model.trees, trees):
+                _assert_same_tree(tree, oracle)
+            assert _bits(model.base_score_) == _bits(base)
+            assert _bits(model.eval_history_) == _bits(history)
+            probe = np.vstack([x, rng.standard_normal((7, f))])
+            if n_val:
+                probe = np.vstack([probe, x_val])
+            assert _bits(model.predict(probe)) == _bits(_oracle_predict(trees, base, lr, probe))
+            assert _bits(model.predict(probe[:1])) == _bits(_oracle_predict(trees, base, lr, probe[:1]))
+            assert model.predict(probe[:0]).shape == (0,)
+
+    def test_unpickled_model_without_stacked_arrays_predicts_identically(self, rng):
+        """A model pickled before trees were stacked builds them on first predict."""
+        x = rng.random((300, 4))
+        y = x[:, 0] + np.sin(6 * x[:, 1])
+        model = GradientBoostedTrees(n_estimators=25, max_depth=4, subsample=0.8).fit(x, y)
+        probe = rng.random((40, 4))
+        want = model.predict(probe)
+        old = pickle.loads(pickle.dumps(model))
+        del old._forest
+        for tree in old.trees:
+            del tree._forest
+        assert _bits(old.trees[3].predict(probe)) == _bits(model.trees[3].predict(probe))
+        assert _bits(old.predict(probe)) == _bits(want)
+        assert old.staged_train_loss(x, y) == model.staged_train_loss(x, y)

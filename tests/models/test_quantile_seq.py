@@ -94,6 +94,24 @@ class TestQuantileGBT:
             coverage = (y <= m.predict(x)).mean()
             assert coverage == pytest.approx(tau, abs=0.05)
 
+    def test_colsample_restricts_each_trees_split_features(self, rng):
+        """colsample draws each tree's candidate columns, as in squared-loss boosting."""
+        from repro.models.quantile import _QuantileGBT
+
+        x = rng.random((400, 4))
+        y = x.sum(axis=1) + rng.normal(0, 0.05, 400)
+
+        def used(model):
+            return [{f for f in tree.feature if f != -1} for tree in model.trees]
+
+        full = _QuantileGBT(0.9, n_estimators=10, max_depth=3).fit(x, y)
+        assert any(len(u) > 1 for u in used(full))
+        model = _QuantileGBT(0.9, n_estimators=10, max_depth=3, colsample=0.5, seed=4).fit(x, y)
+        draws = np.random.default_rng(4)  # the booster's column draws, tree by tree
+        for u in used(model):
+            assert u <= set(draws.choice(4, size=2, replace=False).tolist())
+        assert len(set().union(*used(model))) > 2
+
     def test_predict_quantile_lookup(self):
         x, y = noisy_windows(n=300)
         f = QuantileGBTForecaster(taus=(0.5, 0.9), n_estimators=20)
