@@ -7,17 +7,24 @@ regressions in the from-scratch framework are caught by CI history.
 pooled refit shape, the fit that runs on every in-line refit tick;
 ``test_bench_gbt_predict`` times one forecast of the boosted trees at the
 closed cluster loop's shape (30 rows through 40 trees of depth 3).
+``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
+paper's model at the fleet serving shape: one 253-row forecast, and one
+forward + backward of a fused 16-channel residual block at training
+batch size.
 
 ``test_perf_smoke_kernel_snapshot`` (marker ``perf_smoke``) additionally
 writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
-successive PRs accumulate a kernel-throughput trajectory:
+successive PRs accumulate a kernel-throughput trajectory. Pin BLAS to one
+thread, as the serving benchmark does, so rows compare across machines:
 
-    python -m pytest benchmarks -m perf_smoke -q
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        python -m pytest benchmarks -m perf_smoke -q
 """
 
 import json
 import os
 import platform
+import resource
 import time
 from pathlib import Path
 
@@ -27,6 +34,8 @@ import pytest
 from repro.models.arima import ARIMA
 from repro.models.exponential import HoltForecaster
 from repro.models.gbt import GradientBoostedTrees
+from repro.models.rptcn import RPTCNForecaster
+from repro.models.tcn import TemporalBlock
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
 from repro.nn.tensor import Tensor
@@ -128,6 +137,55 @@ def test_bench_holt_fit(benchmark, rng):
     assert model.fitted and model.alpha_ in model.alphas
 
 
+def _rptcn_pool(rng):
+    """The fleet's pooled RPTCN refit input: 907 windows of 12, one feature."""
+    x = rng.random((907, 12, 1))
+    y = rng.random((907, 1))
+    return x, y
+
+
+def _rptcn_fit(x, y):
+    return RPTCNForecaster(epochs=2, seed=0).fit(x, y)
+
+
+def test_bench_rptcn_predict(benchmark, rng):
+    x, y = _rptcn_pool(rng)
+    model = _rptcn_fit(x, y)
+
+    pred = benchmark(lambda: model.predict(x[:253]))
+    assert pred.shape == (253, 1)
+
+
+def _tcn_block_step(rng):
+    """fwd+bwd of one 16-channel residual block, batch 32, L=12, dilation 2."""
+    block = TemporalBlock(16, 16, 3, 2, dropout=0.1, rng=rng)
+    x = Tensor(rng.random((32, 16, 12)), requires_grad=True)
+
+    def step():
+        block.zero_grad()
+        x.grad = None
+        out = block(x)
+        (out * out).sum().backward()
+        return x.grad
+
+    return step
+
+
+def test_bench_tcn_block_step(benchmark, rng):
+    grad = benchmark(_tcn_block_step(rng))
+    assert grad.shape == (32, 16, 12)
+
+
+def _minor_faults_per_call(fn, calls: int = 200) -> float:
+    """Steady-state minor page faults per call of ``fn`` (after a warm-up)."""
+    for _ in range(20):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
 def test_bench_trace_generation(benchmark):
     from repro.traces.generator import ClusterTraceGenerator, TraceConfig
 
@@ -191,6 +249,13 @@ def test_perf_smoke_kernel_snapshot(rng):
     gbt = _gbt_autoscale_fit(xg, yg)
     gbt_predict = _ops_per_sec(lambda: gbt.predict(xg[:30]))
 
+    xr, yr = _rptcn_pool(rng)
+    rptcn_fit = _ops_per_sec(lambda: _rptcn_fit(xr, yr), min_time=1.0)
+    rptcn = _rptcn_fit(xr, yr)
+    rptcn_predict = _ops_per_sec(lambda: rptcn.predict(xr[:253]))
+    rptcn_faults = _minor_faults_per_call(lambda: rptcn.predict(xr[:253]))
+    block_step = _ops_per_sec(_tcn_block_step(rng))
+
     gen = ClusterTraceGenerator(TraceConfig(n_steps=400, seed=0))
     entity = gen.generate_entity("mutation", entity_id="c_smoke", low=0.3, high=0.7)
     stream = entity.cpu / 100.0
@@ -215,6 +280,10 @@ def test_perf_smoke_kernel_snapshot(rng):
             "holt_fit": "HoltForecaster.fit, 1024 windows of 12, default 5x4 grid",
             "gbt_fit": "GradientBoostedTrees.fit, 1431 windows of 8, 40 trees, depth 3",
             "gbt_predict": "predict of that model, 30 rows",
+            "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
+            "rptcn_predict": "predict of that model, 253 rows",
+            "tcn_block_step": "TemporalBlock(16->16, k=3, dil=2) x(32,16,12) fwd+bwd",
+            "rptcn_predict_minor_faults": "minor page faults per steady-state predict",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
@@ -224,11 +293,19 @@ def test_perf_smoke_kernel_snapshot(rng):
             "holt_fit": round(holt_fit, 1),
             "gbt_fit": round(gbt_fit, 1),
             "gbt_predict": round(gbt_predict, 1),
+            "rptcn_fit": round(rptcn_fit, 2),
+            "rptcn_predict": round(rptcn_predict, 1),
+            "tcn_block_step": round(block_step, 1),
         },
+        "informational": {"rptcn_predict_minor_faults": round(rptcn_faults, 1)},
         "machine": {
             **machine_info(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas_threads": {
+                var: os.environ.get(var, "")
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
         },
     }
 
@@ -242,6 +319,7 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert gbt_fit > 0 and gbt_predict > 0
+    assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0
     assert serving_throughput > 100.0
 
 

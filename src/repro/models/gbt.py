@@ -36,6 +36,7 @@ lr * leaf_2 + ...`` as adding the trees one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -491,8 +492,9 @@ class GBTForecaster(Forecaster):
 
     @staticmethod
     def _flatten(x: np.ndarray) -> np.ndarray:
+        """``(N, window, features)`` -> ``(N, window * features)``, N may be 0."""
         x = np.asarray(x, float)
-        return x.reshape(len(x), -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def fit(self, x, y, x_val=None, y_val=None) -> "GBTForecaster":
         self._check_xy(x, y)

@@ -19,7 +19,7 @@ from ..nn.losses import _Loss
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .base import Forecaster, NeuralForecaster, register_forecaster
-from .gbt import GradientBoostedTrees
+from .gbt import GBTForecaster, GradientBoostedTrees
 from .rptcn import RPTCN
 
 __all__ = ["PinballLoss", "QuantileGBTForecaster", "QuantileRPTCNForecaster"]
@@ -105,7 +105,7 @@ class QuantileGBTForecaster(Forecaster):
 
     def fit(self, x, y, x_val=None, y_val=None) -> "QuantileGBTForecaster":
         self._check_xy(x, y)
-        xf = np.asarray(x, float).reshape(len(x), -1)
+        xf = GBTForecaster._flatten(x)
         y1 = np.asarray(y, float)[:, 0]
         self.models = [
             _QuantileGBT(tau, **self.gbt_kwargs).fit(xf, y1) for tau in self.taus
@@ -116,7 +116,7 @@ class QuantileGBTForecaster(Forecaster):
     def predict(self, x: np.ndarray) -> np.ndarray:
         self._check_fitted()
         self._check_xy(x)
-        xf = np.asarray(x, float).reshape(len(x), -1)
+        xf = GBTForecaster._flatten(x)
         return np.column_stack([m.predict(xf) for m in self.models])
 
     def predict_quantile(self, x: np.ndarray, tau: float) -> np.ndarray:

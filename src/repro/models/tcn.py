@@ -4,14 +4,21 @@ The backbone of RPTCN (paper §III-D): a stack of residual blocks, each
 holding two weight-normalized dilated causal convolutions with ReLU and
 spatial dropout (Fig. 6), dilations doubling per level so the receptive
 field grows exponentially with depth: ``RF = 1 + 2 (K - 1) (2^L - 1)``.
+
+Each block runs as one fused op, :func:`repro.nn.functional.temporal_block`
+(channels-last, one GEMM per convolution, hand-written backward). The
+block's ``conv1``/``conv2``/``drop1``/``drop2``/``downsample`` submodules
+hold its parameters and dropout settings, so state dicts and pickles keep
+their layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..nn import functional as F
 from ..nn import init as nn_init
-from ..nn.layers.container import ModuleList, Sequential
+from ..nn.layers.container import ModuleList
 from ..nn.layers.conv import Conv1d
 from ..nn.layers.dropout import SpatialDropout1d
 from ..nn.layers.linear import Linear
@@ -29,6 +36,8 @@ class TemporalBlock(Module):
     Main branch: (weight-norm dilated causal conv → ReLU → spatial
     dropout) × 2. Shortcut: identity, or a 1×1 convolution when channel
     counts differ. Output: ``ReLU(x + F(x))`` — the paper's eq. (5).
+    Both dropouts use ``drop1``'s rate and generator (the constructor
+    gives them the same ones).
     """
 
     def __init__(
@@ -64,10 +73,22 @@ class TemporalBlock(Module):
         return 2 * (self.kernel_size - 1) * self.dilation + 1
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.drop1(self.conv1(x).relu())
-        out = self.drop2(self.conv2(out).relu())
-        res = self.downsample(x) if self.downsample is not None else x
-        return (out + res).relu()
+        down = self.downsample
+        return F.temporal_block(
+            x,
+            self.conv1.v,
+            self.conv1.g,
+            self.conv1.bias,
+            self.conv2.v,
+            self.conv2.g,
+            self.conv2.bias,
+            self.dilation,
+            down_weight=down.weight if down is not None else None,
+            down_bias=down.bias if down is not None else None,
+            p=self.drop1.p,
+            rng=self.drop1.rng,
+            training=self.training,
+        )
 
 
 class TCN(Module):

@@ -1,13 +1,16 @@
 """Stateless differentiable operations used by :mod:`repro.nn` layers.
 
-The heavy ops here are :func:`conv1d` and :func:`lstm`. The convolution is
-an explicit im2col gather (a memoized strided index array from
-:mod:`repro.nn._plans`) followed by a single ``einsum`` contraction with a
-cached contraction path; the input gradient is a loop-free col2im fold
-(one strided-view accumulation per kernel tap) rather than an
-``np.add.at`` scatter. The LSTM is a fused sequence kernel: one gate
-matmul over the whole ``(N, T, C)`` input, a NumPy-only recurrent loop,
-and a hand-written BPTT backward — no per-step Tensor allocation.
+The heavy ops here are :func:`conv1d`, :func:`lstm` and
+:func:`temporal_block`. The convolution is an explicit im2col gather (a
+memoized strided index array from :mod:`repro.nn._plans`) followed by a
+single batched GEMM; the input gradient is a loop-free col2im fold (one
+strided-view accumulation per kernel tap) rather than an ``np.add.at``
+scatter. The LSTM is a fused sequence kernel: one gate matmul over the
+whole ``(N, T, C)`` input, a NumPy-only recurrent loop, and a
+hand-written BPTT backward — no per-step Tensor allocation. The TCN
+residual block is fused the same way: one autograd node per block,
+computed channels-last with one 2-D GEMM per convolution and a
+hand-written backward through weight norm, ReLU and spatial dropout.
 
 Every op with a nontrivial graph closure also has an inference fast path:
 when autograd is off (or no parent requires grad) the op returns a
@@ -24,6 +27,7 @@ from .tensor import Tensor, is_grad_enabled
 __all__ = [
     "conv1d",
     "lstm",
+    "temporal_block",
     "softmax",
     "log_softmax",
     "dropout",
@@ -219,11 +223,14 @@ def spatial_dropout1d(
     """
     if not training or p <= 0.0:
         return x
+    return x * Tensor(_channel_mask(rng, x.shape[0], x.shape[1], p))
+
+
+def _channel_mask(rng: np.random.Generator, n: int, c: int, p: float) -> np.ndarray:
+    """The ``(N, C, 1)`` inverted-dropout mask of one spatial dropout."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    n, c = x.shape[0], x.shape[1]
-    mask = (rng.random((n, c, 1)) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return (rng.random((n, c, 1)) >= p) / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,7 @@ def lstm(
         c_prev0 = np.zeros((n, h_size), dtype=xp.dtype)
 
     # one GEMM for the whole sequence's input projection (bias folded in)
-    gates_x = xp.reshape(n * t, -1) @ w_ih.data.T
+    gates_x = xp.reshape(n * t, xp.shape[-1]) @ w_ih.data.T
     gates_x += bias.data
     gates_x = gates_x.reshape(n, t, 4 * h_size)
     whh_t = w_hh.data.T
@@ -380,3 +387,212 @@ def lstm(
             c0._accumulate(dc_next)
 
     return Tensor._from_op(hs, parents, backward)
+
+
+# ---------------------------------------------------------------------------
+# fused TCN residual block
+# ---------------------------------------------------------------------------
+
+#: guards the weight-norm division for an all-zero direction ``v``
+WEIGHT_NORM_EPS = 1e-12
+
+
+def _weight_norm(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``w = v * (g / (||v|| + eps))`` per output filter, and ``||v||``."""
+    r = np.sqrt((v * v).sum(axis=(1, 2), keepdims=True))
+    return v * (g / (r + WEIGHT_NORM_EPS)), r
+
+
+def _weight_norm_backward(
+    gw: np.ndarray, v: np.ndarray, g: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients ``(dv, dg)`` of :func:`_weight_norm` given ``dL/dw``."""
+    norm = r + WEIGHT_NORM_EPS
+    dot = (gw * v).sum(axis=(1, 2), keepdims=True)
+    dv = gw * (g / norm) - v * (g * dot / (norm * norm * r))
+    return dv, dot / norm
+
+
+def _gemm_weight(w: np.ndarray) -> np.ndarray:
+    """``(C_out, C_in, K)`` filters as the ``(K*C_in, C_out)`` GEMM operand."""
+    c_out, c_in, k = w.shape
+    return w.transpose(2, 1, 0).reshape(k * c_in, c_out)
+
+
+def _causal_cols(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Causal im2col of a channels-last ``(N, L, C)`` input -> ``(N*L, K*C)``.
+
+    Row ``(n, t)`` holds ``x[n, t - (K-1-j)*d]`` for taps ``j = 0..K-1``:
+    one strided slice copy per tap into an uninitialized buffer, with each
+    tap's causal prefix zero-filled explicitly (all of it when the tap
+    reaches back past the start of the window).
+    """
+    n, length, c = x.shape
+    cols = np.empty((n, length, k, c), dtype=x.dtype)
+    for tap in range(k):
+        off = min((k - 1 - tap) * dilation, length)
+        cols[:, :off, tap] = 0.0
+        cols[:, off:, tap] = x[:, : length - off]
+    return cols.reshape(n * length, k * c)
+
+
+def _fold_causal(
+    gcols: np.ndarray, n: int, length: int, k: int, dilation: int
+) -> np.ndarray:
+    """Adjoint of :func:`_causal_cols`: ``(N*L, K*C)`` -> ``(N, L, C)``."""
+    gcols = gcols.reshape(n, length, k, gcols.shape[1] // k)
+    gx = gcols[:, :, k - 1].copy()  # the zero-offset tap covers every step
+    for tap in range(k - 1):
+        off = (k - 1 - tap) * dilation
+        if off < length:
+            gx[:, : length - off] += gcols[:, off:, tap]
+    return gx
+
+
+def _bias_relu(h: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``ReLU(h + bias)``, in place on the fresh GEMM output ``h``."""
+    h += bias
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
+def temporal_block(
+    x: Tensor,
+    v1: Tensor,
+    g1: Tensor,
+    b1: Tensor,
+    v2: Tensor,
+    g2: Tensor,
+    b2: Tensor,
+    dilation: int,
+    down_weight: Tensor | None = None,
+    down_bias: Tensor | None = None,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+) -> Tensor:
+    """One TCN residual block (paper Fig. 6) as a single autograd node.
+
+    Computes ``ReLU(res(x) + drop(ReLU(conv2(drop(ReLU(conv1(x)))))))``
+    where each ``conv`` is a causal dilated convolution whose filters are
+    weight-normalized, ``w = v * (g / (||v|| + eps))`` per output filter,
+    and ``res`` is the identity or the 1x1 convolution ``down_weight``.
+
+    Inside the op the layout is channels-last ``(N, L, C)``: the input is
+    ``x.data.transpose(0, 2, 1)`` (for a window that was swapped to
+    channels-first, that is the caller's own contiguous array), each
+    convolution is a causal im2col followed by one 2-D GEMM
+    ``(N*L, K*C) @ (K*C, C_out)``, and the result is returned as the
+    ``(N, C_out, L)`` transposed view. Backward is hand-written: one GEMM
+    per weight gradient, one GEMM plus a K-slice fold per input gradient
+    (skipped when ``x`` does not require grad), and the weight-norm
+    chain rule into ``v`` and ``g``.
+
+    Spatial dropout (``training`` and ``p > 0``) draws its two
+    ``(N, C_out, 1)`` masks from ``rng`` exactly as
+    :func:`spatial_dropout1d` would, first block half before second, so
+    the generator advances as in the unfused composition. Under
+    ``no_grad`` the same helpers run in the same order, in place, freeing
+    each temporary as soon as it is consumed; the output equals the
+    grad-mode forward bit for bit.
+    """
+    n, _, length = x.shape
+    c_out, c_in, k = v1.shape
+    xl = x.data.transpose(0, 2, 1)
+    w1, r1 = _weight_norm(v1.data, g1.data)
+    w2, r2 = _weight_norm(v2.data, g2.data)
+    w1m, w2m = _gemm_weight(w1), _gemm_weight(w2)
+    dropping = training and p > 0.0
+
+    def drop(h: np.ndarray) -> np.ndarray | None:
+        if not dropping:
+            return None
+        mask = _channel_mask(rng, n, c_out, p).transpose(0, 2, 1)  # (N, 1, C)
+        h.reshape(n, length, c_out)[...] *= mask
+        return mask
+
+    def residual() -> np.ndarray:
+        if down_weight is None:
+            return xl.reshape(n * length, c_in)
+        res = xl.reshape(n * length, c_in) @ down_weight.data[:, :, 0].T
+        res += down_bias.data
+        return res
+
+    parents = [x, v1, g1, b1, v2, g2, b2]
+    if down_weight is not None:
+        parents += [down_weight, down_bias]
+    requires = is_grad_enabled() and any(t.requires_grad for t in parents)
+
+    if not requires:
+        # inference path: in place, and every temporary is freed as soon as
+        # it is consumed, so the transient heap peak stays small. A larger
+        # peak lets glibc trim the freed heap top after each call and
+        # fault it back in on the next (hundreds of page faults per call)
+        cols = _causal_cols(xl, k, dilation)
+        h = _bias_relu(cols @ w1m, b1.data)
+        del cols
+        drop(h)
+        cols = _causal_cols(h.reshape(n, length, c_out), k, dilation)
+        del h
+        h = _bias_relu(cols @ w2m, b2.data)
+        del cols
+        drop(h)
+        h += residual()
+        np.maximum(h, 0.0, out=h)
+        return Tensor(h.reshape(n, length, c_out).transpose(0, 2, 1))
+
+    cols1 = _causal_cols(xl, k, dilation)
+    h1 = _bias_relu(cols1 @ w1m, b1.data)
+    mask1 = drop(h1)
+    cols2 = _causal_cols(h1.reshape(n, length, c_out), k, dilation)
+    h2 = _bias_relu(cols2 @ w2m, b2.data)
+    mask2 = drop(h2)
+    out = h2 + residual()
+    np.maximum(out, 0.0, out=out)
+
+    def branch_grad(g: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Gradient at a conv's pre-activation from the grad at its dropout."""
+        g = g * (h > 0)
+        if mask is not None:
+            g.reshape(n, length, c_out)[...] *= mask
+        return g
+
+    def conv_grads(
+        g: np.ndarray, cols: np.ndarray, v: Tensor, gain: Tensor, bias: Tensor, r: np.ndarray
+    ) -> None:
+        """Accumulate one conv's ``v``/``g``/bias grads from its pre-activation grad."""
+        if v.requires_grad or gain.requires_grad:
+            gw = (cols.T @ g).reshape(k, v.shape[1], c_out).transpose(2, 1, 0)
+            dv, dg = _weight_norm_backward(gw, v.data, gain.data, r)
+            if v.requires_grad:
+                v._accumulate(dv)
+            if gain.requires_grad:
+                gain._accumulate(dg)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.transpose(0, 2, 1).reshape(n * length, c_out) * (out > 0)
+        gx = None
+        if down_weight is not None:
+            if down_weight.requires_grad:
+                gwd = xl.reshape(n * length, c_in).T @ g
+                down_weight._accumulate(gwd.T[:, :, None])
+            if down_bias.requires_grad:
+                down_bias._accumulate(g.sum(axis=0))
+            if x.requires_grad:
+                gx = g @ down_weight.data[:, :, 0]
+        elif x.requires_grad:
+            gx = g
+        g = branch_grad(g, h2, mask2)
+        conv_grads(g, cols2, v2, g2, b2, r2)
+        g = _fold_causal(g @ w2m.T, n, length, k, dilation)
+        g = branch_grad(g.reshape(n * length, c_out), h1, mask1)
+        conv_grads(g, cols1, v1, g1, b1, r1)
+        if x.requires_grad:
+            gx = gx + _fold_causal(g @ w1m.T, n, length, k, dilation).reshape(
+                n * length, c_in
+            )
+            x._accumulate(gx.reshape(n, length, c_in).transpose(0, 2, 1))
+
+    return Tensor._from_op(out.reshape(n, length, c_out).transpose(0, 2, 1), parents, backward)

@@ -117,7 +117,8 @@ class BahdanauAttention(Module):
         self.v = Linear(hidden, 1, bias=False, rng=rng)
 
     def forward(self, keys: Tensor, query: Tensor) -> Tensor:
-        q = self.w_query(query).reshape(query.shape[0], 1, -1)
+        q = self.w_query(query)
+        q = q.reshape(q.shape[0], 1, q.shape[1])
         e = self.v((self.w_key(keys) + q).tanh())  # (N, T, 1)
         alpha = F.softmax(e, axis=1)
         return (alpha * keys).sum(axis=1)

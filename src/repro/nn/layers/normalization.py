@@ -3,8 +3,12 @@
 TCN residual blocks (paper Fig. 6) wrap each dilated causal convolution in
 *weight normalization* (Salimans & Kingma 2016): the weight is
 reparameterized as ``w = g * v / ||v||`` with the norm taken per output
-filter. The reparameterization is expressed entirely in autograd ops, so
-gradients flow to ``g`` and ``v`` without bespoke backward code.
+filter. :class:`WeightNormConv1d` expresses the reparameterization in
+autograd ops, so gradients flow to ``g`` and ``v`` without bespoke
+backward code. Inside the TCN the same expression runs in the fused
+:func:`repro.nn.functional.temporal_block`, with a hand-written backward;
+the TCN's ``WeightNormConv1d`` modules then only hold ``v``, ``g`` and the
+bias.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from ..tensor import Tensor
 
 __all__ = ["WeightNormConv1d", "LayerNorm", "BatchNorm1d"]
 
-_EPS = 1e-12
+_EPS = F.WEIGHT_NORM_EPS
 
 
 class WeightNormConv1d(Module):

@@ -14,6 +14,7 @@ hot path.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -590,7 +591,8 @@ class Tensor:
 
     def flatten_from(self, start_axis: int = 1) -> "Tensor":
         """Flatten all axes from ``start_axis`` onward (Keras Flatten)."""
-        new_shape = self.data.shape[:start_axis] + (-1,)
+        shape = self.data.shape
+        new_shape = shape[:start_axis] + (math.prod(shape[start_axis:]),)
         return self.reshape(*new_shape)
 
     def transpose(self, *axes) -> "Tensor":

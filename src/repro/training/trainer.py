@@ -87,7 +87,11 @@ class Trainer:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
-        """Mean loss over a dataset, in eval mode with autograd off."""
+        """Mean loss over a dataset, in eval mode with autograd off.
+
+        The model's train/eval mode is restored afterwards.
+        """
+        was_training = self.model.training
         self.model.eval()
         total = 0.0
         count = 0
@@ -100,7 +104,7 @@ class Trainer:
                 loss = self.loss(out, yb)
                 total += loss.item() * (stop - start)
                 count += stop - start
-        self.model.train()
+        self.model.train(was_training)
         return total / max(count, 1)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -109,19 +113,21 @@ class Trainer:
         The output array is preallocated after the first batch reveals the
         head shape, and each batch is written into its slice in place —
         no Python list of batch outputs, no terminal ``np.concatenate``.
+        An empty ``x`` still runs one zero-row forward, so the result has
+        the head's trailing shape. The model's train/eval mode is restored
+        afterwards.
         """
+        was_training = self.model.training
         self.model.eval()
         out_arr: np.ndarray | None = None
         with no_grad():
-            for start in range(0, len(x), batch_size):
+            for start in range(0, max(len(x), 1), batch_size):
                 stop = min(start + batch_size, len(x))
                 out = self.model(Tensor(x[start:stop])).data
                 if out_arr is None:
                     out_arr = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
                 out_arr[start:stop] = out
-        self.model.train()
-        if out_arr is None:
-            return np.empty((0,))
+        self.model.train(was_training)
         return out_arr
 
     # -- training ----------------------------------------------------------------

@@ -12,6 +12,7 @@ bit-for-bit, for every forecaster in the registry.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -51,11 +52,19 @@ def _windowed_data(window: int = 12, features: int = 2):
     return make_windows(feats, target, window, horizon=1)
 
 
-@pytest.mark.parametrize("name", sorted(FORECASTER_REGISTRY))
-def test_stacked_predict_equals_rowwise(name):
+@lru_cache(maxsize=None)
+def _fitted(name: str):
+    """One fitted instance per forecaster, shared by the tests below."""
     x, y = _windowed_data()
     model = create_forecaster(name, **_fast_kwargs(name))
     model.fit(x[:-7], y[:-7])
+    return model
+
+
+@pytest.mark.parametrize("name", sorted(FORECASTER_REGISTRY))
+def test_stacked_predict_equals_rowwise(name):
+    x, _ = _windowed_data()
+    model = _fitted(name)
     batch = x[-7:]
     stacked = np.asarray(model.predict(batch))
     rowwise = np.concatenate(
@@ -71,3 +80,14 @@ def test_stacked_predict_equals_rowwise(name):
         np.testing.assert_allclose(stacked, rowwise, rtol=1e-9, atol=1e-12, err_msg=err)
     else:
         np.testing.assert_array_equal(stacked, rowwise, err_msg=err)
+
+
+@pytest.mark.parametrize("name", sorted(FORECASTER_REGISTRY))
+def test_empty_batch_keeps_the_output_width(name):
+    """``predict(x[:0])`` is ``(0, out_dim)``: a fleet tick with no due rows."""
+    x, _ = _windowed_data()
+    model = _fitted(name)
+    one = np.asarray(model.predict(x[:1]))
+    empty = np.asarray(model.predict(x[:0]))
+    assert one.ndim == 2
+    assert empty.shape == (0, one.shape[1])

@@ -14,6 +14,7 @@ import pytest
 
 from repro.data.windowing import make_windows
 from repro.models import create_forecaster
+from repro.nn.tensor import Tensor
 
 
 def _data(n=80, seed=0, features=1, window=8):
@@ -77,6 +78,43 @@ class TestNeuralResume:
         model = create_forecaster("mlp", epochs=2, seed=0).fit(x, y)
         with pytest.raises(ValueError, match="epochs"):
             model.warm_fit(x, y, epochs=0)
+
+
+class TestPredictKeepsEvalMode:
+    """Predicting must not leave dropout live on the forecaster's shared rng."""
+
+    KW = dict(epochs=2, channels=(4, 4), seed=0)
+
+    def test_network_stays_in_eval_mode_after_predict(self):
+        x, y = _data(features=2)
+        model = create_forecaster("rptcn", **self.KW).fit(x, y)
+        model.predict(x[:5])
+        assert not any(m.training for m in model.model.modules())
+        xt = Tensor(x[:5])
+        first = model.model.attention_weights(xt)
+        np.testing.assert_array_equal(model.model.attention_weights(xt), first)
+
+    def test_evaluate_restores_training_mode(self):
+        x, y = _data(features=2)
+        model = create_forecaster("rptcn", **self.KW).fit(x, y)
+        model.model.train()
+        model.trainer.evaluate(x, y)
+        model.trainer.predict(x[:3])
+        assert all(m.training for m in model.model.modules())
+
+    def test_attention_probe_does_not_shift_the_next_warm_fit(self):
+        x, y = _data(features=2)
+        x2, y2 = _data(seed=1, features=2)
+
+        def warm(probe: bool) -> np.ndarray:
+            model = create_forecaster("rptcn", **self.KW).fit(x, y)
+            model.predict(x[:5])
+            if probe:
+                model.model.attention_weights(Tensor(x[:5]))
+            model.warm_fit(x2, y2, epochs=1)
+            return model.predict(x2[:5])
+
+        np.testing.assert_array_equal(warm(probe=True), warm(probe=False))
 
 
 class TestPrunedGRU:

@@ -20,6 +20,7 @@ from repro.nn.layers import (
     TemporalAttention,
     WeightNormConv1d,
 )
+from repro.models.tcn import TemporalBlock
 from repro.nn.tensor import Tensor
 
 from ..conftest import check_gradients
@@ -145,12 +146,43 @@ class TestFunctionalGrads:
         check_gradients(lambda: (F.avg_pool1d(x, 2) ** 2).sum(), [x])
 
 
+def _kink_free_biases(block, rng) -> None:
+    """Give the block's convs positive random biases.
+
+    With the zero bias init, a step whose causal window holds only zeros
+    has a pre-activation of exactly 0, the ReLU kink, where central
+    differences and the subgradient disagree.
+    """
+    for conv in (block.conv1, block.conv2):
+        conv.bias.data[...] = rng.uniform(0.1, 0.5, conv.bias.shape)
+
+
 class TestLayerGrads:
     def test_weight_norm_conv(self, rng):
         layer = WeightNormConv1d(2, 3, 3, dilation=2, rng=rng)
         x = leaf(rng, 2, 2, 9)
         params = [layer.v, layer.g, layer.bias, x]
         check_gradients(lambda: (layer(x) ** 2).sum(), params)
+
+    @pytest.mark.parametrize("c_in", [2, 3])
+    def test_fused_temporal_block(self, rng, c_in):
+        # c_in 2 -> 1x1 downsample shortcut, c_in 3 -> identity shortcut
+        block = TemporalBlock(c_in, 3, 2, dilation=2, dropout=0.0, rng=rng)
+        _kink_free_biases(block, rng)
+        x = leaf(rng, 2, c_in, 7)
+        check_gradients(lambda: (block(x) ** 2).sum(), [x] + list(block.parameters()))
+
+    def test_fused_temporal_block_with_dropout_masks(self, rng):
+        block = TemporalBlock(2, 3, 3, dilation=1, dropout=0.3, rng=rng)
+        _kink_free_biases(block, rng)
+        x = leaf(rng, 3, 2, 6)
+
+        def loss():
+            # every probe redraws the same masks
+            block.drop1.rng = block.drop2.rng = np.random.default_rng(4)
+            return (block(x) ** 2).sum()
+
+        check_gradients(loss, [x] + list(block.parameters()))
 
     def test_layer_norm(self, rng):
         layer = LayerNorm(6)

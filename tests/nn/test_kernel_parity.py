@@ -1,22 +1,32 @@
 """Parity suite for the substrate's fast kernels.
 
-The conv1d GEMM/fold kernels and the fused LSTM sequence kernel replace
-slower but transparently correct implementations (per-call einsum with
-``optimize=True``, ``np.add.at`` scatter, stepwise autograd cells). These
-tests pin the fast paths to naive references across a grid of
-stride/dilation/padding/kernel-size combinations, and check the fused
-LSTM's hand-written BPTT against the stepwise autograd chain.
+The conv1d GEMM/fold kernels, the fused LSTM sequence kernel and the
+fused TCN residual block replace slower but transparently correct
+implementations (per-call einsum with ``optimize=True``, ``np.add.at``
+scatter, stepwise autograd cells, the conv → ReLU → dropout autograd
+composition). These tests pin the fast paths to naive references across a
+grid of stride/dilation/padding/kernel-size combinations, check the fused
+LSTM's hand-written BPTT against the stepwise autograd chain, and check
+the fused block's forward, every gradient and its dropout draws against
+the unfused composition.
 """
 
 import itertools
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import _plans
 from repro.nn import functional as F
+from repro.models.tcn import TCN, TemporalBlock
 from repro.nn.layers import LSTM, LSTMCell
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, dtype_policy, no_grad
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # ---------------------------------------------------------------------------
 # references
@@ -259,3 +269,135 @@ def test_conv1d_inference_builds_no_graph():
     assert out._backward is None and out._parents == ()
     out2 = F.conv1d(x, w, padding=(2, 0), dilation=1)
     np.testing.assert_array_equal(out.data, out2.data)
+
+
+# ---------------------------------------------------------------------------
+# fused TCN residual block vs the unfused autograd composition
+# ---------------------------------------------------------------------------
+
+
+def unfused_block(block: TemporalBlock, x: Tensor) -> Tensor:
+    """The pre-fusion ``TemporalBlock.forward``: one autograd op at a time."""
+    out = block.drop1(block.conv1(x).relu())
+    out = block.drop2(block.conv2(out).relu())
+    res = block.downsample(x) if block.downsample is not None else x
+    return (out + res).relu()
+
+
+def _run_block(block, forward, x, grad_out, x_grad, seed):
+    """Output, x grad, parameter grads and final rng state of one fwd+bwd."""
+    block.zero_grad()
+    rng = np.random.default_rng(seed)
+    block.drop1.rng = block.drop2.rng = rng
+    xt = Tensor(x.copy(), requires_grad=x_grad)
+    out = forward(xt)
+    out.backward(grad_out)
+    grads = {name: p.grad for name, p in block.named_parameters()}
+    return out.data.copy(), xt.grad, grads, rng.bit_generator.state
+
+
+def _assert_close(got, want, what):
+    # the GEMM reduction order differs from the per-op composition, so
+    # agreement is to a relative 1e-12 of the array's scale, not bit-exact
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, err_msg=what)
+
+
+@given(
+    n=st.integers(1, 64),
+    c_in=st.sampled_from([1, 3, 16]),
+    c_out=st.sampled_from([4, 16]),
+    k=st.integers(1, 4),
+    dilation=st.integers(1, 8),
+    length=st.integers(1, 30),
+    p=st.sampled_from([0.0, 0.1]),
+    training=st.booleans(),
+    x_grad=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_fused_block_matches_unfused_composition(
+    n, c_in, c_out, k, dilation, length, p, training, x_grad, seed
+):
+    rng = np.random.default_rng(seed)
+    block = TemporalBlock(c_in, c_out, k, dilation, dropout=p, rng=rng)
+    block.train(training)
+    x = rng.standard_normal((n, c_in, length))
+    grad_out = rng.standard_normal((n, c_out, length))
+
+    got = _run_block(block, block, x, grad_out, x_grad, seed)
+    want = _run_block(block, lambda xt: unfused_block(block, xt), x, grad_out, x_grad, seed)
+
+    _assert_close(got[0], want[0], "output")
+    if x_grad:
+        _assert_close(got[1], want[1], "x grad")
+    else:
+        assert got[1] is None and want[1] is None
+    for name, g in want[2].items():
+        _assert_close(got[2][name], g, f"{name} grad")
+    # same number of dropout draws, in the same order, from the shared rng
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("c_in", [1, 8])
+def test_fused_block_no_grad_equals_grad_mode_bitwise(training, c_in):
+    rng = np.random.default_rng(21)
+    block = TemporalBlock(c_in, 8, 3, 4, dropout=0.2, rng=rng)
+    block.train(training)
+    x = rng.standard_normal((17, c_in, 12))
+    block.drop1.rng = block.drop2.rng = np.random.default_rng(3)
+    grad_mode = block(Tensor(x, requires_grad=True))
+    assert grad_mode.requires_grad
+    block.drop1.rng = block.drop2.rng = np.random.default_rng(3)
+    with no_grad():
+        inference = block(Tensor(x))
+    assert inference._backward is None and inference._parents == ()
+    np.testing.assert_array_equal(inference.data, grad_mode.data)
+
+
+def test_fused_block_train_mode_advances_rng_like_the_oracle():
+    rng = np.random.default_rng(22)
+    block = TemporalBlock(3, 8, 3, 2, dropout=0.1, rng=rng)
+    x = Tensor(rng.standard_normal((5, 3, 10)))
+    states = []
+    for forward in (block, lambda xt: unfused_block(block, xt)):
+        block.drop1.rng = block.drop2.rng = np.random.default_rng(9)
+        with no_grad():  # masks apply in training mode even without autograd
+            out = forward(x).data
+        states.append((out, block.drop1.rng.bit_generator.state))
+    _assert_close(states[0][0], states[1][0], "output")
+    assert states[0][1] == states[1][1]
+    assert states[0][1] != np.random.default_rng(9).bit_generator.state
+
+
+def test_fused_block_follows_float32_input():
+    rng = np.random.default_rng(23)
+    net = TCN(2, (8, 8), kernel_size=3, rng=rng)
+    net.eval()
+    x = rng.standard_normal((4, 2, 12))
+    with no_grad():
+        want = net(Tensor(x)).data
+    net.to_dtype(np.float32)
+    with dtype_policy(np.float32), no_grad():
+        got = net(Tensor(x)).data
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
+
+def test_pickled_unfused_rptcn_forecaster_loads_and_predicts():
+    """A forecaster pickled before the block was fused serves unchanged.
+
+    ``data/rptcn_unfused_block.pkl`` holds a fitted ``RPTCNForecaster``
+    (channels (4, 4), fc_units 8), a query batch and the predictions that
+    the conv → ReLU → dropout composition made for it.
+    """
+    with open(DATA / "rptcn_unfused_block.pkl", "rb") as fh:
+        saved = pickle.load(fh)
+    model = saved["forecaster"]
+    block = model.model.backbone.blocks[0]
+    assert sorted(n for n, _ in block.named_parameters()) == [
+        "conv1.bias", "conv1.g", "conv1.v", "conv2.bias", "conv2.g", "conv2.v",
+        "downsample.bias", "downsample.weight",
+    ]
+    np.testing.assert_allclose(model.predict(saved["x"]), saved["pred"], rtol=1e-12, atol=1e-14)
