@@ -36,7 +36,7 @@ from .faults import (
 )
 from .fleet import FleetPredictor, FleetTick
 from .online import OnlinePredictor, PredictionRecord
-from .refit import AsyncRefitEngine, ModelSlot, RefitOutcome, RefitTask
+from .refit import AsyncRefitEngine, RefitOutcome, RefitTask
 from .resilience import (
     FleetGate,
     FleetGateResult,
@@ -70,7 +70,6 @@ __all__ = [
     "AsyncRefitEngine",
     "RefitTask",
     "RefitOutcome",
-    "ModelSlot",
     "ShardedFleetPredictor",
     "RespawnPolicy",
     "AllShardsFailedError",

@@ -33,7 +33,10 @@ model state and processes one *tick* (one record per stream) at a time:
   triggers a refit only pools and submits, so refit ticks stop paying
   the fit cost (the p99 stall ROADMAP item 3 targets). Every tick
   carries the live ``model_version`` and obs tracks staleness, refit
-  lag and swap counts;
+  lag and swap counts. In-line and background refits build the same
+  :class:`~repro.streaming.refit.RefitTask` and finish through one
+  handler, so failures degrade identically and warm starts work in
+  both modes;
 * the whole fleet checkpoints to one crash-safe artifact via
   :mod:`repro.streaming.checkpoint`.
 
@@ -66,7 +69,7 @@ from .buffer import MatrixRingBuffer
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
 from .online import _HEALTH_LEVEL, PredictionRecord
-from .refit import AsyncRefitEngine, RefitTask
+from .refit import AsyncRefitEngine, RefitTask, fit_task
 from .resilience import (
     GATE_QUARANTINE,
     GatePolicy,
@@ -98,12 +101,17 @@ class FleetTick:
     predictions: np.ndarray  #: (N,) float — NaN where no prediction was served
     actuals: np.ndarray  #: (N,) float — gated target values (raw if quarantined)
     errors: np.ndarray  #: (N,) float — NaN where no prediction was served
-    refit: bool  #: the serving model changed this tick (in-line refit or async swap)
+    #: a new primary model was adopted this tick — sync: the in-line refit
+    #: at the end of the trigger tick; async: the swap at the tick's start
+    refit: bool
     drift: np.ndarray  #: (N,) bool — stream's drift detector fired this tick
     health: np.ndarray  #: (N,) uint8 — 0 healthy / 1 degraded / 2 fallback / 3 recovering (sharded)
     gated: np.ndarray  #: (N,) int8 — gate action codes (accept/impute/quarantine)
-    #: primary-model version that served this tick (0 = no model yet;
-    #: sharded fleets report the minimum across live shards)
+    #: primary-model version as the tick ends (0 = no model yet). Async: the
+    #: version that served the tick (swaps land before predicting). Sync:
+    #: counts the refit made at the end of this tick, so on a ``refit``
+    #: tick it is one past the version that served it. Sharded fleets
+    #: report the minimum across live shards.
     model_version: int = 0
 
     @property
@@ -426,10 +434,11 @@ class FleetPredictor:
         ``"process"`` (a persistent spawned process: full isolation at
         the cost of one task/model pickle per refit).
     warm_start:
-        Async mode only: ship the current model's weights with each
-        task so models implementing :meth:`Forecaster.warm_fit` resume
-        training instead of refitting from scratch (the worker resumes
-        a *copy*; the live model is never touched off-thread).
+        Ship the current model's weights with each refit task, in either
+        ``refit_mode``, so models implementing :meth:`Forecaster.warm_fit`
+        resume training instead of refitting from scratch. The fit
+        resumes a *copy* deserialized from the weights; the live model
+        is never mutated (nor touched off-thread in async mode).
     warm_epochs:
         Epoch budget for warm-started resumes (``None`` = the model's
         default, a quarter of its cold budget).
@@ -687,68 +696,17 @@ class FleetPredictor:
         except Exception:  # noqa: BLE001 — last line of defence stays up
             pass
 
-    def _refit(self) -> bool:
-        """Supervised shared-model refit; on terminal failure degrade."""
+    def _refit_task(self) -> RefitTask:
+        """One refit attempt's fit request (both modes build it the same way).
 
-        def attempt() -> Forecaster:
-            if self.refit_fault_hook is not None:
-                self.refit_fault_hook()
-            x, y = self._fit_pool()
-            model = create_forecaster(self.forecaster_name, **self.forecaster_kwargs)
-            model.fit(x, y)
-            return model
-
-        # the clock resets when the attempt *starts*, not after it returns:
-        # anything escaping the supervisor (it only catches Exception, so a
-        # BaseException from the fit propagates) must not leave the
-        # ``scheduled`` trigger armed, or every subsequent tick re-fires a
-        # refit — async mode resets at submission for the same reason
-        self._since_refit = 0
-        ok, model = self.refit_supervisor.run(attempt)
-        if ok:
-            self.model = model
-            self.model_version += 1
-            self._model_step = self._step
-            self.on_fallback = False
-            self.stats.n_refits += 1
-            return True
-        self.stats.n_refit_failures += 1
-        if self.model is None or self.refit_supervisor.should_fall_back:
-            self._fit_fallback()
-            if self.fallback_model is not None:
-                self.on_fallback = True
-        return False
-
-    def _schedule_refit(self) -> bool:
-        """Async-mode refit trigger: pool windows, submit to the engine.
-
-        Returns ``True`` iff an attempt *started* (task submitted, or
-        pooling/fault-hook failed and was counted) — mirroring what one
-        supervised in-line attempt would have done to the clock, the
-        failure streak and the drift detector. A busy engine defers the
-        trigger instead, *without* resetting the refit clock, so it
-        re-arms next tick and the effective cadence degrades to
-        ``max(refit_interval, fit_time)``.
+        Runs the fault hook, pools the training windows and, with
+        ``warm_start``, ships the live model's weights so the fit resumes
+        through :meth:`Forecaster.warm_fit`. Raises whatever the hook or
+        the pooling raises — the caller counts it as a failed attempt.
         """
-        engine = self.refit_engine
-        assert engine is not None
-        if engine.busy:
-            self.stats.n_refits_deferred += 1
-            self._obs_counters["refits_deferred"].inc()
-            return False
-        self._since_refit = 0  # attempt starts now — same clock as sync mode
-        try:
-            if self.refit_fault_hook is not None:
-                self.refit_fault_hook()
-            x, y = self._fit_pool()
-        except Exception as exc:  # noqa: BLE001 — mirror the supervised attempt
-            self.refit_supervisor.record(False, f"{type(exc).__name__}: {exc}")
-            self.stats.n_refit_failures += 1
-            if self.model is None or self.refit_supervisor.should_fall_back:
-                self._fit_fallback()
-                if self.fallback_model is not None:
-                    self.on_fallback = True
-            return True
+        if self.refit_fault_hook is not None:
+            self.refit_fault_hook()
+        x, y = self._fit_pool()
         warm = None
         if (
             self.warm_start
@@ -756,45 +714,72 @@ class FleetPredictor:
             and getattr(self.model, "supports_warm_fit", False)
         ):
             warm = self.model.to_bytes()
-        engine.submit(
-            RefitTask(
-                self.forecaster_name,
-                dict(self.forecaster_kwargs),
-                x,
-                y,
-                warm_state=warm,
-                warm_epochs=self.warm_epochs,
-                step=self._step,
-            )
+        return RefitTask(
+            self.forecaster_name,
+            dict(self.forecaster_kwargs),
+            x,
+            y,
+            warm_state=warm,
+            warm_epochs=self.warm_epochs,
+            step=self._step,
         )
-        return True
 
-    def _poll_async_refit(self) -> bool:
-        """Adopt a finished background fit; ``True`` iff the model swapped.
+    def _start_refit(self) -> bool:
+        """Refit trigger; ``True`` iff an attempt *started*.
 
-        The swap is one reference assignment of a fully fitted model the
-        serving thread has never seen — readers observe the old model or
-        the new one, never a torn mix. Failures land with the same
-        bookkeeping as a failed in-line refit.
+        Sync mode fits in-line under the refit supervisor (retries re-run
+        the hook and the pooling) and finishes the attempt before this
+        tick returns. Async mode submits the task, and the outcome is
+        finished by the poll at the start of a later tick; a failure of
+        the hook or the pooling finishes it at once. A busy engine defers
+        the trigger instead, *without* resetting the refit clock, so it
+        re-arms next tick and the effective cadence degrades to
+        ``max(refit_interval, fit_time)``.
         """
         engine = self.refit_engine
-        assert engine is not None
-        outcome = engine.poll()
-        if outcome is None:
+        if engine is not None and engine.busy:
+            self.stats.n_refits_deferred += 1
+            self._obs_counters["refits_deferred"].inc()
             return False
-        if outcome.ok:
-            self.refit_supervisor.record(True)
-            self.model = outcome.model
+        # the clock resets when the attempt *starts*, not after it returns:
+        # anything escaping the supervisor (it only catches Exception, so a
+        # BaseException from the fit propagates) must not leave the
+        # ``scheduled`` trigger armed, or every subsequent tick re-fires a
+        # refit
+        self._since_refit = 0
+        if engine is None:
+            _, model = self.refit_supervisor.run(lambda: fit_task(self._refit_task()))
+            self._finish_refit(model, self._step)
+            return True
+        try:
+            task = self._refit_task()
+        except Exception as exc:  # noqa: BLE001 — a failed attempt, as in sync mode
+            self.refit_supervisor.record(False, f"{type(exc).__name__}: {exc}")
+            self._finish_refit(None, self._step)
+            return True
+        # ``busy`` covers an unpolled outcome too, so this cannot be rejected
+        engine.submit(task)
+        return True
+
+    def _finish_refit(self, model: Forecaster | None, step: int) -> bool:
+        """Adopt a fitted model, or degrade on a failed attempt.
+
+        The one place a refit changes the serving model or the refit
+        counters. ``step`` is the fleet step whose pooled windows trained
+        ``model`` (the staleness anchor). Adoption is one reference
+        assignment of a fully fitted model, so readers see the old model
+        or the new one, never a torn mix. Returns ``True`` iff adopted.
+        """
+        if model is not None:
+            self.model = model
             self.model_version += 1
-            self._model_step = outcome.task.step
+            self._model_step = step
             self.on_fallback = False
             self.stats.n_refits += 1
-            self._obs_counters["async_swaps"].inc()
-            self._h_refit_lag.observe(float(self._step - outcome.task.step))
-            self._h_fit_seconds.observe(outcome.fit_seconds)
+            self._obs_counters["refits"].inc()
             return True
-        self.refit_supervisor.record(False, outcome.error)
         self.stats.n_refit_failures += 1
+        self._obs_counters["refit_failures"].inc()
         if self.model is None or self.refit_supervisor.should_fall_back:
             self._fit_fallback()
             if self.fallback_model is not None:
@@ -843,8 +828,6 @@ class FleetPredictor:
         if not is_enabled():
             return self._process_tick_inner(tick)
         st = self.stats
-        b_refits = st.n_refits
-        b_refit_failures = st.n_refit_failures
         b_fallback = st.total_fallback_predictions
         b_clamped = st.total_clamped_predictions
         t0 = time.perf_counter()
@@ -874,10 +857,6 @@ class FleetPredictor:
         self._g_staleness.set(
             float(self._step - self._model_step) if self.model is not None else 0.0
         )
-        if st.n_refits != b_refits:
-            counters["refits"].inc(st.n_refits - b_refits)
-        if st.n_refit_failures != b_refit_failures:
-            counters["refit_failures"].inc(st.n_refit_failures - b_refit_failures)
         n_drift = int(result.drift.sum())
         if n_drift:
             counters["drift_events"].inc(n_drift)
@@ -904,9 +883,14 @@ class FleetPredictor:
         # lands within one tick gap this is exactly the sync schedule (model
         # fitted at trigger tick k serves tick k+1), which is what the
         # paced-parity tests assert
-        swapped = False
-        if self.refit_engine is not None:
-            swapped = self._poll_async_refit()
+        version = self.model_version
+        engine = self.refit_engine
+        if engine is not None and (outcome := engine.poll()) is not None:
+            self.refit_supervisor.record(outcome.ok, outcome.error)
+            if self._finish_refit(outcome.model, outcome.task.step):
+                self._obs_counters["async_swaps"].inc()
+                self._h_refit_lag.observe(float(self._step - outcome.task.step))
+                self._h_fit_seconds.observe(outcome.fit_seconds)
         gated = self.gate.check_tick(arr)
         accepted = gated.actions != GATE_QUARANTINE
         # quarantined rows report their *raw* target (possibly NaN), accepted
@@ -973,7 +957,6 @@ class FleetPredictor:
         #    matching the scalar predictor's early return)
         self.buffer.append_tick(gated.records, mask=accepted)
         self._step += 1
-        refit = swapped
         if accepted.any():
             self._since_refit += 1
             sizes = self.buffer.sizes
@@ -988,13 +971,8 @@ class FleetPredictor:
             )
             scheduled = self.model is not None and self._since_refit >= self.refit_interval
             drift_ready = fired & (sizes >= self.min_fit_size)
-            if needs_fit or scheduled or bool(drift_ready.any()):
-                if self.refit_engine is not None:
-                    if self._schedule_refit():
-                        self.detector.reset(fired)
-                else:
-                    refit = self._refit()
-                    self.detector.reset(fired)
+            if (needs_fit or scheduled or bool(drift_ready.any())) and self._start_refit():
+                self.detector.reset(fired)
 
         health = np.full(self.n_streams, _HEALTH_LEVEL[self.health], dtype=np.uint8)
         health[used_fallback] = _HEALTH_LEVEL[HealthStatus.FALLBACK]
@@ -1003,7 +981,7 @@ class FleetPredictor:
             predictions=predictions,
             actuals=actuals,
             errors=errors,
-            refit=refit,
+            refit=self.model_version != version,
             drift=fired,
             health=health,
             gated=gated.actions,

@@ -21,18 +21,17 @@ This module moves the fit off the serving path:
   **one task in flight at a time**: ``submit`` rejects while busy (the
   caller's refit clock decides whether to retry next tick), ``poll`` is
   the non-blocking serving-path call that collects a finished fit.
-* :class:`ModelSlot` is the atomic publication cell. The worker builds a
-  **fresh** model object and publishes the completed
-  ``(version, model, step)`` triple with a single reference assignment —
-  readers either see the old triple or the new one, never a
-  half-updated model (the hypothesis property test in
-  ``tests/streaming/test_async_refit.py`` hammers this from a reader
-  thread). The live serving model is never mutated by the worker; warm
-  starts resume a *copy* deserialized from bytes.
+* :func:`fit_task` executes one task. The worker runs it on a
+  **fresh** model object (warm starts resume a *copy* deserialized from
+  bytes), so the live serving model is never mutated off-thread; the
+  finished model travels back in a :class:`RefitOutcome`. In-line
+  (sync) refits run the same function under the caller's supervisor.
 
-The engine is mechanism only: the swap-adoption policy (when to poll,
-what counts as a failure, staleness accounting) lives with the caller
-in :class:`FleetPredictor`.
+The engine is mechanism only: adoption (when to poll, what counts as a
+failure, staleness accounting) lives with the caller —
+:class:`FleetPredictor` adopts a finished model at the start of a tick
+by one reference assignment, so serving sees the old model or the new
+one, never a half-updated one.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from ..models.base import Forecaster, create_forecaster
 
-__all__ = ["RefitTask", "RefitOutcome", "ModelSlot", "AsyncRefitEngine", "fit_task"]
+__all__ = ["RefitTask", "RefitOutcome", "AsyncRefitEngine", "fit_task"]
 
 _BACKENDS = ("thread", "process")
 
@@ -123,37 +122,6 @@ def fit_task(task: RefitTask) -> Forecaster:
     return model
 
 
-class ModelSlot:
-    """Versioned atomic publication cell for model references.
-
-    Publication is a single reference assignment of an immutable
-    ``(version, model, step)`` triple — atomic under the GIL, so a
-    reader on any thread sees either the previous complete triple or
-    the new complete triple, never a torn mix of versions. The model
-    object inside a triple is fully constructed *before* the assignment
-    (the worker fits it first, then publishes), which is the
-    happens-before edge that makes the swap safe without locks on the
-    read path.
-    """
-
-    def __init__(self) -> None:
-        self._cell: tuple[int, Forecaster | None, int] = (0, None, -1)
-
-    @property
-    def version(self) -> int:
-        return self._cell[0]
-
-    def publish(self, model: Forecaster, step: int) -> int:
-        """Atomically install ``model``; returns the new version."""
-        version = self._cell[0] + 1
-        self._cell = (version, model, step)
-        return version
-
-    def read(self) -> tuple[int, Forecaster | None, int]:
-        """One consistent ``(version, model, step)`` snapshot."""
-        return self._cell
-
-
 def _process_worker(conn: Any) -> None:  # pragma: no cover - child process
     """Persistent process backend: recv pickled tasks, send fitted bytes."""
     while True:
@@ -176,17 +144,17 @@ def _process_worker(conn: Any) -> None:  # pragma: no cover - child process
 
 
 class AsyncRefitEngine:
-    """One background fit at a time, results adopted via :class:`ModelSlot`.
+    """One background fit at a time; outcomes collected by :meth:`poll`.
 
     Lifecycle per refit::
 
         submit(task) -> True        # worker starts fitting off-path
-        busy -> True                # until the fit lands
+        busy -> True                # until the outcome is polled
         poll() -> RefitOutcome      # non-blocking; exactly once per task
 
-    ``submit`` while a task is in flight (or its outcome unconsumed)
-    returns ``False`` — the caller's refit clock re-arms and tries again
-    later, so refit cadence degrades gracefully to
+    ``submit`` while ``busy`` (a task in flight, or its outcome
+    unconsumed) returns ``False`` — the caller's refit clock re-arms and
+    tries again later, so refit cadence degrades gracefully to
     ``max(refit_interval, fit_time)`` instead of queueing stale work.
 
     ``pending_task()`` exposes the task that has not yet been *adopted*
@@ -289,14 +257,19 @@ class AsyncRefitEngine:
 
     @property
     def busy(self) -> bool:
-        """A submitted task has not produced its outcome yet."""
+        """A submitted task has not been collected by :meth:`poll` yet.
+
+        True while the fit runs *and* while its outcome waits unpolled —
+        exactly the condition under which :meth:`submit` rejects, so a
+        caller that checks ``busy`` first never has a submit rejected.
+        """
         if self.backend == "process":
             self._poll_process()
         with self._lock:
-            return self._pending is not None
+            return self._pending is not None or self._outcome is not None
 
     def submit(self, task: RefitTask) -> bool:
-        """Hand a task to the worker; ``False`` if one is already in flight."""
+        """Hand a task to the worker; ``False`` while :attr:`busy`."""
         if self._closed:
             raise RuntimeError("AsyncRefitEngine is closed")
         if self.backend == "process":
@@ -335,7 +308,11 @@ class AsyncRefitEngine:
             return outcome
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the in-flight fit (if any) completes; ``True`` if idle."""
+        """Block until the in-flight fit (if any) lands; ``True`` if none runs.
+
+        A landed outcome still waits for :meth:`poll`, so ``busy`` stays
+        True after a successful ``wait`` until the caller collects it.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
         if self.backend == "process":
             while True:

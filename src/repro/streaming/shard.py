@@ -1066,29 +1066,29 @@ class ShardedFleetPredictor:
     def run(self, ticks: np.ndarray) -> list[FleetTick]:
         """Process a ``(T, n_streams[, features])`` tick matrix sequentially.
 
-        With ``pipeline=True`` the loop is two-deep: tick *t+1* is
-        staged and dispatched before tick *t* is harvested, overlapping
-        coordinator-side composition with shard compute. Outputs are
-        bit-identical to the barrier loop either way.
+        One submit/collect loop keeps ``depth`` ticks in flight: 1 is
+        the barrier loop; with ``pipeline=True`` it is 2, so tick *t+1*
+        is staged and dispatched before tick *t* is harvested,
+        overlapping coordinator-side composition with shard compute.
+        Outputs are bit-identical either way.
         """
         ticks = np.asarray(ticks, float)
         if ticks.ndim == 2 and self.features == 1:
             ticks = ticks[:, :, None]
+        depth = 2 if self.pipeline else 1
         with obs_trace.span("serving.shard_run") as sp:
-            if not self.pipeline or len(ticks) < 2:
-                out = [self.process_tick(t) for t in ticks]
-            else:
-                self._assert_no_inflight("run")
-                out = []
-                try:
-                    self.submit_tick(ticks[0])
-                    for t in ticks[1:]:
-                        self.submit_tick(t)
+            self._assert_no_inflight("run")
+            out = []
+            try:
+                for t in ticks:
+                    self.submit_tick(t)
+                    if len(self._inflight) >= depth:
                         out.append(self.collect_tick())
+                while self._inflight:
                     out.append(self.collect_tick())
-                except BaseException:
-                    self._drain_inflight()
-                    raise
+            except BaseException:
+                self._drain_inflight()
+                raise
             sp.add("ticks", len(out))
             sp.add("records", len(out) * self.n_streams)
             sp.add("pipeline", self.pipeline)

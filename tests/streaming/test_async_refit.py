@@ -5,11 +5,13 @@ The load-bearing guarantees of ``repro.streaming.refit`` (ISSUE 9):
 * the engine runs **one fit at a time** off the serving path — submit
   while busy is rejected (the caller's refit clock re-arms), failures
   come back as outcomes, never as serving-path exceptions;
-* :class:`ModelSlot` publication is atomic — a reader on another thread
-  sees a complete ``(version, model, step)`` triple, never a torn mix
-  (hypothesis hammers this);
+* ``busy`` holds until an outcome is polled, so a trigger that checks it
+  is either submitted or counted as deferred — never silently dropped;
 * under the paced schedule (the fit completes within the production
-  tick gap) async serving is prediction-bit-identical to sync;
+  tick gap) async serving is prediction-bit-identical to sync, also
+  under injected refit faults (the failure-to-fallback path is shared);
+* the refit counters exported to obs equal the ``stats`` fields, and
+  ``warm_start`` resumes through ``warm_fit`` in both modes;
 * free-running, a slow fit never blocks a tick;
 * a checkpoint taken with a refit in flight restores deterministically:
   restore-then-replay equals the uninterrupted run;
@@ -18,7 +20,6 @@ The load-bearing guarantees of ``repro.streaming.refit`` (ISSUE 9):
   (regression test for the ``_since_refit`` bug).
 """
 
-import threading
 import time
 
 import numpy as np
@@ -32,13 +33,15 @@ from repro.models.base import (
     Forecaster,
     register_forecaster,
 )
+from repro.models.mlp import MLPForecaster
+from repro.obs.registry import MetricRegistry
 from repro.streaming import (
     AsyncRefitEngine,
     FleetPredictor,
-    ModelSlot,
     OnlinePredictor,
     RefitTask,
     ShardedFleetPredictor,
+    SupervisorPolicy,
 )
 from repro.streaming.drift import PageHinkley
 
@@ -127,6 +130,18 @@ class TestEngine:
             assert engine.poll().ok
             assert engine.submit(_task())
 
+    def test_busy_until_outcome_polled(self):
+        """``busy`` agrees with ``submit``: a landed, unpolled fit is busy."""
+        with AsyncRefitEngine("thread") as engine:
+            assert not engine.busy
+            assert engine.submit(_task())
+            assert engine.wait(timeout=30.0)
+            assert engine.busy
+            assert not engine.submit(_task())
+            assert engine.poll().ok
+            assert not engine.busy
+            assert engine.submit(_task())
+
     def test_fit_failure_becomes_outcome_not_exception(self):
         with AsyncRefitEngine("thread") as engine:
             task = _task("_no_such_forecaster_")
@@ -162,63 +177,6 @@ class TestEngine:
         np.testing.assert_array_equal(clone.y, task.y)
         # the checkpoint payload copies the arrays, it does not alias them
         assert clone.x is not task.x
-
-
-class _MarkedModel:
-    """Stand-in model: every weight array carries its version marker."""
-
-    def __init__(self, version: int, n_arrays: int):
-        self.arrays = [np.full(16, float(version)) for _ in range(n_arrays)]
-
-
-class TestModelSlotAtomicSwap:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n_publishes=st.integers(min_value=2, max_value=40),
-        n_arrays=st.integers(min_value=1, max_value=4),
-    )
-    def test_reader_never_sees_torn_model(self, n_publishes, n_arrays):
-        """A racing reader sees complete (version, model, step) triples only.
-
-        Every published model is built *before* publication with all its
-        arrays stamped with the version number; a torn swap would show a
-        version/marker mismatch, mixed markers across arrays, or a
-        version moving backwards.
-        """
-        slot = ModelSlot()
-        stop = threading.Event()
-        violations: list[str] = []
-
-        def reader():
-            last_version = 0
-            while not stop.is_set():
-                version, model, step = slot.read()
-                if version < last_version:
-                    violations.append(f"version went backwards: {version}")
-                last_version = version
-                if model is None:
-                    if version != 0:
-                        violations.append("versioned cell with no model")
-                    continue
-                markers = {float(a[0]) for a in model.arrays}
-                markers |= {float(v) for a in model.arrays for v in a}
-                if markers != {float(version)}:
-                    violations.append(f"torn model at version {version}: {markers}")
-                if step != version:
-                    violations.append(f"step {step} != version {version}")
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        try:
-            for k in range(1, n_publishes + 1):
-                assert slot.publish(_MarkedModel(k, n_arrays), step=k) == k
-        finally:
-            stop.set()
-            thread.join(timeout=10.0)
-        assert not violations, violations[:5]
-        version, model, step = slot.read()
-        assert version == n_publishes and step == n_publishes
-        assert float(model.arrays[0][0]) == float(n_publishes)
 
 
 def _run_paced(predictor, streams):
@@ -276,6 +234,208 @@ class TestPacedParity:
             assert versions[-1] == fleet.model_version > 0
             # the staleness anchor tracks the pool's submission step
             assert 0 <= fleet._step - fleet._model_step <= _COMMON["refit_interval"] + 1
+        finally:
+            fleet.close()
+
+
+def _injected_faults(schedule):
+    """Refit fault hook: attempt ``k`` raises iff ``schedule[k]``."""
+    attempts = iter(schedule)
+
+    def hook():
+        if next(attempts, False):
+            raise RuntimeError("injected refit fault")
+
+    return hook
+
+
+#: short interval, so one run makes a dozen attempts (failures included)
+_FAULTY = dict(window=6, buffer_capacity=80, refit_interval=6, min_fit_size=12)
+
+
+class TestPacedParityUnderFaults:
+    """Sync and paced async share one failure-to-fallback path."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(schedule=st.lists(st.booleans(), max_size=16))
+    def test_fault_schedule_parity(self, schedule):
+        # attempts fall on ticks 11, 17, ..., 83: the last fit is adopted
+        # at tick 84, so both fleets end with every attempt finished
+        streams = _streams(88, 3, seed=4)
+        common = dict(
+            detector=PageHinkley(threshold=1e9),
+            # one attempt per trigger: async runs no in-line retries
+            supervisor_policy=SupervisorPolicy(max_retries=0, backoff_base=0.0),
+            **_FAULTY,
+        )
+        sync = FleetPredictor(
+            3, "mean", refit_fault_hook=_injected_faults(schedule), **common
+        )
+        asyn = FleetPredictor(
+            3, "mean", refit_fault_hook=_injected_faults(schedule),
+            refit_mode="async", **common,
+        )
+        try:
+            sync_out = _run_paced(sync, streams)
+            async_out = _run_paced(asyn, streams)
+            for a, b in zip(sync_out, async_out):
+                np.testing.assert_array_equal(a.predictions, b.predictions)
+                np.testing.assert_array_equal(a.errors, b.errors)
+            assert sync.stats.n_refits == asyn.stats.n_refits
+            assert sync.stats.n_refit_failures == asyn.stats.n_refit_failures
+            assert sync.stats.n_refit_failures == sum(
+                schedule[: sync.stats.n_refits + sync.stats.n_refit_failures]
+            )
+            assert sync.on_fallback == asyn.on_fallback
+            assert sync.model_version == asyn.model_version
+        finally:
+            sync.close()
+            asyn.close()
+
+
+@pytest.fixture
+def wait_predict_forecaster():
+    """A forecaster whose ``predict`` blocks until the in-flight fit lands.
+
+    The landed outcome then stays unpolled until the next tick, so every
+    tick that predicts reaches its refit trigger with a finished fit.
+    """
+
+    @register_forecaster("_wait_predict_test")
+    class WaitPredict(Forecaster):
+        engine: AsyncRefitEngine | None = None
+
+        def __init__(self, target_col=0):
+            super().__init__()
+            self.target_col = target_col
+            self._mean = 0.0
+
+        def fit(self, x, y, x_val=None, y_val=None):
+            time.sleep(0.005)
+            self._mean = float(np.mean(y))
+            self.fitted = True
+            return self
+
+        def predict(self, x):
+            if WaitPredict.engine is not None:
+                assert WaitPredict.engine.wait(timeout=30.0)
+            return np.full((len(x), 1), self._mean)
+
+    yield WaitPredict
+    FORECASTER_REGISTRY.pop("_wait_predict_test", None)
+
+
+class TestTriggerNeverLost:
+    def test_every_trigger_submitted_or_deferred(self, wait_predict_forecaster):
+        """A fit landing mid-tick defers the trigger; it is never dropped."""
+        n_ticks, min_fit = 60, 10
+        fleet = FleetPredictor(
+            2, "_wait_predict_test", detector=PageHinkley(threshold=1e9),
+            refit_mode="async", window=4, buffer_capacity=80,
+            refit_interval=1, min_fit_size=min_fit,
+        )
+        engine = fleet.refit_engine
+        wait_predict_forecaster.engine = engine
+        accepted = []
+        submit = engine.submit
+
+        def counting_submit(task):
+            accepted.append(submit(task))
+            return accepted[-1]
+
+        engine.submit = counting_submit
+        try:
+            for row in _streams(n_ticks, 2, seed=6):
+                fleet.process_tick(row)
+            assert all(accepted), f"{accepted.count(False)} submits rejected"
+            # refit_interval=1: every tick from the first ready one triggers
+            triggers = n_ticks - (min_fit - 1)
+            assert len(accepted) + fleet.stats.n_refits_deferred == triggers
+            assert fleet.stats.n_refits >= 1 and fleet.stats.n_refits_deferred >= 1
+        finally:
+            fleet.close()
+
+
+def _counter_values(registry):
+    return {
+        s["name"]: s["value"] for s in registry.collect() if s["kind"] == "counter"
+    }
+
+
+class TestRefitCounters:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_obs_counters_equal_stats(self, mode, wait_predict_forecaster):
+        """Exported refit counters match ``stats``: failures, swaps, deferrals."""
+        registry = MetricRegistry()
+        fleet = FleetPredictor(
+            3, "_wait_predict_test", detector=PageHinkley(threshold=1e9),
+            # attempt 2 is submitted while the first model serves, so the
+            # next trigger finds its fit landed but unpolled and defers
+            refit_fault_hook=_injected_faults([False, False, True, False, True]),
+            supervisor_policy=SupervisorPolicy(max_retries=0, backoff_base=0.0),
+            refit_mode=mode, registry=registry, window=4, buffer_capacity=80,
+            refit_interval=1, min_fit_size=10,
+        )
+        wait_predict_forecaster.engine = fleet.refit_engine
+        try:
+            for row in _streams(60, 3, seed=8):
+                fleet.process_tick(row)
+            st_ = fleet.stats
+            values = _counter_values(registry)
+            assert st_.n_refits >= 2 and st_.n_refit_failures >= 1
+            assert values["serving_fleet_refits_total"] == st_.n_refits
+            assert values["serving_fleet_refit_failures_total"] == st_.n_refit_failures
+            assert values["serving_fleet_refits_deferred_total"] == st_.n_refits_deferred
+            assert values["serving_fleet_async_swaps_total"] == (
+                st_.n_refits if mode == "async" else 0
+            )
+            assert (st_.n_refits_deferred > 0) == (mode == "async")
+        finally:
+            fleet.close()
+
+
+class TestWarmStart:
+    _KW = dict(
+        forecaster_kwargs={"epochs": 2, "seed": 0},
+        detector=PageHinkley(threshold=1e9),
+        warm_start=True,
+        **_COMMON,
+    )
+
+    def test_async_tasks_carry_warm_state_once_model_is_live(self):
+        fleet = FleetPredictor(4, "mlp", refit_mode="async", **self._KW)
+        tasks = []
+        submit = fleet.refit_engine.submit
+
+        def recording_submit(task):
+            tasks.append((fleet.model is not None, task))
+            return submit(task)
+
+        fleet.refit_engine.submit = recording_submit
+        try:
+            _run_paced(fleet, _streams(100, 4, seed=1))
+            assert len(tasks) >= 3
+            for live, task in tasks:
+                assert (task.warm_state is not None) == live
+        finally:
+            fleet.close()
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_refits_resume_through_warm_fit(self, mode, monkeypatch):
+        calls = []
+        warm_fit = MLPForecaster.warm_fit
+
+        def spy(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return warm_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(MLPForecaster, "warm_fit", spy)
+        fleet = FleetPredictor(4, "mlp", refit_mode=mode, **self._KW)
+        try:
+            _run_paced(fleet, _streams(100, 4, seed=1))
+            # every refit after the first (cold) one resumes the live model
+            assert fleet.stats.n_refits >= 3
+            assert len(calls) == fleet.stats.n_refits - 1
         finally:
             fleet.close()
 
