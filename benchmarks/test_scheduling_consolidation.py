@@ -1,21 +1,23 @@
 """Prediction-aware scheduling bench (the paper's §II motivation).
 
-Packs a batch of jobs under three policies and checks the consolidation
-story the paper tells: request-based reservation leaves the 40-60 %
-utilization gap of Fig. 2; usage-predicted packing reclaims it, at a
-bounded overload risk; the oracle bounds what any predictor can achieve.
+Packs a batch of jobs by three of the cluster autoscaler's policies —
+each job's footprint is the policy's reservation — and checks the
+consolidation story the paper tells: request-based reservation leaves
+the 40-60 % utilization gap of Fig. 2; usage-predicted packing reclaims
+it, at a bounded overload risk; the oracle bounds what any predictor can
+achieve.
 """
 
+import numpy as np
+
 from repro.analysis.reporting import format_table
-from repro.scheduling import (
-    JobGenerator,
-    OraclePackingScheduler,
-    PredictivePackingScheduler,
-    RequestPackingScheduler,
-    simulate_schedule,
-)
+from repro.cluster import JobGenerator, PolicyInputs, make_policy, replay_packing
 
 from .conftest import run_once
+
+N_JOBS = 60
+PROBE_LEN = 60
+MARGIN = 0.08
 
 
 def _run(profile):
@@ -23,14 +25,26 @@ def _run(profile):
         duration=min(profile.n_steps, 600),
         seed=profile.seed,
         usage_scale=(0.1, 0.4),
-    ).generate(60)
+    ).generate(N_JOBS)
+    usage = np.stack([job.usage for job in jobs], axis=1)  # (steps, jobs)
+    n = len(jobs)
+    # predictive sizes from the probe's 95th percentile (the "collect its
+    # initial logs" idea of Yu et al. [37]); the oracle from the true
+    # lifetime peak
+    obs = PolicyInputs(
+        last_observed=usage[PROBE_LEN - 1],
+        point=np.quantile(usage[:PROBE_LEN], 0.95, axis=0),
+        headroom_q=np.zeros(n),
+        truth_next=usage.max(axis=0),
+        request=np.array([job.request for job in jobs]),
+        active=np.ones(n, dtype=bool),
+        throttled=np.zeros(n, dtype=bool),
+    )
     reports = {}
-    for sched in (
-        RequestPackingScheduler(),
-        PredictivePackingScheduler(probe_len=60, margin=0.08),
-        OraclePackingScheduler(margin=0.08),
-    ):
-        reports[sched.name] = simulate_schedule(sched, jobs)
+    for name in ("request", "predictive", "oracle"):
+        footprints = make_policy(name, headroom=MARGIN).reservations(obs)
+        state, stats = replay_packing(footprints, usage)
+        reports[name] = (int(state.powered_on.sum()), stats)
     return reports
 
 
@@ -38,37 +52,37 @@ def test_scheduling_consolidation(benchmark, profile):
     reports = run_once(benchmark, _run, profile)
 
     rows = [
-        [r.policy, r.n_machines, f"{r.efficiency():.2f}",
-         f"{r.mean_utilization * 100:.1f}%", f"{r.overload_rate * 100:.2f}%",
-         f"{r.peak_load:.2f}"]
-        for r in reports.values()
+        [name, machines, f"{N_JOBS / machines:.2f}",
+         f"{s.mean_served * 100:.1f}%", f"{s.rate * 100:.2f}%",
+         f"{s.peak_demand:.2f}"]
+        for name, (machines, s) in reports.items()
     ]
     print("\n" + format_table(
         ["policy", "machines", "jobs/machine", "mean util", "overload", "peak load"],
         rows,
-        title="Packing 60 jobs under three footprint policies",
+        title=f"Packing {N_JOBS} jobs under three footprint policies",
     ))
 
-    request = reports["request"]
-    predictive = reports["predictive"]
-    oracle = reports["oracle"]
+    request_machines, request = reports["request"]
+    predictive_machines, predictive = reports["predictive"]
+    oracle_machines, oracle = reports["oracle"]
 
     # reservation never overloads but strands capacity
-    assert request.overload_rate == 0.0
+    assert request.rate == 0.0
 
     # prediction consolidates: fewer machines, higher utilization
-    assert predictive.n_machines < request.n_machines
-    assert predictive.mean_utilization > request.mean_utilization
+    assert predictive_machines < request_machines
+    assert predictive.mean_served > request.mean_served
 
     # at a bounded risk
-    assert predictive.overload_rate < 0.15
+    assert predictive.rate < 0.15
 
     # the oracle packs by true lifetime peaks: it consolidates relative to
     # requests while provably never overloading (sum of peaks bounds the
     # peak of sums). The probe-based predictor may pack even tighter — it
     # under-sees future peaks — which is exactly where its risk comes from.
-    assert oracle.n_machines <= request.n_machines
-    assert oracle.overload_rate == 0.0
+    assert oracle_machines <= request_machines
+    assert oracle.rate == 0.0
 
     # the paper's Fig. 2 gap: request-based utilization sits low
-    assert request.mean_utilization < 0.6
+    assert request.mean_served < 0.6

@@ -1,28 +1,23 @@
 """Predictive autoscaling: turning Table II accuracy into cluster savings.
 
 The paper's motivation (§I-II): accurate prediction lets the resource
-manager reserve just enough CPU — less waste than static peak
-provisioning, fewer QoS violations than reactive scaling. This example
-trains RPTCN on a high-dynamic container, plugs it into a
-PredictiveAllocator, and compares four policies on waste vs violations.
+manager reserve just enough CPU — less waste than provisioning the full
+request, fewer QoS violations than reactive scaling. This example trains
+RPTCN on a high-dynamic container, feeds its forecasts to the cluster
+autoscaler's policy ladder open loop — one sizing decision per test
+interval — and compares the policies on waste vs violations.
 
 Run:  python examples/predictive_autoscaling.py
 """
 
 from __future__ import annotations
 
-from repro.allocation import (
-    OracleAllocator,
-    PredictiveAllocator,
-    QuantileAllocator,
-    ReactiveAllocator,
-    StaticAllocator,
-    simulate_allocation,
-)
-from repro.models import QuantileGBTForecaster
+import numpy as np
+
 from repro.analysis.reporting import format_table
+from repro.cluster import POLICY_NAMES, PolicyInputs, excess_stats, make_policy
 from repro.data import PipelineConfig, PredictionPipeline
-from repro.models import create_forecaster
+from repro.models import QuantileGBTForecaster, create_forecaster
 from repro.traces import ClusterTraceGenerator, TraceConfig
 
 
@@ -45,7 +40,7 @@ def main() -> None:
     )
     forecaster.fit(xt, yt, xv, yv)
 
-    # a risk-calibrated alternative: reserve the predicted 95th percentile
+    # a quantile alternative: reserve the predicted 95th percentile
     quantile_forecaster = QuantileGBTForecaster(
         taus=(0.5, 0.95),
         target_col=prepared.target_col,
@@ -55,38 +50,56 @@ def main() -> None:
     )
     quantile_forecaster.fit(xt, yt)
 
-    headroom = 0.08
-    policies = [
-        StaticAllocator(level=0.95),
-        ReactiveAllocator(headroom=headroom, target_col=prepared.target_col),
-        PredictiveAllocator(forecaster, headroom=headroom),
-        QuantileAllocator(quantile_forecaster, tau=0.95),
-        OracleAllocator(headroom=headroom),
-    ]
+    # replay in capacity units: normalized test demand may exceed 1.0
+    # (the scaler saw only the training split), real CPU % cannot
+    def capacity(values):
+        return prepared.denormalize_target(values) / 100.0
 
+    n = len(ye)
+    truth = capacity(ye[:, 0])
+    last = capacity(xe[:, -1, prepared.target_col])
+    points = {
+        "predictive": capacity(forecaster.predict(xe)[:, 0]),
+        "quantile": capacity(quantile_forecaster.predict_quantile(xe, 0.95)),
+    }
+    headroom = 0.08
     rows = []
-    for policy in policies:
-        report = simulate_allocation(policy, xe, ye[:, 0])
+    for name in POLICY_NAMES:
+        if name == "quantile":
+            policy = make_policy(name, tau=0.95, safety=0.0)
+        else:
+            policy = make_policy(name, headroom=headroom)
+        obs = PolicyInputs(
+            last_observed=last,
+            point=points.get(name, np.full(n, np.nan)),
+            headroom_q=np.zeros(n),
+            truth_next=truth,
+            request=np.ones(n),
+            active=np.ones(n, dtype=bool),
+            throttled=np.zeros(n, dtype=bool),
+        )
+        s = excess_stats(truth, policy.reservations(obs))
         rows.append(
             [
-                report.policy,
-                f"{report.mean_reservation:.3f}",
-                f"{report.mean_overprovision:.3f}",
-                f"{report.violation_rate * 100:.1f}%",
-                f"{report.mean_violation_depth:.3f}",
-                f"{report.cost():.3f}",
+                name,
+                f"{s.mean_served + s.mean_slack:.3f}",
+                f"{s.mean_slack:.3f}",
+                f"{s.rate * 100:.1f}%",
+                f"{s.mean_depth:.3f}",
+                f"{s.mean_slack + 10.0 * s.rate * s.mean_depth:.3f}",
             ]
         )
     print("\n" + format_table(
         ["policy", "avg reserved", "waste", "violations", "depth", "cost(10x)"],
         rows,
-        title=f"Allocation replay over {len(ye)} test intervals "
-              f"(headroom {headroom:.0%})",
+        title=f"Allocation replay over {n} test intervals "
+              f"(capacity units, headroom {headroom:.0%})",
     ))
 
-    print("\nReading: static provisioning wastes the most; reactive lags every "
-          "regime switch (violations); the RPTCN-driven policy approaches the "
-          "oracle — that gap is exactly the value of prediction accuracy.")
+    print("\nReading: reserving the full request wastes the most; reactive "
+          "lags every regime switch (violations); the RPTCN-driven policy "
+          "keeps its bill near the oracle's — the remaining violation gap "
+          "is the value of further prediction accuracy.")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ harnesses that regenerate every table and figure
 __version__ = "1.0.0"
 
 from . import (  # noqa: E402  (re-exported subpackages)
-    allocation,
     analysis,
     cluster,
     data,
@@ -21,7 +20,6 @@ from . import (  # noqa: E402  (re-exported subpackages)
     models,
     nn,
     obs,
-    scheduling,
     streaming,
     traces,
     training,
@@ -35,8 +33,6 @@ __all__ = [
     "training",
     "analysis",
     "experiments",
-    "allocation",
-    "scheduling",
     "streaming",
     "cluster",
     "obs",

@@ -12,20 +12,24 @@ change forecasts, forecasts change decisions.
 
 Modules:
 
-* :mod:`~repro.cluster.replay` — shared demand-vs-supply primitives
-  (also the backend for the open-loop allocation/scheduling simulators);
+* :mod:`~repro.cluster.replay` — shared demand-vs-supply scoring, plus
+  the best-fit-decreasing packing replay of one job batch;
 * :mod:`~repro.cluster.state` — vectorized machine/job state with
   placement, migration, and consolidation;
+* :mod:`~repro.cluster.jobs` — jobs with requested vs actual usage, and
+  the archetype-mix job generator;
 * :mod:`~repro.cluster.forecast` — the fleet-served forecast source with
   residual-quantile headrooms;
 * :mod:`~repro.cluster.autoscaler` — the policy ladder (request,
-  reactive, predictive, quantile, oracle);
+  reactive, predictive, quantile, oracle), shared by the closed loop and
+  the open-loop allocation and packing replays;
 * :mod:`~repro.cluster.simulator` — the tick loop;
 * :mod:`~repro.cluster.report` — outcome records and the comparison table.
 """
 
-from .replay import EXCESS_EPS, ExcessStats, excess_stats
+from .replay import EXCESS_EPS, ExcessStats, excess_stats, replay_packing
 from .state import ClusterState
+from .jobs import Job, JobGenerator
 from .report import ClusterReport, aggregate_reports, format_policy_table
 from .forecast import FleetForecastSource, ForecastSource, Forecasts
 from .autoscaler import (
@@ -45,7 +49,10 @@ __all__ = [
     "EXCESS_EPS",
     "ExcessStats",
     "excess_stats",
+    "replay_packing",
     "ClusterState",
+    "Job",
+    "JobGenerator",
     "ClusterReport",
     "aggregate_reports",
     "format_policy_table",

@@ -7,8 +7,11 @@ migration, consolidation) stays in the simulator — which is what makes
 the policy grid comparable: every policy sees the identical trace,
 identical placements, identical feedback loop.
 
-The ladder, mirroring :mod:`repro.allocation`'s per-entity policies at
-cluster scale:
+The ladder is the repo's one set of sizing rules: the closed loop runs
+it every tick, and the open-loop replays (per-interval allocation on a
+test split, one-shot packing of a job batch — see
+:mod:`repro.cluster.replay`) call the same :meth:`reservations` on
+inputs built from their own data:
 
 * ``request`` — never resize; reserve what the owner asked for. The
   no-op baseline: zero violations by construction (usage never exceeds
@@ -18,9 +21,7 @@ cluster scale:
 * ``predictive`` — fleet point forecast plus the same fixed headroom;
   the paper's predict-then-provision loop.
 * ``quantile`` — fleet point forecast plus a per-job *residual-quantile*
-  headroom, routed through
-  :class:`~repro.allocation.allocator.QuantileAllocator`'s vector path —
-  risk-calibrated instead of one-size-fits-all.
+  headroom, sized per job instead of one-size-fits-all.
 * ``oracle`` — true next-tick usage plus the fixed headroom; the lower
   bound at matched safety margin.
 
@@ -37,8 +38,6 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..allocation.allocator import QuantileAllocator
 
 __all__ = [
     "PolicyInputs",
@@ -165,12 +164,9 @@ class PredictivePointPolicy(AutoscalePolicy):
 class PredictiveQuantilePolicy(AutoscalePolicy):
     """Point forecast plus per-job residual-quantile headroom.
 
-    The quantile vector (forecast + calibrated residual band) goes
-    through :class:`QuantileAllocator`'s explicit-vector path, so the
-    risk policy is literally the allocation subsystem's — the cluster
-    loop adds only the per-job calibration. Jobs whose residual band is
-    still uncalibrated use the fixed headroom; stale jobs fall back to
-    reactive.
+    ``tau`` names the quantile the forecast source's residual band
+    estimates. Jobs whose band is still uncalibrated, or whose point
+    forecast is stale, fall back to reactive sizing.
     """
 
     name = "quantile"
@@ -185,6 +181,8 @@ class PredictiveQuantilePolicy(AutoscalePolicy):
         safety: float = 0.02,
     ) -> None:
         super().__init__(headroom=headroom, floor=floor)
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {tau}")
         if safety < 0:
             raise ValueError(f"safety must be non-negative, got {safety}")
         self.tau = tau
@@ -192,12 +190,9 @@ class PredictiveQuantilePolicy(AutoscalePolicy):
         #: quantile: the band is estimated from a few hundred censored
         #: residuals, so its own tail is noisy exactly where it matters
         self.safety = safety
-        self.allocator = QuantileAllocator(tau=tau)
 
     def reservations(self, obs: PolicyInputs) -> np.ndarray:
-        quantiles = self.allocator.reserve(
-            None, None, quantiles=obs.point + obs.headroom_q + self.safety
-        )
+        quantiles = obs.point + obs.headroom_q + self.safety
         # calibrated means BOTH a fresh point forecast and a residual band
         # backed by enough scored predictions; a half-calibrated slot
         # (fresh point, tiny error sample) is sized reactively — an

@@ -16,9 +16,8 @@ one stream slot per job. Jobs not currently running send all-NaN rows,
 which the fleet gate quarantines as ``"empty"`` exactly like absent
 streams in the serving product. On top of the point forecast it exposes
 a per-job *residual quantile* (the ``tau``-quantile of each stream's
-retained |error| history) — the calibrated headroom vector the
-quantile policy feeds into
-:class:`~repro.allocation.allocator.QuantileAllocator`.
+retained sizing residuals) — the calibrated headroom vector the
+quantile policy adds to the point forecast.
 """
 
 from __future__ import annotations

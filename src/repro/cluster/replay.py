@@ -1,12 +1,12 @@
 """Shared demand-vs-supply replay primitives.
 
-Every replay harness in this repo ultimately scores the same two failure
-modes the paper's §I names — idle capacity from over-supply and degraded
-workloads from under-supply. Before the closed-loop cluster simulator
-existed, :mod:`repro.allocation.simulator` and
-:mod:`repro.scheduling.simulator` each hand-rolled the excess/slack
-arithmetic; this module is the single home both (and the cluster loop)
-now share.
+Every replay harness in this repo scores the same two failure modes the
+paper's §I names — idle capacity from over-supply and degraded workloads
+from under-supply — with :func:`excess_stats`: the closed cluster loop,
+the open-loop allocation replay (a policy's per-interval reservations
+against a container's realized demand) and the open-loop packing replay
+(:func:`replay_packing`: one batch of jobs placed by a policy's
+footprints, then their actual usage summed per machine).
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExcessStats", "excess_stats"]
+from .state import ClusterState
+
+__all__ = ["ExcessStats", "excess_stats", "replay_packing"]
 
 #: excess below this is float noise, not a breach (matches the historical
 #: thresholds of both replay simulators)
@@ -28,7 +30,7 @@ class ExcessStats:
 
     The same statistics read as *violation/over-provision* when supply is
     a reservation (allocation replay), as *overload/stranding* when
-    supply is a machine capacity (scheduling replay), and as both at
+    supply is a machine capacity (packing replay), and as both at
     once in the cluster loop.
     """
 
@@ -68,3 +70,26 @@ def excess_stats(demand: np.ndarray, supply: np.ndarray | float) -> ExcessStats:
         mean_served=float(np.minimum(demand, supply).mean()),
         peak_demand=float(demand.max()),
     )
+
+
+def replay_packing(
+    footprints: np.ndarray, usage: np.ndarray, capacity: float = 1.0
+) -> tuple[ClusterState, ExcessStats]:
+    """Pack one job batch best-fit decreasing, then replay its usage.
+
+    Jobs are admitted into a :class:`ClusterState` with one machine per
+    job, in decreasing ``footprints`` order (ties keep batch order), so a
+    footprint within ``capacity`` is never force-placed. ``usage`` is
+    ``(steps, n_jobs)`` actual demand; each step's per-machine load is
+    scored against ``capacity`` over the powered-on machines only.
+    """
+    footprints = np.asarray(footprints, float)
+    usage = np.asarray(usage, float)
+    n_jobs = len(footprints)
+    if usage.ndim != 2 or usage.shape[1] != n_jobs:
+        raise ValueError(f"usage must be (steps, {n_jobs}), got {usage.shape}")
+    state = ClusterState(n_machines=n_jobs, n_jobs=n_jobs, capacity=capacity)
+    for job in np.argsort(-footprints, kind="stable"):
+        state.admit(int(job), float(footprints[job]))
+    load = np.stack([state.machine_demand(step) for step in usage])
+    return state, excess_stats(load[:, state.powered_on], capacity)

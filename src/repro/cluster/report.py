@@ -58,8 +58,9 @@ class ClusterReport:
     ) -> float:
         """Scalar objective: the bill plus penalized SLA breaches.
 
-        Same 10x industry-style weighting as
-        :meth:`repro.allocation.simulator.AllocationReport.cost`.
+        The 10x penalty encodes that an SLA breach costs far more than
+        idle capacity — the same weighting the allocation replay scores
+        waste against violations with.
         """
         return self.cost_per_job(machine_tick_cost) * (
             1.0

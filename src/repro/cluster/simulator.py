@@ -1,10 +1,10 @@
 """The closed-loop tick: predict → decide → act, with feedback.
 
-This is the paper's §II motivation made end-to-end: the three subsystems
-that were previously evaluated in isolation — :mod:`repro.streaming`
-(forecasts), :mod:`repro.allocation` (reservation sizing),
-:mod:`repro.scheduling` (packing) — wired into one discrete-time cluster
-simulation where decisions change what is observed next.
+This is the paper's §II motivation made end-to-end: forecasts
+(:mod:`repro.streaming`), reservation sizing (the policy ladder of
+:mod:`~repro.cluster.autoscaler`) and packing
+(:class:`~repro.cluster.state.ClusterState`) wired into one discrete-time
+cluster simulation where decisions change what is observed next.
 
 Each tick ``t``:
 
@@ -43,9 +43,9 @@ import numpy as np
 
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from ..obs import trace
-from ..scheduling.jobs import JobGenerator
 from .autoscaler import AutoscalePolicy, PolicyInputs
 from .forecast import ForecastSource, Forecasts
+from .jobs import JobGenerator
 from .report import ClusterReport
 from .state import ClusterState
 
@@ -106,7 +106,7 @@ def make_schedule(
 ) -> JobSchedule:
     """Sample an arrival/departure schedule over the workload archetypes.
 
-    Jobs come from :class:`~repro.scheduling.jobs.JobGenerator` (usage
+    Jobs come from :class:`~repro.cluster.jobs.JobGenerator` (usage
     sized for the whole horizon, then sliced to each job's sampled
     lifetime), arrivals are uniform over the horizon, and lifetimes are
     uniform in ``[min_life, max_life]`` — so the cluster sees churn the

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 from ..cluster.autoscaler import POLICY_NAMES, make_policy
 from ..cluster.forecast import FleetForecastSource
+from ..cluster.jobs import JobGenerator
 from ..cluster.report import ClusterReport, aggregate_reports, format_policy_table
 from ..cluster.simulator import ClusterConfig, ClusterSimulator, make_schedule
 from ..obs.registry import MetricRegistry
-from ..scheduling.jobs import JobGenerator
 from .config import ExperimentProfile, get_profile
 from .parallel import TaskSpec, run_tasks
 

@@ -49,13 +49,6 @@ class TestLadder:
         res = pol.reservations(inputs())
         np.testing.assert_allclose(res, 0.4 + 0.05 + 0.02)
 
-    def test_quantile_routes_through_allocation_subsystem(self):
-        from repro.allocation.allocator import QuantileAllocator
-
-        pol = make_policy("quantile", tau=0.97)
-        assert isinstance(pol.allocator, QuantileAllocator)
-        assert pol.allocator.tau == 0.97
-
 
 class TestFallbacks:
     def test_stale_point_falls_back_to_reactive(self):
@@ -117,3 +110,7 @@ class TestValidation:
             make_policy("reactive", floor=0.0)
         with pytest.raises(ValueError, match="safety"):
             make_policy("quantile", safety=-0.01)
+        for tau in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="tau"):
+                make_policy("quantile", tau=tau)
+        assert make_policy("quantile", tau=0.97).tau == 0.97

@@ -178,21 +178,24 @@ class TestBiLSTMSeq2Seq:
 
 class TestQuantileAllocation:
     def test_quantile_allocator_calibrates_violations(self):
-        from repro.allocation import QuantileAllocator, simulate_allocation
+        """The q95 forecast, sized by the quantile policy, violates ~5 %."""
+        from repro.cluster import PolicyInputs, excess_stats, make_policy
 
         x, y = noisy_windows(n=800)
         f = QuantileGBTForecaster(taus=(0.5, 0.95), n_estimators=60, max_depth=3)
         f.fit(x[:500], y[:500])
-        report = simulate_allocation(
-            QuantileAllocator(f, tau=0.95), x[500:], y[500:, 0]
+        xe, ye = x[500:], y[500:, 0]
+        n = len(ye)
+        obs = PolicyInputs(
+            last_observed=xe[:, -1, 0],
+            point=f.predict_quantile(xe, 0.95),
+            headroom_q=np.zeros(n),
+            truth_next=ye,
+            request=np.ones(n),
+            active=np.ones(n, dtype=bool),
+            throttled=np.zeros(n, dtype=bool),
         )
+        policy = make_policy("quantile", tau=0.95, safety=0.0)
+        stats = excess_stats(ye, policy.reservations(obs))
         # violation probability should track 1 - tau (loosely, small sample)
-        assert report.violation_rate < 0.25
-        assert report.policy == "quantile[q95]"
-
-    def test_requires_quantile_interface(self):
-        from repro.allocation import QuantileAllocator
-        from repro.models import PersistenceForecaster
-
-        with pytest.raises(TypeError):
-            QuantileAllocator(PersistenceForecaster())
+        assert stats.rate < 0.25

@@ -1,65 +1,56 @@
-"""Hypothesis property tests on the packing core."""
+"""Hypothesis property tests on best-fit-decreasing ClusterState packing."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import Job, RequestPackingScheduler
-
-
-def jobs_from_requests(requests):
-    return [
-        Job(job_id=f"j{i}", request=r, usage=np.full(5, min(r, 1.0) * 0.5))
-        for i, r in enumerate(requests)
-    ]
-
+from repro.cluster import replay_packing
 
 request_lists = st.lists(
     st.floats(0.05, 1.0, allow_nan=False, width=64), min_size=1, max_size=40
 )
 
 
+def pack(requests):
+    """Place jobs by their requests in decreasing order; no usage replayed."""
+    footprints = np.array(requests)
+    state, _ = replay_packing(footprints, np.zeros((1, len(footprints))))
+    return state
+
+
 class TestPackingProperties:
     @given(request_lists)
     @settings(max_examples=80, deadline=None)
     def test_every_job_assigned_exactly_once(self, requests):
-        jobs = jobs_from_requests(requests)
-        assignment = RequestPackingScheduler().place(jobs)
-        assert set(assignment) == {j.job_id for j in jobs}
+        state = pack(requests)
+        assert state.active.all()
+        assert (state.placement >= 0).all()
+        assert state.jobs_on.sum() == len(requests)
+        state.check_invariants()
 
     @given(request_lists)
     @settings(max_examples=80, deadline=None)
     def test_no_machine_overcommitted_on_requests(self, requests):
-        jobs = jobs_from_requests(requests)
-        assignment = RequestPackingScheduler().place(jobs)
-        per_machine: dict[int, float] = {}
-        for job in jobs:
-            per_machine[assignment[job.job_id]] = (
-                per_machine.get(assignment[job.job_id], 0.0) + job.request
-            )
-        assert all(total <= 1.0 + 1e-9 for total in per_machine.values())
+        state = pack(requests)
+        # one machine per job: an empty machine always fits, nothing is forced
+        assert state.n_forced_placements == 0
+        assert (state.reserved <= state.capacity + 1e-9).all()
 
     @given(request_lists)
     @settings(max_examples=80, deadline=None)
     def test_machine_count_bounds(self, requests):
-        """FFD uses at least ceil(sum) machines and at most n machines."""
-        jobs = jobs_from_requests(requests)
-        assignment = RequestPackingScheduler().place(jobs)
-        n_machines = max(assignment.values()) + 1
-        lower = int(np.ceil(sum(j.request for j in jobs) - 1e-9))
-        assert max(1, lower) <= n_machines <= len(jobs)
+        """Packing uses at least ceil(sum) machines and at most n machines."""
+        n_machines = int(pack(requests).powered_on.sum())
+        lower = int(np.ceil(sum(requests) - 1e-9))
+        assert max(1, lower) <= n_machines <= len(requests)
 
     @given(request_lists)
     @settings(max_examples=40, deadline=None)
     def test_machines_numbered_densely(self, requests):
-        jobs = jobs_from_requests(requests)
-        used = set(RequestPackingScheduler().place(jobs).values())
-        assert used == set(range(len(used)))
+        on = np.flatnonzero(pack(requests).powered_on)
+        np.testing.assert_array_equal(on, np.arange(len(on)))
 
     @given(request_lists)
     @settings(max_examples=40, deadline=None)
     def test_ffd_no_worse_than_one_job_per_machine(self, requests):
-        jobs = jobs_from_requests(requests)
-        assignment = RequestPackingScheduler().place(jobs)
-        assert max(assignment.values()) + 1 <= len(jobs)
+        assert int(pack(requests).powered_on.sum()) <= len(requests)

@@ -325,6 +325,17 @@ def wait_predict_forecaster():
     FORECASTER_REGISTRY.pop("_wait_predict_test", None)
 
 
+def _await_first_model(fleet):
+    """Pace an async fleet until its first model lands.
+
+    ``WaitPredict`` paces ticks only once a model serves; before that,
+    the remaining ticks can finish inside one 5 ms fit, leaving no refit
+    at all.
+    """
+    if fleet.model is None and fleet.refit_engine is not None:
+        assert fleet.refit_engine.wait(timeout=30.0)
+
+
 class TestTriggerNeverLost:
     def test_every_trigger_submitted_or_deferred(self, wait_predict_forecaster):
         """A fit landing mid-tick defers the trigger; it is never dropped."""
@@ -347,6 +358,7 @@ class TestTriggerNeverLost:
         try:
             for row in _streams(n_ticks, 2, seed=6):
                 fleet.process_tick(row)
+                _await_first_model(fleet)
             assert all(accepted), f"{accepted.count(False)} submits rejected"
             # refit_interval=1: every tick from the first ready one triggers
             triggers = n_ticks - (min_fit - 1)
@@ -380,6 +392,7 @@ class TestRefitCounters:
         try:
             for row in _streams(60, 3, seed=8):
                 fleet.process_tick(row)
+                _await_first_model(fleet)
             st_ = fleet.stats
             values = _counter_values(registry)
             assert st_.n_refits >= 2 and st_.n_refit_failures >= 1

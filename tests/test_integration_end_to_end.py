@@ -8,10 +8,15 @@ every subpackage against the same data, the way a downstream user would.
 import numpy as np
 import pytest
 
-from repro.allocation import PredictiveAllocator, StaticAllocator, simulate_allocation
+from repro.cluster import (
+    JobGenerator,
+    PolicyInputs,
+    excess_stats,
+    make_policy,
+    replay_packing,
+)
 from repro.data import PipelineConfig, PredictionPipeline
 from repro.models import create_forecaster
-from repro.scheduling import JobGenerator, PredictivePackingScheduler, RequestPackingScheduler, simulate_schedule
 from repro.streaming import OnlinePredictor
 from repro.traces import (
     ClusterTraceGenerator,
@@ -45,7 +50,7 @@ class TestFullStory:
         assert result.pipeline.cleaning_report.n_dropped_incomplete > 0
 
     def test_forecast_feeds_allocation(self, cluster):
-        """Pipeline output plugs directly into the allocator."""
+        """Pipeline output plugs directly into the autoscaling policies."""
         entity = cluster.containers[0]
         pipe = PredictionPipeline(PipelineConfig(scenario="uni", window=10))
         prepared = pipe.prepare(entity)
@@ -55,20 +60,50 @@ class TestFullStory:
         f = create_forecaster("xgboost", n_estimators=40,
                               target_col=prepared.target_col)
         f.fit(xt, yt)
-        predictive = simulate_allocation(PredictiveAllocator(f, headroom=0.1), xe, ye[:, 0])
-        static = simulate_allocation(StaticAllocator(level=0.95), xe, ye[:, 0])
-        assert predictive.mean_overprovision < static.mean_overprovision
-        assert predictive.n_intervals == len(ye)
+
+        # replay in capacity units: the container's CPU % over 100
+        def capacity(values):
+            return prepared.denormalize_target(values) / 100.0
+
+        n = len(ye)
+        truth = capacity(ye[:, 0])
+        obs = PolicyInputs(
+            last_observed=capacity(xe[:, -1, prepared.target_col]),
+            point=capacity(f.predict(xe)[:, 0]),
+            headroom_q=np.zeros(n),
+            truth_next=truth,
+            request=np.ones(n),
+            active=np.ones(n, dtype=bool),
+            throttled=np.zeros(n, dtype=bool),
+        )
+        predictive = excess_stats(
+            truth, make_policy("predictive", headroom=0.1).reservations(obs)
+        )
+        static = excess_stats(truth, make_policy("request").reservations(obs))
+        assert predictive.mean_slack < static.mean_slack
+        assert predictive.n_samples == len(ye)
 
     def test_same_archetypes_drive_scheduling(self):
         """The workload archetypes power the job generator consistently."""
         jobs = JobGenerator(duration=400, seed=7).generate(30)
-        request = simulate_schedule(RequestPackingScheduler(), jobs)
-        predictive = simulate_schedule(
-            PredictivePackingScheduler(probe_len=50, margin=0.08), jobs
+        usage = np.stack([job.usage for job in jobs], axis=1)
+        n = len(jobs)
+        obs = PolicyInputs(
+            last_observed=usage[49],
+            point=np.quantile(usage[:50], 0.95, axis=0),
+            headroom_q=np.zeros(n),
+            truth_next=usage.max(axis=0),
+            request=np.array([job.request for job in jobs]),
+            active=np.ones(n, dtype=bool),
+            throttled=np.zeros(n, dtype=bool),
         )
-        assert predictive.n_machines <= request.n_machines
-        assert request.overload_rate == 0.0
+        packed = {}
+        for name in ("request", "predictive"):
+            footprints = make_policy(name, headroom=0.08).reservations(obs)
+            state, stats = replay_packing(footprints, usage)
+            packed[name] = (int(state.powered_on.sum()), stats)
+        assert packed["predictive"][0] <= packed["request"][0]
+        assert packed["request"][1].rate == 0.0
 
     def test_trace_stream_serves_online(self, cluster):
         """A raw entity stream runs through the online predictor."""

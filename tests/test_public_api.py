@@ -15,9 +15,8 @@ PACKAGES = [
     "repro.training",
     "repro.analysis",
     "repro.experiments",
-    "repro.allocation",
-    "repro.scheduling",
     "repro.streaming",
+    "repro.cluster",
     "repro.obs",
 ]
 
