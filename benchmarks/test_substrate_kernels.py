@@ -10,7 +10,11 @@ closed cluster loop's shape (30 rows through 40 trees of depth 3).
 ``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
 paper's model at the fleet serving shape: one 253-row forecast, and one
 forward + backward of a fused 16-channel residual block at training
-batch size.
+batch size. ``test_bench_ring_last_windows`` and
+``test_bench_ring_append_tick`` time the fleet history ring at the
+``fleet_holt_4k`` shape (4096 streams, capacity 140, window 12, one
+feature, ~1 % of streams masked out per tick): the per-tick window
+gather and the per-tick absorb.
 
 ``test_perf_smoke_kernel_snapshot`` (marker ``perf_smoke``) additionally
 writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
@@ -39,6 +43,7 @@ from repro.models.tcn import TemporalBlock
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
 from repro.nn.tensor import Tensor
+from repro.streaming import MatrixRingBuffer
 
 from ._machine import machine_info
 
@@ -176,6 +181,38 @@ def test_bench_tcn_block_step(benchmark, rng):
     assert grad.shape == (32, 16, 12)
 
 
+def _fleet_ring(rng):
+    """The fleet history ring at fleet_holt_4k's shape, wrapped, heads staggered.
+
+    Returns the ring plus one tick's gather targets, gather batch, tick
+    and absorb mask; ~1 % of streams sit out each tick, as quarantined
+    records do, so per-stream heads differ.
+    """
+    streams, capacity, window = 4096, 140, 12
+    ring = MatrixRingBuffer(streams, capacity, 1, window=window)
+    for _ in range(capacity + window):
+        ring.append_tick(rng.random((streams, 1)), mask=rng.random(streams) > 0.01)
+    due = np.flatnonzero(rng.random(streams) > 0.01)
+    batch = np.empty((due.size, window, 1))
+    tick = rng.random((streams, 1))
+    accepted = rng.random(streams) > 0.01
+    return ring, due, batch, tick, accepted
+
+
+def test_bench_ring_last_windows(benchmark, rng):
+    ring, due, batch, _, _ = _fleet_ring(rng)
+
+    out = benchmark(lambda: ring.last_windows(due, 12, out=batch))
+    assert out.shape == (due.size, 12, 1)
+
+
+def test_bench_ring_append_tick(benchmark, rng):
+    ring, _, _, tick, accepted = _fleet_ring(rng)
+
+    benchmark(lambda: ring.append_tick(tick, mask=accepted))
+    assert int(ring.sizes.min()) == 140
+
+
 def _minor_faults_per_call(fn, calls: int = 200) -> float:
     """Steady-state minor page faults per call of ``fn`` (after a warm-up)."""
     for _ in range(20):
@@ -256,6 +293,10 @@ def test_perf_smoke_kernel_snapshot(rng):
     rptcn_faults = _minor_faults_per_call(lambda: rptcn.predict(xr[:253]))
     block_step = _ops_per_sec(_tcn_block_step(rng))
 
+    ring, due, batch, tick, accepted = _fleet_ring(rng)
+    ring_gather = _ops_per_sec(lambda: ring.last_windows(due, 12, out=batch))
+    ring_append = _ops_per_sec(lambda: ring.append_tick(tick, mask=accepted))
+
     gen = ClusterTraceGenerator(TraceConfig(n_steps=400, seed=0))
     entity = gen.generate_entity("mutation", entity_id="c_smoke", low=0.3, high=0.7)
     stream = entity.cpu / 100.0
@@ -284,6 +325,9 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_predict": "predict of that model, 253 rows",
             "tcn_block_step": "TemporalBlock(16->16, k=3, dil=2) x(32,16,12) fwd+bwd",
             "rptcn_predict_minor_faults": "minor page faults per steady-state predict",
+            "ring_last_windows": "MatrixRingBuffer(4096, 140, 1, window=12), wrapped: "
+            "last_windows of ~4055 streams into a float64 batch",
+            "ring_append_tick": "append_tick of one (4096, 1) tick into that ring, ~1% masked",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
@@ -296,6 +340,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_fit": round(rptcn_fit, 2),
             "rptcn_predict": round(rptcn_predict, 1),
             "tcn_block_step": round(block_step, 1),
+            "ring_last_windows": round(ring_gather, 1),
+            "ring_append_tick": round(ring_append, 1),
         },
         "informational": {"rptcn_predict_minor_faults": round(rptcn_faults, 1)},
         "machine": {
@@ -320,6 +366,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert gbt_fit > 0 and gbt_predict > 0
     assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0
+    assert ring_gather > 0 and ring_append > 0
     assert serving_throughput > 100.0
 
 

@@ -2,15 +2,23 @@
 
 :class:`RollingBuffer` holds one stream's history; :class:`MatrixRingBuffer`
 holds a whole fleet of independent ring buffers in a single
-``(streams, capacity, features)`` array so that a tick's worth of
-records — one per stream — appends in O(1) vectorized work, and the
-most recent windows of many streams gather into one ``(B, window,
-features)`` batch for a micro-batched model forward.
+``(streams, capacity + window - 1, features)`` array so that a tick's
+worth of records — one per stream — appends in O(1) vectorized work,
+and the most recent windows of many streams gather into one ``(B,
+window, features)`` batch for a micro-batched model forward.
+
+The fleet ring is *wrap-padded*: a record written to slot
+``j < window - 1`` is written again to slot ``capacity + j``, so the
+last ``w <= window`` records of every stream are one contiguous run of
+its row, and the batch gather is a single ``(stream, start)`` index
+into a sliding-window view. Checkpoints carry only the logical
+``(streams, capacity, features)`` ring; loading one refreshes the pad.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["RollingBuffer", "MatrixRingBuffer"]
 
@@ -137,28 +145,50 @@ class MatrixRingBuffer:
     Semantically ``streams`` :class:`RollingBuffer` instances — each
     stream has its own head and size, because quarantined records never
     enter a stream's history and streams may join mid-flight — but the
-    storage is one ``(streams, capacity, features)`` block, so the two
-    serving hot paths are single vectorized operations:
+    storage is one ``(streams, capacity + window - 1, features)`` block,
+    so the two serving hot paths are single vectorized operations:
 
     * :meth:`append_tick` writes one record per (masked) stream via a
       fancy-indexed assignment;
-    * :meth:`last_windows` gathers the most recent ``window`` records of
-      any subset of streams into a ``(B, window, features)`` batch with
-      one gather, ready for a micro-batched model forward.
+    * :meth:`last_windows` gathers the most recent ``w <= window``
+      records of any subset of streams into a ``(B, w, features)`` batch
+      with one gather, ready for a micro-batched model forward.
+
+    ``window`` is the widest gather the ring serves. Each write to a
+    slot ``j < window - 1`` is repeated at pad slot ``capacity + j``, so
+    a stream's last ``w`` records are always the contiguous run starting
+    at ``(head - w) % capacity``: the gather indexes a sliding-window
+    view by ``(stream, start)`` instead of wrapping every element.
+    Rings that only append and reduce (the default ``window=1``) carry
+    no pad.
     """
 
-    def __init__(self, streams: int, capacity: int, features: int) -> None:
+    def __init__(self, streams: int, capacity: int, features: int, window: int = 1) -> None:
         if streams < 1 or capacity < 1 or features < 1:
             raise ValueError(
                 f"streams, capacity and features must be >= 1, "
                 f"got {streams}, {capacity}, {features}"
             )
+        if not 1 <= window <= capacity:
+            raise ValueError(f"window must be in [1, {capacity}], got {window}")
         self.streams = streams
         self.capacity = capacity
         self.features = features
-        self._data = np.empty((streams, capacity, features))
-        self._head = np.zeros(streams, dtype=np.int64)  # next write position
-        self._size = np.zeros(streams, dtype=np.int64)
+        self.window = window
+        self._pad = window - 1
+        self._bind(
+            np.empty((streams, capacity + self._pad, features)),
+            np.zeros(streams, dtype=np.int64),  # next write position
+            np.zeros(streams, dtype=np.int64),
+        )
+
+    def _bind(self, data: np.ndarray, head: np.ndarray, size: np.ndarray) -> None:
+        """Point the ring at ``data``/``head``/``size`` storage."""
+        self._data = data
+        self._head = head
+        self._size = size
+        #: gather width -> (streams, starts, width, features) view of ``_data``
+        self._windows: dict[int, np.ndarray] = {}
 
     @property
     def sizes(self) -> np.ndarray:
@@ -188,7 +218,12 @@ class MatrixRingBuffer:
             if idx.size == 0:
                 return
         heads = self._head[idx]
-        self._data[idx, heads] = records[idx]
+        rows = records[idx]
+        self._data[idx, heads] = rows
+        if self._pad:
+            low = heads < self._pad
+            if low.any():
+                self._data[idx[low], heads[low] + self.capacity] = rows[low]
         self._head[idx] = (heads + 1) % self.capacity
         self._size[idx] = np.minimum(self._size[idx] + 1, self.capacity)
 
@@ -200,14 +235,19 @@ class MatrixRingBuffer:
         Returns ``(len(idx), window, features)``, oldest first within
         each window — the fleet equivalent of
         :meth:`RollingBuffer.last_into` for a whole batch at once.
-        ``out`` (any float dtype) receives the gather when given.
+        ``window`` may not exceed the ring's own ``window``. ``out``
+        (any float dtype) receives the gather when given.
         """
+        if not 1 <= window <= self.window:
+            raise ValueError(f"window must be in [1, {self.window}], got {window}")
         idx = np.asarray(idx, dtype=np.int64)
-        if window < 1 or np.any(self._size[idx] < window):
+        if np.any(self._size[idx] < window):
             raise ValueError(f"every requested stream needs >= {window} records")
-        starts = (self._head[idx] - window) % self.capacity
-        cols = (starts[:, None] + np.arange(window)) % self.capacity
-        gathered = self._data[idx[:, None], cols]
+        view = self._windows.get(window)
+        if view is None:
+            view = sliding_window_view(self._data, (window, self.features), axis=(1, 2))[:, :, 0]
+            self._windows[window] = view
+        gathered = view[idx, (self._head[idx] - window) % self.capacity]
         if out is None:
             return gathered
         out[...] = gathered
@@ -216,10 +256,11 @@ class MatrixRingBuffer:
     def view(self, stream: int) -> np.ndarray:
         """Chronologically ordered contents of one stream, oldest first (copy)."""
         size = int(self._size[stream])
-        head = int(self._head[stream])
+        row = self._data[stream]
         if size < self.capacity:
-            return self._data[stream, :size].copy()
-        return np.roll(self._data[stream], -head, axis=0).copy()
+            return row[:size].copy()
+        head = int(self._head[stream])
+        return np.concatenate((row[head : self.capacity], row[:head]))
 
     def filled_matrix(self) -> np.ndarray:
         """The raw ring with never-written slots masked to NaN (copy).
@@ -230,7 +271,7 @@ class MatrixRingBuffer:
         has not wrapped has written exactly slots ``[0, size)``; a
         wrapped stream has written all of them.
         """
-        out = self._data.copy()
+        out = self._data[:, : self.capacity].copy()
         out[np.arange(self.capacity)[None, :] >= self._size[:, None]] = np.nan
         return out
 
@@ -241,23 +282,55 @@ class MatrixRingBuffer:
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Raw ring state (data + heads + sizes) for exact checkpoint/restore."""
+        """Logical ring state (data + heads + sizes) for exact checkpoint/restore.
+
+        ``data`` is the ``(streams, capacity, features)`` ring without
+        the pad, so checkpoints do not depend on the gather width.
+        """
         return {
             "streams": self.streams,
             "capacity": self.capacity,
             "features": self.features,
-            "data": self._data.copy(),
+            "data": self._data[:, : self.capacity].copy(),
             "head": self._head.copy(),
             "size": self._size.copy(),
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def validate_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless ``state`` is a consistent ring for this shape.
+
+        Checks shapes and cursors: ``0 <= size <= capacity``, ``0 <=
+        head < capacity``, and ``head == size`` for every stream that
+        has not wrapped. Touches no storage.
+        """
         shape = (state["streams"], state["capacity"], state["features"])
         if shape != (self.streams, self.capacity, self.features):
             raise ValueError(
                 f"buffer shape mismatch: have ({self.streams}, {self.capacity}, "
                 f"{self.features}), checkpoint holds {shape}"
             )
-        self._data[...] = state["data"]
+        data = np.asarray(state["data"])
+        if data.shape != shape:
+            raise ValueError(f"ring data shape mismatch: expected {shape}, got {data.shape}")
+        head = np.asarray(state["head"])
+        size = np.asarray(state["size"])
+        for name, arr in (("head", head), ("size", size)):
+            if arr.shape != (self.streams,) or not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(
+                    f"ring {name} must be ({self.streams},) integers, "
+                    f"got {arr.shape} {arr.dtype}"
+                )
+        if np.any((size < 0) | (size > self.capacity)):
+            raise ValueError(f"ring sizes must be in [0, {self.capacity}]")
+        if np.any((head < 0) | (head >= self.capacity)):
+            raise ValueError(f"ring heads must be in [0, {self.capacity})")
+        if np.any((size < self.capacity) & (head != size)):
+            raise ValueError("an unwrapped ring stream must have head == size")
+
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt a :meth:`state_dict` in place, refreshing the pad."""
+        self.validate_state(state)
+        self._data[:, : self.capacity] = state["data"]
+        self._data[:, self.capacity :] = self._data[:, : self._pad]
         self._head[...] = state["head"]
         self._size[...] = state["size"]

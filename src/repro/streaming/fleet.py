@@ -15,9 +15,10 @@ model state and processes one *tick* (one record per stream) at a time:
   :class:`~repro.streaming.resilience.FleetGate` (per-stream Welford
   moments, verdicts and counters preserved exactly);
 * per-stream histories live in one
-  :class:`~repro.streaming.buffer.MatrixRingBuffer` — a tick appends
-  with one fancy-indexed write, and the due windows of all streams
-  gather into a single ``(B, window, F)`` batch;
+  wrap-padded :class:`~repro.streaming.buffer.MatrixRingBuffer` — a
+  tick appends with one fancy-indexed write, and the due windows of all
+  streams gather into a single ``(B, window, F)`` batch by one strided
+  read per stream;
 * prediction is **micro-batched**: one supervised ``model.predict``
   call (under the nn substrate's no-grad inference path) serves every
   due stream, and the results scatter back into per-stream statistics,
@@ -511,7 +512,7 @@ class FleetPredictor:
         self.target_col = target_col
         self.refit_streams = refit_streams
         self.max_fit_windows = max_fit_windows
-        self.buffer = MatrixRingBuffer(n_streams, buffer_capacity, features)
+        self.buffer = MatrixRingBuffer(n_streams, buffer_capacity, features, window=window)
         proto = detector if detector is not None else PageHinkley()
         self._detector_params = {
             "delta": proto.delta,
@@ -1075,6 +1076,13 @@ class FleetPredictor:
                 f"window={self.window}, features={self.buffer.features}, "
                 f"capacity={self.buffer.capacity})"
             )
+        # reject a bad ring before any field changes: a half-restored
+        # predictor is worse than a refused checkpoint
+        try:
+            self.buffer.validate_state(state["buffer"])
+            self.stats.errors.validate_state(state["stats"]["errors"])
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
         self._step = int(state["step"])
         self._since_refit = int(state["since_refit"])
         self._refit_cursor = int(state["refit_cursor"])

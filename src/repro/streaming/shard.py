@@ -247,8 +247,13 @@ def _shard_worker(
         predictor = FleetPredictor(hi - lo, **fleet_kwargs)
         # swap the private history ring for this shard's row-slice of the
         # fleet-wide shared ring: same semantics, zero-copy parent reads
+        private = predictor.buffer
         predictor.buffer = SharedMatrixRingBuffer.from_arrays(
-            block["ring_data"][lo:hi], block["ring_head"][lo:hi], block["ring_size"][lo:hi]
+            block["ring_data"][lo:hi],
+            block["ring_head"][lo:hi],
+            block["ring_size"][lo:hi],
+            capacity=private.capacity,
+            window=private.window,
         )
         return predictor
 
@@ -652,14 +657,20 @@ class ShardedFleetPredictor:
         self._last_compose_t: float | None = None
 
         self._specs = _tick_specs(n_streams, self.features)
-        self._shared_specs = ring_specs(n_streams, self.buffer_capacity, self.features)
+        self._shared_specs = ring_specs(
+            n_streams, self.buffer_capacity, self.features, window=self.window
+        )
         self._block = SlottedShmBlock.create(
             self._specs, _TICK_BANKS, shared=self._shared_specs
         )
         for slot in range(_TICK_BANKS):
             self._block["ticks_in", slot][...] = np.nan
         self._ring: SharedMatrixRingBuffer | None = SharedMatrixRingBuffer.from_arrays(
-            self._block["ring_data"], self._block["ring_head"], self._block["ring_size"]
+            self._block["ring_data"],
+            self._block["ring_head"],
+            self._block["ring_size"],
+            capacity=self.buffer_capacity,
+            window=self.window,
         )
 
         self._ctx = get_context("spawn")

@@ -29,7 +29,11 @@ Two building blocks live here:
   coordinator (e.g. for snapshot composition or history inspection)
   while remaining element-for-element identical in behaviour to the
   private in-process ring (property-tested in
-  ``tests/streaming/test_shm_buffer.py``).
+  ``tests/streaming/test_shm_buffer.py``). The ring's layout is set by
+  its capacity *and* its gather width: :func:`ring_specs` sizes the data
+  array ``(streams, capacity + window - 1, features)`` to hold the wrap
+  pad, and every factory takes both explicitly rather than reading
+  capacity off the array shape.
 
 Ownership protocol: exactly one process *creates* a block (and its
 ``close()`` also unlinks the segment); every other process *attaches*
@@ -41,7 +45,9 @@ a *respawned* shard worker simply re-attaches to the same block by name
 and inherits its predecessor's row-slice, including the ring cursors —
 which is why a cold-started replacement must
 :meth:`~repro.streaming.buffer.MatrixRingBuffer.clear` its slice before
-serving, while a checkpoint-restored one overwrites it in place.
+serving, while a checkpoint-restored one overwrites it in place (ring,
+cursors and the wrap pad, which ``load_state_dict`` rebuilds from the
+logical ring).
 """
 
 from __future__ import annotations
@@ -313,12 +319,17 @@ class SlottedShmBlock:
             pass
 
 
-def ring_specs(streams: int, capacity: int, features: int, prefix: str = "ring") -> tuple[
-    ShmArraySpec, ShmArraySpec, ShmArraySpec
-]:
-    """The three arrays a :class:`SharedMatrixRingBuffer` needs in a block."""
+def ring_specs(
+    streams: int, capacity: int, features: int, prefix: str = "ring", *, window: int = 1
+) -> tuple[ShmArraySpec, ShmArraySpec, ShmArraySpec]:
+    """The three arrays a :class:`SharedMatrixRingBuffer` needs in a block.
+
+    ``data`` is ``(streams, capacity + window - 1, features)``: the
+    logical ring plus the wrap pad of a ring that gathers ``window``-wide
+    batches (see :class:`~repro.streaming.buffer.MatrixRingBuffer`).
+    """
     return (
-        ShmArraySpec(f"{prefix}_data", (streams, capacity, features), "<f8"),
+        ShmArraySpec(f"{prefix}_data", (streams, capacity + window - 1, features), "<f8"),
         ShmArraySpec(f"{prefix}_head", (streams,), "<i8"),
         ShmArraySpec(f"{prefix}_size", (streams,), "<i8"),
     )
@@ -341,54 +352,64 @@ class SharedMatrixRingBuffer(MatrixRingBuffer):
     coordinator only reads between ticks.
     """
 
-    def __init__(self, streams: int, capacity: int, features: int) -> None:
+    def __init__(self, streams: int, capacity: int, features: int, window: int = 1) -> None:
         # validate via the parent, then discard its private allocation if
         # a factory re-points storage afterwards (create/attach/from_arrays)
-        super().__init__(streams, capacity, features)
+        super().__init__(streams, capacity, features, window)
         self._block: ShmBlock | None = None
 
     def _adopt(self, data: np.ndarray, head: np.ndarray, size: np.ndarray) -> None:
-        if data.shape != (self.streams, self.capacity, self.features):
+        expected = (self.streams, self.capacity + self.window - 1, self.features)
+        if data.shape != expected:
             raise ValueError(
-                f"storage shape {data.shape} does not match ring "
-                f"({self.streams}, {self.capacity}, {self.features})"
+                f"storage shape {data.shape} does not match ring {expected} "
+                f"(capacity {self.capacity}, window {self.window})"
             )
-        self._data = data
-        self._head = head
-        self._size = size
+        self._bind(data, head, size)
 
     @classmethod
-    def create(cls, streams: int, capacity: int, features: int) -> "SharedMatrixRingBuffer":
+    def create(
+        cls, streams: int, capacity: int, features: int, window: int = 1
+    ) -> "SharedMatrixRingBuffer":
         """Allocate an owning shared block and build the ring over it."""
-        ring = cls(streams, capacity, features)
-        block = ShmBlock.create(ring_specs(streams, capacity, features))
+        ring = cls(streams, capacity, features, window)
+        block = ShmBlock.create(ring_specs(streams, capacity, features, window=window))
         ring._adopt(block["ring_data"], block["ring_head"], block["ring_size"])
         ring._block = block
         return ring
 
     @classmethod
     def attach(
-        cls, streams: int, capacity: int, features: int, name: str
+        cls, streams: int, capacity: int, features: int, name: str, window: int = 1
     ) -> "SharedMatrixRingBuffer":
         """Map a creator's ring by segment name (non-owning)."""
-        ring = cls(streams, capacity, features)
-        block = ShmBlock.attach(ring_specs(streams, capacity, features), name)
+        ring = cls(streams, capacity, features, window)
+        block = ShmBlock.attach(ring_specs(streams, capacity, features, window=window), name)
         ring._adopt(block["ring_data"], block["ring_head"], block["ring_size"])
         ring._block = block
         return ring
 
     @classmethod
     def from_arrays(
-        cls, data: np.ndarray, head: np.ndarray, size: np.ndarray
+        cls,
+        data: np.ndarray,
+        head: np.ndarray,
+        size: np.ndarray,
+        *,
+        capacity: int | None = None,
+        window: int = 1,
     ) -> "SharedMatrixRingBuffer":
         """Build a ring over caller-owned storage (e.g. a shard's row-slice).
 
-        ``data`` must be ``(streams, capacity, features)``; ``head`` and
-        ``size`` are the matching ``(streams,)`` int64 cursors. The
-        caller keeps ownership of the backing block's lifetime.
+        ``data`` must be ``(streams, capacity + window - 1, features)``,
+        as :func:`ring_specs` lays it out; ``head`` and ``size`` are the
+        matching ``(streams,)`` int64 cursors. ``capacity`` defaults to
+        ``data.shape[1]``, which is right only for an unpadded
+        (``window=1``) ring — a padded ring must name both. The caller
+        keeps ownership of the backing block's lifetime.
         """
-        streams, capacity, features = data.shape
-        ring = cls(streams, capacity, features)
+        streams, width, features = data.shape
+        ring = cls(streams, width if capacity is None else capacity, features, window)
         ring._adopt(data, np.asarray(head), np.asarray(size))
         return ring
 
@@ -402,13 +423,14 @@ class SharedMatrixRingBuffer(MatrixRingBuffer):
     def close(self) -> None:
         """Release the backing block mapping (owner also unlinks).
 
-        The ring's storage is re-pointed at private (empty) arrays first
-        — numpy views pin the shared mapping, and ``mmap`` refuses to
-        unmap while exported buffers exist.
+        The ring's storage (and with it the cached gather views) is
+        re-pointed at private (empty) arrays first — numpy views pin the
+        shared mapping, and ``mmap`` refuses to unmap while exported
+        buffers exist.
         """
         if self._block is not None:
             self._adopt(
-                np.empty((self.streams, self.capacity, self.features)),
+                np.empty((self.streams, self.capacity + self.window - 1, self.features)),
                 np.zeros(self.streams, dtype=np.int64),
                 np.zeros(self.streams, dtype=np.int64),
             )

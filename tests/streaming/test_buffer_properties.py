@@ -1,10 +1,13 @@
 """Hypothesis property tests on the ring buffers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.streaming import MatrixRingBuffer, RollingBuffer
+
+from .ring_reference import apply_op, assert_ring_matches, fresh_references, ring_ops
 
 
 class TestBufferProperties:
@@ -98,7 +101,7 @@ class TestMatrixRingBufferProperties:
     @settings(max_examples=80, deadline=None)
     def test_each_stream_matches_a_rolling_buffer(self, streams, capacity, masks, data):
         """A masked tick sequence == per-stream RollingBuffer appends."""
-        fleet = MatrixRingBuffer(streams, capacity, 1)
+        fleet = MatrixRingBuffer(streams, capacity, 1, window=capacity)
         scalars = [RollingBuffer(capacity, 1) for _ in range(streams)]
         rng = np.random.default_rng(0)
         for tick_mask in masks:
@@ -116,3 +119,41 @@ class TestMatrixRingBufferProperties:
                 np.testing.assert_array_equal(
                     fleet.last_windows(np.array([i]), w)[0], scalars[i].last(w)
                 )
+
+
+class TestPaddedRingProperties:
+    """The wrap-padded ring == per-stream rolling buffers, at every step."""
+
+    @given(st.integers(1, 5), st.integers(1, 10), st.integers(1, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_ticks_clears_and_roundtrips_match_rolling_buffers(
+        self, streams, capacity, features, data
+    ):
+        window = data.draw(st.integers(1, capacity), label="window")
+        ring = MatrixRingBuffer(streams, capacity, features, window=window)
+        refs = fresh_references(streams, capacity, features)
+        rng = np.random.default_rng(0)
+        for op in data.draw(ring_ops(streams), label="ops"):
+            refs = apply_op(ring, refs, op, rng)
+            assert_ring_matches(ring, refs)
+
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_checkpoint_loads_into_a_fresh_ring(self, capacity, data):
+        """A logical state_dict restores into a new ring (different pad contents)."""
+        window = data.draw(st.integers(1, capacity), label="window")
+        ring = MatrixRingBuffer(3, capacity, 1, window=window)
+        refs = fresh_references(3, capacity, 1)
+        rng = np.random.default_rng(1)
+        for op in data.draw(ring_ops(3), label="ops"):
+            refs = apply_op(ring, refs, op, rng)
+        clone = MatrixRingBuffer(3, capacity, 1, window=window)
+        clone.append_tick(np.full((3, 1), -7.0))
+        clone.load_state_dict(ring.state_dict())
+        assert_ring_matches(clone, refs)
+
+    def test_window_outside_capacity_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            MatrixRingBuffer(2, 4, 1, window=5)
+        with pytest.raises(ValueError, match="window"):
+            MatrixRingBuffer(2, 4, 1, window=0)

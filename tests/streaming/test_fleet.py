@@ -305,7 +305,7 @@ class TestMatrixRingBufferEdges:
                                       np.ones((1, 1, 1)))
 
     def test_out_buffer_receives_gather_with_cast(self):
-        buf = MatrixRingBuffer(3, 4, 2)
+        buf = MatrixRingBuffer(3, 4, 2, window=3)
         for k in range(6):
             buf.append_tick(np.full((3, 2), float(k)))
         out = np.empty((2, 3, 2), dtype=np.float32)

@@ -1,0 +1,192 @@
+"""Fleet history ring checkpoints: cursor validation and format compatibility.
+
+The ring is wrap-padded in memory but checkpoints only the logical
+``(streams, capacity, features)`` ring. These tests pin down that
+
+* a checkpoint with bad ring cursors is refused before anything is
+  written — by the ring itself and by :class:`FleetPredictor`, whose
+  state must be exactly as it was after the refusal;
+* a fleet checkpoint written before the ring was padded still restores
+  and serves bit-identically;
+* rings that never gather windows carry no pad.
+"""
+
+import math
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.streaming import CheckpointError, FleetPredictor, MatrixRingBuffer, PageHinkley
+
+DATA = Path(__file__).resolve().parent / "data"
+
+CAPACITY = 10
+
+#: small fleet whose history ring wraps within a few dozen ticks
+FLEET_KW = dict(
+    forecaster_name="holt",
+    window=6,
+    buffer_capacity=CAPACITY,
+    refit_interval=8,
+    min_fit_size=8,
+    detector=PageHinkley(threshold=0.25, min_instances=30),
+)
+
+
+def _ticks(n_ticks, n_streams, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_ticks)[:, None]
+    ticks = 50.0 + 10.0 * np.sin(2 * np.pi * t / 12 + np.arange(n_streams))
+    return ticks + rng.normal(0.0, 1.0, (n_ticks, n_streams))
+
+
+def _assert_same_state(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_same_state(a[key], b[key])
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+    elif isinstance(a, float) and math.isnan(a):
+        assert isinstance(b, float) and math.isnan(b)
+    else:
+        assert a == b
+
+
+def _with_cursor(state, case):
+    """A copy of a ring state with one cursor rule broken (the others hold)."""
+    head = state["head"].copy()
+    size = state["size"].copy()
+    cap = state["capacity"]
+    if case == "head shape":
+        head = head[:-1]
+    elif case == "size shape":
+        size = np.append(size, 0)
+    elif case == "negative size":
+        size[0] = -1
+    elif case == "size above capacity":
+        size[0] = cap + 1
+    elif case == "negative head":
+        size[0], head[0] = cap, -1
+    elif case == "head at capacity":
+        size[0], head[0] = cap, cap
+    elif case == "unwrapped head off size":
+        size[0], head[0] = 3, 4
+    else:  # pragma: no cover
+        raise AssertionError(case)
+    return {**state, "head": head, "size": size}
+
+
+CURSOR_CASES = (
+    "head shape",
+    "size shape",
+    "negative size",
+    "size above capacity",
+    "negative head",
+    "head at capacity",
+    "unwrapped head off size",
+)
+
+
+class TestRingCursorValidation:
+    @pytest.mark.parametrize("case", CURSOR_CASES)
+    def test_ring_refuses_bad_cursor_and_keeps_its_storage(self, case):
+        ring = MatrixRingBuffer(3, CAPACITY, 1, window=4)
+        rng = np.random.default_rng(0)
+        for _ in range(CAPACITY + 3):
+            ring.append_tick(rng.normal(size=(3, 1)))
+        good = ring.state_dict()
+        storage = ring._data.copy()
+        source = MatrixRingBuffer(3, CAPACITY, 1, window=4)
+        source.append_tick(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="ring"):
+            ring.load_state_dict(_with_cursor(source.state_dict(), case))
+        np.testing.assert_array_equal(ring._data, storage)
+        _assert_same_state(ring.state_dict(), good)
+
+    def test_ring_refuses_wrong_data_shape(self):
+        ring = MatrixRingBuffer(2, CAPACITY, 1, window=3)
+        state = ring.state_dict()
+        state["data"] = np.zeros((2, CAPACITY + 2, 1))
+        with pytest.raises(ValueError, match="data shape"):
+            ring.load_state_dict(state)
+
+
+class TestFleetRefusesBadRing:
+    def _served(self):
+        fleet = FleetPredictor(4, **FLEET_KW)
+        ticks = _ticks(40, 4)
+        for row in ticks[:30]:
+            fleet.process_tick(row)
+        return fleet, ticks[30:]
+
+    @pytest.mark.parametrize("ring", ["buffer", "errors"])
+    @pytest.mark.parametrize("case", CURSOR_CASES)
+    def test_bad_cursor_raises_and_leaves_predictor_unchanged(self, ring, case):
+        fleet, rest = self._served()
+        twin, _ = self._served()
+        before = fleet.state_dict()
+        bad = fleet.state_dict()
+        # a foreign checkpoint: every scalar field differs from the live one
+        bad.update(step=999, since_refit=7, refit_cursor=3, on_fallback=True)
+        if ring == "buffer":
+            bad["buffer"] = _with_cursor(bad["buffer"], case)
+        else:
+            bad["stats"] = {**bad["stats"], "errors": _with_cursor(bad["stats"]["errors"], case)}
+        with pytest.raises(CheckpointError, match="ring"):
+            fleet.load_state_dict(bad)
+        _assert_same_state(fleet.state_dict(), before)
+        for row in rest:
+            got, want = fleet.process_tick(row), twin.process_tick(row)
+            assert got.predictions.tobytes() == want.predictions.tobytes()
+
+
+class TestCheckpointCompatibility:
+    def test_unpadded_fleet_checkpoint_restores_bit_identically(self, tmp_path):
+        """A checkpoint from before the ring was padded serves unchanged.
+
+        ``data/fleet_unpadded_ring.pkl`` holds a ``FleetPredictor.save``
+        artifact written by the unpadded ring (5 holt streams, 2
+        features, window 6, capacity 10, quarantined records so heads
+        differ), the whole tick trace, the tick it was saved after, and
+        the predictions the uninterrupted unpadded run served from there.
+        It was written with ``FLEET_KW`` and ``features=2``.
+        """
+        with open(DATA / "fleet_unpadded_ring.pkl", "rb") as fh:
+            saved = pickle.load(fh)
+        path = tmp_path / "fleet.ckpt"
+        path.write_bytes(saved["checkpoint"])
+        ticks, split = saved["ticks"], saved["split"]
+
+        restored = FleetPredictor.restore(path)
+        ring = restored.state_dict()["buffer"]
+        assert ring["data"].shape == (5, 10, 2)
+        assert len(set(ring["head"].tolist())) > 1
+
+        uninterrupted = FleetPredictor(5, features=2, **FLEET_KW)
+        for row in ticks[:split]:
+            uninterrupted.process_tick(row)
+        for row, want in zip(ticks[split:], saved["predictions"]):
+            got = restored.process_tick(row).predictions
+            again = uninterrupted.process_tick(row).predictions
+            assert got.tobytes() == want.tobytes()
+            assert again.tobytes() == want.tobytes()
+
+    def test_padded_fleet_checkpoint_is_the_logical_ring(self):
+        fleet = FleetPredictor(3, **FLEET_KW)
+        for row in _ticks(25, 3):
+            fleet.process_tick(row)
+        assert fleet.buffer._data.shape == (3, CAPACITY + 5, 1)
+        assert fleet.state_dict()["buffer"]["data"].shape == (3, CAPACITY, 1)
+
+
+class TestUnpaddedRings:
+    def test_fleet_error_ring_storage_is_unpadded(self):
+        fleet = FleetPredictor(4096)
+        errors = fleet.stats.errors
+        assert errors.window == 1
+        assert errors._data.shape == (4096, 512, 1)
+        assert errors._data.dtype == np.float64
+        assert errors._data.nbytes == 4096 * 512 * 8

@@ -22,6 +22,8 @@ from repro.streaming import (
 )
 from repro.streaming.shm import ring_specs, slotted_specs
 
+from .ring_reference import apply_op, assert_ring_matches, fresh_references, ring_ops
+
 
 @pytest.fixture
 def shared_ring():
@@ -51,9 +53,9 @@ class TestSharedRingParity:
     @settings(max_examples=60, deadline=None)
     def test_matches_private_ring_under_random_ticks(self, streams, capacity, masks, data):
         """Random append/wrap/read: shm ring == private ring, element for element."""
-        shared = SharedMatrixRingBuffer.create(streams, capacity, 1)
+        shared = SharedMatrixRingBuffer.create(streams, capacity, 1, window=capacity)
         try:
-            private = MatrixRingBuffer(streams, capacity, 1)
+            private = MatrixRingBuffer(streams, capacity, 1, window=capacity)
             rng = np.random.default_rng(0)
             for tick_mask in masks:
                 mask = np.resize(np.asarray(tick_mask, bool), streams)
@@ -85,6 +87,70 @@ class TestSharedRingParity:
         shared.load_state_dict(private.state_dict())
         for i in range(3):
             np.testing.assert_array_equal(shared.view(i), private.view(i))
+
+
+class TestPaddedSharedRing:
+    """The padded ring over shared storage == per-stream rolling buffers."""
+
+    @given(st.integers(1, 5), st.integers(1, 10), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_ticks_clears_and_roundtrips_match_rolling_buffers(self, streams, capacity, data):
+        window = data.draw(st.integers(1, capacity), label="window")
+        ring = SharedMatrixRingBuffer.create(streams, capacity, 2, window=window)
+        try:
+            refs = fresh_references(streams, capacity, 2)
+            rng = np.random.default_rng(0)
+            for op in data.draw(ring_ops(streams), label="ops"):
+                refs = apply_op(ring, refs, op, rng)
+                assert_ring_matches(ring, refs)
+        finally:
+            ring.close()
+
+    @given(st.integers(2, 6), st.integers(1, 10), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_slices_of_a_padded_block(self, streams, capacity, data):
+        """Shard-style slices of a padded block; the whole-block ring reads them."""
+        window = data.draw(st.integers(1, capacity), label="window")
+        split = data.draw(st.integers(1, streams - 1), label="split")
+        block = ShmBlock.create(ring_specs(streams, capacity, 1, window=window))
+        arrays = [block["ring_data"], block["ring_head"], block["ring_size"]]
+        geometry = dict(capacity=capacity, window=window)
+        try:
+            fleet = SharedMatrixRingBuffer.from_arrays(*arrays, **geometry)
+            lower = SharedMatrixRingBuffer.from_arrays(*(a[:split] for a in arrays), **geometry)
+            upper = SharedMatrixRingBuffer.from_arrays(*(a[split:] for a in arrays), **geometry)
+            refs = fresh_references(streams, capacity, 1)
+            rng = np.random.default_rng(2)
+            for code, mask in data.draw(ring_ops(streams), label="ops"):
+                lower_refs = apply_op(lower, refs[:split], (code, mask[:split]), rng)
+                upper_refs = apply_op(upper, refs[split:], (code, mask[split:]), rng)
+                refs = lower_refs + upper_refs
+                assert_ring_matches(lower, lower_refs)
+                assert_ring_matches(upper, upper_refs)
+            assert_ring_matches(fleet, refs)
+        finally:
+            # views pin the mapping: drop them so the owner can unlink
+            arrays.clear()
+            fleet = lower = upper = None
+            block.close()
+
+    def test_specs_and_factories_take_window_explicitly(self):
+        data_spec, head_spec, size_spec = ring_specs(4, 10, 2, window=6)
+        assert data_spec.shape == (4, 15, 2)
+        assert head_spec.shape == size_spec.shape == (4,)
+        assert ring_specs(4, 10, 2)[0].shape == (4, 10, 2)
+        block = ShmBlock.create((data_spec, head_spec, size_spec))
+        arrays = [block["ring_data"], block["ring_head"], block["ring_size"]]
+        try:
+            # capacity cannot be read off a padded array: it must be named
+            with pytest.raises(ValueError, match="does not match"):
+                SharedMatrixRingBuffer.from_arrays(*arrays, window=6)
+            ring = SharedMatrixRingBuffer.from_arrays(*arrays, capacity=10, window=6)
+            assert (ring.capacity, ring.window) == (10, 6)
+        finally:
+            arrays.clear()
+            ring = None
+            block.close()
 
 
 class TestCrossMappingCoherence:

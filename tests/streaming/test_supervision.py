@@ -139,6 +139,59 @@ class TestSupervisedRecovery:
         finally:
             pred.close(collect_metrics=False)
 
+    def test_respawn_after_wrap_rebuilds_the_ring_pad(self, tmp_path):
+        """Restore-then-replay stays bit-identical after the ring wrapped.
+
+        Capacity 10, window 8, checkpoints every 8 ticks, kill at tick
+        31: the replacement restores the step-23 checkpoint (head 4) into
+        the dead worker's shm slice, which had already wrapped past slot
+        0, so the first windows it gathers read pad slots the dead worker
+        overwrote. The restore must rebuild the pad from the checkpoint.
+        """
+        kw = dict(FLEET_KW, buffer_capacity=10, min_fit_size=10)
+        n, shards, kill_tick = 4, 2, 31
+        ticks = make_ticks(90, n, seed=5)
+        lo, hi = shard_boundaries(n, shards)[0:2]
+        mirror = FleetPredictor(hi - lo, registry=MetricRegistry(), **kw)
+        states = []
+        for row in ticks[:kill_tick]:
+            mirror.process_tick(row[lo:hi])
+            states.append(mirror.state_dict())
+        pred = ShardedFleetPredictor(
+            n,
+            shards,
+            registry=MetricRegistry(),
+            chaos=ChaosSchedule.kill_at(kill_tick, shard=0),
+            respawn=RespawnPolicy(backoff_ticks=1),
+            checkpoint_dir=tmp_path,
+            checkpoint_interval=8,
+            tick_timeout=30.0,
+            **kw,
+        )
+        try:
+            served = {}
+            for t, row in enumerate(ticks):
+                got = pred.process_tick(row)
+                if t > kill_tick and (got.health[lo:hi] != 3).all():
+                    served[t] = got.predictions[lo:hi].copy()
+                if pred.recovering_shards:
+                    time.sleep(RECOVERY_PACE_S)
+            entry = pred.stats()["per_shard"][0]
+        finally:
+            pred.close(collect_metrics=False)
+        assert pred.respawns == 1
+        assert entry["restored_step"] == 23
+        assert states[23]["buffer"]["head"].tolist() == [4, 4]
+        first = min(served)
+        assert sorted(served) == list(range(first, len(ticks)))
+        assert len(served) >= 10, "shard never recovered within the run"
+        replay = FleetPredictor(hi - lo, registry=MetricRegistry(), **kw)
+        replay.load_state_dict(states[23])
+        for t in range(first, len(ticks)):
+            want = replay.process_tick(ticks[t, lo:hi]).predictions
+            assert np.isfinite(want).all()
+            assert served[t].tobytes() == want.tobytes()
+
     def test_crash_loop_trips_breaker_then_fleet_refuses_to_serve(self):
         n = 4
         ticks = make_ticks(120, n, seed=12)
