@@ -16,6 +16,13 @@ batch size. ``test_bench_ring_last_windows`` and
 feature, ~1 % of streams masked out per tick): the per-tick window
 gather and the per-tick absorb.
 
+The snapshot also records two start-up costs, each read in a fresh
+interpreter: the import of ``repro.streaming.shard`` (what a spawned shard
+worker, refit process or pool worker pays before its first line of work)
+and construct-to-ready of ``ShardedFleetPredictor(64, shards=2,
+forecaster_name="holt")``, which spawns two workers and waits for both
+ready handshakes.
+
 ``test_perf_smoke_kernel_snapshot`` (marker ``perf_smoke``) additionally
 writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
 successive PRs accumulate a kernel-throughput trajectory. Pin BLAS to one
@@ -29,6 +36,8 @@ import json
 import os
 import platform
 import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -232,6 +241,33 @@ def test_bench_trace_generation(benchmark):
     assert trace.n_containers == 24
 
 
+_STARTUP_PROBE = """
+import json, time
+t0 = time.perf_counter()
+import repro.streaming.shard
+t1 = time.perf_counter()
+sp = repro.streaming.shard.ShardedFleetPredictor(64, shards=2, forecaster_name="holt")
+t2 = time.perf_counter()
+sp.close()
+print(json.dumps({"import_streaming_shard": t1 - t0, "sharded_holt_64x2_ready": t2 - t1}))
+"""
+
+
+def _startup_seconds() -> dict[str, float]:
+    """Start-up seconds of the shard entry module and a 2-worker fleet, fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _ops_per_sec(fn, min_time: float = 0.25) -> float:
     """Calls/second of ``fn``, measured over at least ``min_time`` seconds."""
     fn()  # warm-up (fills the plan caches, which is the steady state)
@@ -312,6 +348,8 @@ def test_perf_smoke_kernel_snapshot(rng):
     predictor.run(stream)
     serving_throughput = len(stream) / (time.perf_counter() - t0)
 
+    startup = _startup_seconds()
+
     snapshot = {
         "shapes": {
             "conv1d_forward": "x(32,16,64) w(16,16,3) pad=(4,0) dil=2",
@@ -328,6 +366,9 @@ def test_perf_smoke_kernel_snapshot(rng):
             "ring_last_windows": "MatrixRingBuffer(4096, 140, 1, window=12), wrapped: "
             "last_windows of ~4055 streams into a float64 batch",
             "ring_append_tick": "append_tick of one (4096, 1) tick into that ring, ~1% masked",
+            "import_streaming_shard": "import repro.streaming.shard in a fresh interpreter",
+            "sharded_holt_64x2_ready": "ShardedFleetPredictor(64, shards=2, "
+            "forecaster_name='holt') construction to both workers ready",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
@@ -343,6 +384,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "ring_last_windows": round(ring_gather, 1),
             "ring_append_tick": round(ring_append, 1),
         },
+        "startup_seconds": {name: round(sec, 3) for name, sec in startup.items()},
         "informational": {"rptcn_predict_minor_faults": round(rptcn_faults, 1)},
         "machine": {
             **machine_info(),
@@ -367,6 +409,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     assert gbt_fit > 0 and gbt_predict > 0
     assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0
     assert ring_gather > 0 and ring_append > 0
+    assert all(sec > 0 for sec in startup.values())
     assert serving_throughput > 100.0
 
 

@@ -8,22 +8,16 @@ trace (:mod:`repro.traces`), the Algorithm-1 data pipeline
 (:mod:`repro.data`), all baselines (:mod:`repro.models`), and the experiment
 harnesses that regenerate every table and figure
 (:mod:`repro.experiments`).
+
+Subpackages load on first access (PEP 562): ``import repro`` imports none
+of them, ``repro.nn`` imports :mod:`repro.nn` the first time it is read,
+and ``import repro.streaming.shard`` loads only what the shard module
+itself imports. A spawned worker therefore pays only for the code it runs.
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import (  # noqa: E402  (re-exported subpackages)
-    analysis,
-    cluster,
-    data,
-    experiments,
-    models,
-    nn,
-    obs,
-    streaming,
-    traces,
-    training,
-)
+__version__ = "1.0.0"
 
 __all__ = [
     "nn",
@@ -37,3 +31,15 @@ __all__ = [
     "cluster",
     "obs",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        # import_module binds the subpackage on this module, so the hook
+        # runs at most once per name
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -58,6 +58,10 @@ from ..obs import trace as obs_trace
 from ..obs.registry import MetricRegistry, get_registry
 from ..obs.trace import Span
 
+#: kept under its old name; the reviver lives on :class:`Span` so the
+#: serving layer can merge worker spans without importing this package
+revive_span = Span.from_dict
+
 __all__ = [
     "TaskSpec",
     "TaskResult",
@@ -235,31 +239,6 @@ def warm_pool(jobs: int) -> list[int]:
         return []
     pool = _get_pool(jobs)
     return sorted({f.result() for f in [pool.submit(_warm_worker, i) for i in range(jobs)]})
-
-
-def revive_span(data: dict[str, Any], tracer: obs_trace.Tracer | None = None) -> Span:
-    """Rebuild a worker's serialized span tree on this process's tracer.
-
-    Durations are preserved exactly (``t_start=0``); child spans are
-    reattached recursively so ``span.render()`` of a pooled task looks
-    the same as an in-process one.
-    """
-    span = Span(str(data.get("name", "task")))
-    span.t_start = 0.0
-    span.t_end = float(data.get("duration", 0.0))
-    span.status = data.get("status", "ok")
-    span.error = data.get("error")
-    span.dropped_children = int(data.get("dropped_children", 0))
-    for key, amount in (data.get("counters") or {}).items():
-        span.add(key, amount)
-    for child_data in data.get("children") or ():
-        child = revive_span(child_data)
-        span._children = span._children or []
-        span._children.append(child)
-        span.child_time += child.duration
-    if tracer is not None:
-        tracer.finished.append(span)
-    return span
 
 
 def _to_result(spec: TaskSpec, record: dict[str, Any]) -> TaskResult:

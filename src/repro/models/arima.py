@@ -19,8 +19,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .base import Forecaster, register_forecaster
 
@@ -58,6 +56,8 @@ class ARIMA:
 
     def _residuals(self, w: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Conditional residuals of the ARMA recursion (pre-sample = 0)."""
+        from scipy.signal import lfilter
+
         # rhs_t = w_t - c - sum phi_i w_{t-i}
         rhs = lfilter(np.concatenate(([1.0], -phi)), [1.0], w) - c
         # e_t = rhs_t - sum theta_j e_{t-j}
@@ -142,6 +142,8 @@ class ARIMA:
 
         x0 = self._hannan_rissanen(w)
         if x0.size:
+            from scipy.optimize import minimize
+
             res = minimize(
                 self._css,
                 x0,

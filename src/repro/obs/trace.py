@@ -187,6 +187,31 @@ class Span:
             "dropped_children": self.dropped_children,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict[str, Any], tracer: "Tracer | None" = None) -> "Span":
+        """Rebuild a span tree serialized by :meth:`to_dict` in another process.
+
+        Durations are preserved exactly (``t_start=0``); child spans are
+        reattached recursively so ``span.render()`` of a revived tree looks
+        the same as an in-process one. With ``tracer``, the root is appended
+        to its finished ring.
+        """
+        span = cls(str(data.get("name", "task")))
+        span.t_end = float(data.get("duration", 0.0))
+        span.status = data.get("status", "ok")
+        span.error = data.get("error")
+        span.dropped_children = int(data.get("dropped_children", 0))
+        for key, amount in (data.get("counters") or {}).items():
+            span.add(key, amount)
+        for child_data in data.get("children") or ():
+            child = cls.from_dict(child_data)
+            span._children = span._children or []
+            span._children.append(child)
+            span.child_time += child.duration
+        if tracer is not None:
+            tracer.finished.append(span)
+        return span
+
     def render(self, indent: int = 0) -> str:
         """Human-readable tree: name, wall, own time, counters, status."""
         extra = "".join(f" {k}={v:g}" for k, v in self.counters.items())

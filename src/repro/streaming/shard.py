@@ -99,6 +99,7 @@ from ..obs.registry import Counter as MetricCounter
 from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
+from ..obs.trace import Span
 from .checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -1377,13 +1378,9 @@ class ShardedFleetPredictor:
                 labeled.append(entry)
         if labeled:
             self._registry.adopt_series(labeled)
-        # imported here: experiments.parallel pulls in the experiments package,
-        # which imports repro.streaming — a cycle at module-import time
-        from ..experiments.parallel import revive_span
-
         tracer = obs_trace.default_tracer()
         for span_data in spans:
-            revive_span(span_data, tracer)
+            Span.from_dict(span_data, tracer)
 
     def close(self, collect_metrics: bool = True) -> None:
         """Stop every worker, merge their metrics, release the shm segment.

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "periodic_load",
@@ -47,6 +46,8 @@ def ar1_noise(
     """
     if not -1.0 < phi < 1.0:
         raise ValueError(f"phi must be in (-1, 1) for stationarity, got {phi}")
+    from scipy.signal import lfilter
+
     eps = rng.standard_normal(n)
     x = lfilter([1.0], [1.0, -phi], eps)
     return sigma * x * np.sqrt(1.0 - phi**2)
@@ -158,6 +159,8 @@ def spiky_batch_load(
     Spikes are injected as impulses and shaped by an exponential-decay IIR
     filter (map-reduce stage bursts).
     """
+    from scipy.signal import lfilter
+
     impulses = np.where(rng.random(n) < spike_rate, spike_height, 0.0)
     impulses *= rng.uniform(0.6, 1.4, size=n)
     shaped = lfilter([1.0], [1.0, -decay], impulses)
