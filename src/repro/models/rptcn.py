@@ -11,6 +11,12 @@ Architecture, exactly as §III-D describes it:
    performance indicators at different moments to the predicted CPU
    usage" (eqs. 7-8),
 4. a linear output head emitting the ``horizon`` future CPU values.
+
+With the ``feature`` and ``none`` attentions the FC layer reads only the
+backbone's last step, so the backbone runs :meth:`TCN.last_step`: at
+inference (``no_grad``, eval mode) it computes only the conv positions
+that reach that step, with the full forward's taps and ops. The
+``temporal`` attention reads every step and keeps the full backbone.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from ..nn import init as nn_init
 from ..nn.layers.attention import FeatureAttention, TemporalAttention
 from ..nn.layers.linear import Linear
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .base import NeuralForecaster, register_forecaster
 from .tcn import TCN
 
@@ -95,17 +101,21 @@ class RPTCN(Module):
         # RPTCN's loss "is very small at the beginning")
         self.head.weight.data[...] = 0.0
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _summary(self, x: Tensor) -> Tensor:
+        """Backbone -> last step (or temporal attention) -> FC: the ``z`` of eq. (6)."""
         # (N, W, F) -> (N, F, W) channels-first for the convolutions
-        h = self.backbone(x.swapaxes(1, 2))  # (N, C, W)
-
+        x = x.swapaxes(1, 2)
         if self.temporal_attention is not None:
+            h = self.backbone(x)  # (N, C, W): attention reads every step
             z = self.temporal_attention(h.swapaxes(1, 2))  # (N, C)
         else:
-            z = h[:, :, -1]  # causal: last step summarizes the window
-
+            z = self.backbone.last_step(x)  # causal: last step summarizes the window
         if self.fc is not None:
             z = self.fc(z).relu()
+        return z
+
+    def forward(self, x: Tensor) -> Tensor:
+        z = self._summary(x)
         if self.feature_attention is not None:
             z = self.feature_attention(z)
         return self.head(z)
@@ -114,11 +124,8 @@ class RPTCN(Module):
         """Post-FC attention vector for interpretability (None if ablated)."""
         if self.feature_attention is None:
             return None
-        h = self.backbone(x.swapaxes(1, 2))
-        z = h[:, :, -1]
-        if self.fc is not None:
-            z = self.fc(z).relu()
-        return self.feature_attention.attention_weights(z)
+        with no_grad():
+            return self.feature_attention.attention_weights(self._summary(x))
 
 
 @register_forecaster("rptcn")

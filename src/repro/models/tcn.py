@@ -10,12 +10,22 @@ Each block runs as one fused op, :func:`repro.nn.functional.temporal_block`
 block's ``conv1``/``conv2``/``drop1``/``drop2``/``downsample`` submodules
 hold its parameters and dropout settings, so state dicts and pickles keep
 their layout.
+
+Heads that read only the last backbone step call :meth:`TCN.last_step`.
+Under ``no_grad`` in eval mode it computes only the conv positions that
+can reach that step (31 of the 72 per window at kernel 3, dilations
+``(1, 2, 4)``, window 12) with the full forward's taps and ops, so it
+matches ``TCN(x)[:, :, -1]`` up to BLAS rounding a GEMM row differently
+for a different row count (bit for bit where it does not, as for the
+served RPTCN on x86-64 OpenBLAS). In grad or training mode it is exactly
+that full forward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..nn import _plans
 from ..nn import functional as F
 from ..nn import init as nn_init
 from ..nn.layers.container import ModuleList
@@ -24,7 +34,7 @@ from ..nn.layers.dropout import SpatialDropout1d
 from ..nn.layers.linear import Linear
 from ..nn.layers.normalization import WeightNormConv1d
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, get_default_dtype, is_grad_enabled
 from .base import NeuralForecaster, register_forecaster
 
 __all__ = ["TemporalBlock", "TCN", "TCNForecaster"]
@@ -90,6 +100,24 @@ class TemporalBlock(Module):
             training=self.training,
         )
 
+    def forward_rows(
+        self, xr: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """Eval-mode output at selected rows (:func:`F.temporal_block_rows`)."""
+        down = self.downsample
+        return F.temporal_block_rows(
+            xr,
+            rows,
+            self.conv1.v,
+            self.conv1.g,
+            self.conv1.bias,
+            self.conv2.v,
+            self.conv2.g,
+            self.conv2.bias,
+            down_weight=down.weight if down is not None else None,
+            down_bias=down.bias if down is not None else None,
+        )
+
 
 class TCN(Module):
     """Stack of :class:`TemporalBlock` with exponentially growing dilations.
@@ -142,6 +170,36 @@ class TCN(Module):
             x = block(x)
         return x
 
+    def last_step(self, x: Tensor) -> Tensor:
+        """Features at the last step, ``(N, C_out)``: ``self(x)[:, :, -1]``.
+
+        Under ``no_grad`` with every block in eval mode, only the conv
+        positions that reach the last step are computed: the blocks run
+        :meth:`TemporalBlock.forward_rows` over the memoized rows of
+        :func:`repro.nn._plans.last_step_rows`, starting from the window
+        as ``(1 + N * L, C_in)`` rows behind a zero row. Each kept row
+        reads the same taps and runs the same ops as in the full forward,
+        and the result keeps the input's dtype; only the GEMM row counts
+        differ (see :func:`repro.nn.functional.temporal_block_rows`).
+        With autograd on, or in training mode (dropout), this is the full
+        forward, so gradients and dropout draws are untouched.
+        """
+        if is_grad_enabled() or any(block.training for block in self.blocks):
+            return self(x)[:, :, -1]
+        n, c_in, window = x.shape
+        rows = _plans.last_step_rows(
+            self.blocks[0].kernel_size,
+            tuple(block.dilation for block in self.blocks),
+            window,
+            n,
+        )
+        xl = x.data.transpose(0, 2, 1).reshape(n * window, c_in)
+        h = np.concatenate([np.zeros((1, c_in), dtype=xl.dtype), xl])
+        dtype = get_default_dtype()  # what each block's output Tensor holds
+        for block, block_rows in zip(self.blocks, rows):
+            h = np.asarray(block.forward_rows(h, block_rows), dtype=dtype)
+        return Tensor(h[1:])
+
 
 class _TCNHead(Module):
     """Plain TCN forecaster: backbone → last step → linear head."""
@@ -162,9 +220,8 @@ class _TCNHead(Module):
         self.head.weight.data[...] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
-        # (N, W, F) -> channels-first (N, F, W)
-        h = self.backbone(x.swapaxes(1, 2))
-        return self.head(h[:, :, -1])
+        # (N, W, F) -> channels-first (N, F, W); the head reads the last step
+        return self.head(self.backbone.last_step(x.swapaxes(1, 2)))
 
 
 @register_forecaster("tcn")

@@ -18,11 +18,17 @@ memoizes them process-wide:
   scatter primitive in NumPy. The accumulation order (kernel-tap major,
   ascending time) matches ``np.add.at`` iterating the index matrix in C
   order, so results are bit-for-bit identical.
+- :func:`last_step_plan` — the rows of a causal TCN stack that can reach
+  its last output step, keyed on ``(kernel, dilations, window)``, and
+  :func:`last_step_rows`, the same plan as flat row indices into a batch
+  of ``n`` windows. Serving heads that read only the last backbone step
+  compute just these rows (:meth:`repro.models.tcn.TCN.last_step`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,9 @@ __all__ = [
     "planned_einsum",
     "fold_cols",
     "conv_out_length",
+    "LastStepBlock",
+    "last_step_plan",
+    "last_step_rows",
     "plan_cache_stats",
     "register_plan_metrics",
 ]
@@ -116,6 +125,124 @@ def fold_cols(
         off = tap * dilation
         gxp[:, :, off : off + span : stride] += gcols[:, :, tap, :]
     return gxp
+
+
+# ---------------------------------------------------------------------------
+# last-step TCN inference: the rows that reach the final output step
+# ---------------------------------------------------------------------------
+
+
+class LastStepBlock(NamedTuple):
+    """Rows of one causal residual block that reach the stack's last step.
+
+    Rows are counted per window. ``conv1`` holds, for each conv1 position
+    the block needs, the input row of each kernel tap; ``conv2`` does the
+    same for each needed output position over the conv1 rows. ``-1``
+    marks a tap that reaches back before the window (a causal zero).
+    ``residual`` gives the input row at each output position.
+    """
+
+    rows_in: int
+    conv1: np.ndarray  # (rows_mid, K)
+    conv2: np.ndarray  # (rows_out, K)
+    residual: np.ndarray  # (rows_out,)
+
+
+def _tap_rows(steps: np.ndarray, offsets: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Row in ``source`` (sorted steps) of each tap ``steps[:, None] - offsets``."""
+    wanted = steps[:, None] - offsets[None, :]
+    rows = np.searchsorted(source, wanted)
+    rows[wanted < 0] = -1
+    return rows
+
+
+@lru_cache(maxsize=None)
+def last_step_plan(
+    kernel_size: int, dilations: tuple[int, ...], window: int
+) -> tuple[LastStepBlock, ...]:
+    """Per-block rows a causal TCN computes to produce only its last step.
+
+    Walks the blocks backwards from output step ``window - 1``: a block
+    output at step ``t`` reads conv2 at ``t`` and the residual at ``t``;
+    conv2 at ``t`` reads conv1 at ``t - (K-1-j) d`` for taps ``j``, and
+    conv1 reads the block input the same way. The first block reads the
+    whole window (row ``t`` is step ``t``); every later block reads the
+    compact, ascending rows its predecessor produced. Tap ``j`` of a row
+    lists the same input step as tap ``j`` of the full forward's causal
+    im2col, so each kept row is computed by the same dot products.
+    Returned index arrays are read-only.
+    """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    out_steps = np.array([window - 1])
+    plan = []
+    for level in range(len(dilations) - 1, -1, -1):
+        offsets = np.arange(kernel_size - 1, -1, -1) * dilations[level]
+        reach = (out_steps[:, None] - offsets).ravel()
+        mid_steps = np.unique(reach[reach >= 0])
+        if level == 0:
+            in_steps = np.arange(window)
+        else:
+            reach = (mid_steps[:, None] - offsets).ravel()
+            in_steps = np.unique(reach[reach >= 0])
+        block = LastStepBlock(
+            len(in_steps),
+            _tap_rows(mid_steps, offsets, in_steps),
+            _tap_rows(out_steps, offsets, mid_steps),
+            np.searchsorted(in_steps, out_steps),
+        )
+        for arr in block[1:]:
+            arr.setflags(write=False)
+        plan.append(block)
+        out_steps = in_steps
+    return tuple(reversed(plan))
+
+
+def _batch_rows(rows: np.ndarray, per_window: int, n: int) -> np.ndarray:
+    """``rows`` of ``n`` stacked windows as flat rows after a leading zero row.
+
+    Window ``w``'s row ``r`` is ``1 + w * per_window + r``; a causal-zero
+    tap (``-1``) is row 0.
+    """
+    flat = 1 + rows[None] + (per_window * np.arange(n)).reshape((n,) + (1,) * rows.ndim)
+    flat[:, rows < 0] = 0
+    flat = flat.ravel()
+    flat.setflags(write=False)
+    return flat
+
+
+@lru_cache(maxsize=32)
+def _last_step_rows(
+    kernel_size: int, dilations: tuple[int, ...], window: int, capacity: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    return tuple(
+        (
+            _batch_rows(block.conv1, block.rows_in, capacity),
+            _batch_rows(block.conv2, len(block.conv1), capacity),
+            _batch_rows(block.residual, block.rows_in, capacity),
+        )
+        for block in last_step_plan(kernel_size, dilations, window)
+    )
+
+
+def last_step_rows(
+    kernel_size: int, dilations: tuple[int, ...], window: int, n: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """:func:`last_step_plan` as flat ``(conv1, conv2, residual)`` rows of an ``n``-window batch.
+
+    Every stage of the batch is one zero row followed by the ``n``
+    windows' rows, window-major; causal-zero taps point at the zero row.
+    One ``np.take`` with these rows is one stage's im2col (or residual
+    gather) for the whole batch. The rows of ``n`` windows are a prefix
+    of the rows of any larger batch, so they are built once per
+    power-of-two capacity and returned as prefix views: a fleet whose
+    batch size moves tick to tick shares one cached array.
+    """
+    capacity = 1 << max(n - 1, 0).bit_length()
+    return tuple(
+        tuple(rows[: rows.size // capacity * n] for rows in block)
+        for block in _last_step_rows(kernel_size, dilations, window, capacity)
+    )
 
 
 # ---------------------------------------------------------------------------

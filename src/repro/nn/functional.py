@@ -11,6 +11,9 @@ hand-written BPTT backward — no per-step Tensor allocation. The TCN
 residual block is fused the same way: one autograd node per block,
 computed channels-last with one 2-D GEMM per convolution and a
 hand-written backward through weight norm, ReLU and spatial dropout.
+:func:`temporal_block_rows` is the block's inference-only twin over a
+subset of rows: heads that read only the last time step run it on the
+rows that can reach that step.
 
 Every op with a nontrivial graph closure also has an inference fast path:
 when autograd is off (or no parent requires grad) the op returns a
@@ -28,6 +31,7 @@ __all__ = [
     "conv1d",
     "lstm",
     "temporal_block",
+    "temporal_block_rows",
     "softmax",
     "log_softmax",
     "dropout",
@@ -596,3 +600,62 @@ def temporal_block(
             x._accumulate(gx.reshape(n, length, c_in).transpose(0, 2, 1))
 
     return Tensor._from_op(out.reshape(n, length, c_out).transpose(0, 2, 1), parents, backward)
+
+
+def _conv_rows(xr: np.ndarray, taps: np.ndarray, wm: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``ReLU(conv + bias)`` at the rows whose im2col taps are ``taps``.
+
+    ``xr`` is rows ``(1 + M, C_in)`` after a leading zero row; the result
+    is ``(1 + len(taps) / K, C_out)`` in the same layout, its GEMM
+    written in place behind the zero row.
+    """
+    cols = np.take(xr, taps, axis=0)
+    cols = cols.reshape(cols.size // wm.shape[0], wm.shape[0])
+    out = np.empty((1 + len(cols), wm.shape[1]), dtype=np.result_type(cols, wm))
+    out[0] = 0.0
+    _bias_relu(np.matmul(cols, wm, out=out[1:]), bias)
+    return out
+
+
+def temporal_block_rows(
+    xr: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    v1: Tensor,
+    g1: Tensor,
+    b1: Tensor,
+    v2: Tensor,
+    g2: Tensor,
+    b2: Tensor,
+    down_weight: Tensor | None = None,
+    down_bias: Tensor | None = None,
+) -> np.ndarray:
+    """Inference-only :func:`temporal_block` over selected rows.
+
+    ``xr`` holds block-input rows ``(1 + M_in, C_in)`` behind a leading
+    zero row; ``rows`` are the flat ``(conv1, conv2, residual)`` row
+    indices of :func:`repro.nn._plans.last_step_rows`, where a
+    causal-zero tap points at that zero row. Each conv is one ``np.take``
+    im2col and one GEMM over the needed rows only. Returns the output
+    rows ``(1 + M_out, C_out)`` in the same layout, for the next block.
+
+    A kept row gathers the same taps in the same order as the full
+    forward's causal im2col and goes through the same weight-norm, GEMM,
+    bias, ReLU and residual ops as the eval-mode :func:`temporal_block`.
+    Only the GEMMs' row counts differ, so the rows agree up to how BLAS
+    rounds a row for a given row count (bit for bit where it rounds each
+    row alike). No dropout, no graph.
+    """
+    conv1, conv2, residual = rows
+    w1m = _gemm_weight(_weight_norm(v1.data, g1.data)[0])
+    w2m = _gemm_weight(_weight_norm(v2.data, g2.data)[0])
+    h = _conv_rows(xr, conv1, w1m, b1.data)
+    out = _conv_rows(h, conv2, w2m, b2.data)
+    del h
+    body = out[1:]
+    res = np.take(xr, residual, axis=0)
+    if down_weight is not None:
+        res = res @ down_weight.data[:, :, 0].T
+        res += down_bias.data
+    body += res
+    np.maximum(body, 0.0, out=body)
+    return out
