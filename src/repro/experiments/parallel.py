@@ -58,16 +58,11 @@ from ..obs import trace as obs_trace
 from ..obs.registry import MetricRegistry, get_registry
 from ..obs.trace import Span
 
-#: kept under its old name; the reviver lives on :class:`Span` so the
-#: serving layer can merge worker spans without importing this package
-revive_span = Span.from_dict
-
 __all__ = [
     "TaskSpec",
     "TaskResult",
     "derive_seed",
     "run_tasks",
-    "revive_span",
     "warm_pool",
     "shutdown_pools",
 ]
@@ -326,7 +321,7 @@ def run_tasks(
                     )
                 continue
             for span_data in payload.get("spans") or ():
-                revive_span(span_data, tracer)
+                Span.from_dict(span_data, tracer)
             reg.adopt_series(payload.get("metrics") or ())
             for i, record in zip(chunk, payload["records"]):
                 results[i] = _to_result(tasks[i], record)

@@ -1,29 +1,13 @@
-"""First-order optimizers, LR schedulers and gradient clipping."""
+"""First-order optimizers and gradient clipping."""
 
-from .adagrad import Adagrad
 from .adam import Adam, AdamW
 from .base import Optimizer
 from .clip import clip_grad_norm, clip_grad_value
-from .rmsprop import RMSprop
-from .schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    ReduceLROnPlateau,
-    StepLR,
-)
-from .sgd import SGD
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "AdamW",
-    "RMSprop",
-    "Adagrad",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "ReduceLROnPlateau",
     "clip_grad_norm",
     "clip_grad_value",
 ]

@@ -305,9 +305,7 @@ class _FleetStats:
         "n_clamped_predictions",
     )
 
-    def __init__(self, streams: int, error_history: int = 512) -> None:
-        self.streams = streams
-        self.error_history = error_history
+    def __init__(self, streams: int) -> None:
         self.n_predictions = np.zeros(streams, dtype=np.int64)
         self.sum_abs_error = np.zeros(streams)
         self.sum_sq_error = np.zeros(streams)
@@ -326,7 +324,6 @@ class _FleetStats:
         #: per-stream arrays (4 O(N) scans/tick — the N=1 bench killer)
         self.total_fallback_predictions = 0
         self.total_clamped_predictions = 0
-        self.errors = MatrixRingBuffer(streams, error_history, 1)
 
     @property
     def mae(self) -> np.ndarray:
@@ -343,32 +340,6 @@ class _FleetStats:
         """MAE over every prediction the fleet served."""
         return float(self.sum_abs_error.sum() / max(self.n_predictions.sum(), 1))
 
-    def recent_errors(self, stream: int) -> np.ndarray:
-        """The retained error history of one stream, oldest first."""
-        return self.errors.view(stream)[:, 0]
-
-    def error_quantiles(self, tau: float, min_count: int = 1) -> np.ndarray:
-        """Per-stream ``tau``-quantile of the retained |error| history.
-
-        One vectorized nanquantile over the whole fleet's error ring;
-        NaN for streams that have scored fewer than ``min_count``
-        predictions — a tail quantile of a handful of (possibly lucky)
-        errors is an uncalibrated band, and consumers treat NaN as
-        "fall back to your fixed margin". This is the empirical residual
-        band that risk-aware consumers (the cluster autoscaler's quantile
-        policy) reserve on top of a point forecast.
-        """
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {tau}")
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {min_count}")
-        out = np.full(self.streams, np.nan)
-        idx = np.flatnonzero(self.errors.sizes >= min_count)
-        if idx.size:
-            retained = self.errors.filled_matrix()[idx, :, 0]
-            out[idx] = np.nanquantile(retained, tau, axis=1)
-        return out
-
     def state_dict(self) -> dict:
         state = {name: getattr(self, name).copy() for name in self._ARRAYS}
         state["sum_abs_error"] = self.sum_abs_error.copy()
@@ -376,7 +347,6 @@ class _FleetStats:
         state["n_refits"] = self.n_refits
         state["n_refit_failures"] = self.n_refit_failures
         state["n_refits_deferred"] = self.n_refits_deferred
-        state["errors"] = self.errors.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -389,7 +359,6 @@ class _FleetStats:
         self.n_refits_deferred = int(state.get("n_refits_deferred", 0))
         self.total_fallback_predictions = int(self.n_fallback_predictions.sum())
         self.total_clamped_predictions = int(self.n_clamped_predictions.sum())
-        self.errors.load_state_dict(state["errors"])
 
 
 class FleetPredictor:
@@ -443,9 +412,6 @@ class FleetPredictor:
     warm_epochs:
         Epoch budget for warm-started resumes (``None`` = the model's
         default, a quarter of its cold budget).
-    error_history:
-        Per-stream retained error-ring length (the fleet ring is always
-        bounded; there is no opt-out at fleet scale).
     """
 
     def __init__(
@@ -465,7 +431,6 @@ class FleetPredictor:
         supervisor_policy: SupervisorPolicy | None = None,
         fallback_forecaster: str = "persistence",
         fallback_kwargs: dict[str, Any] | None = None,
-        error_history: int = 512,
         refit_fault_hook: Callable[[], None] | None = None,
         registry: MetricRegistry | None = None,
         span_sample: int = 8,
@@ -606,8 +571,7 @@ class FleetPredictor:
         self.model: Forecaster | None = None
         self.fallback_model: Forecaster | None = None
         self.on_fallback = False
-        self.error_history = error_history
-        self.stats = _FleetStats(n_streams, error_history)
+        self.stats = _FleetStats(n_streams)
         self.refit_mode = refit_mode
         self.refit_backend = refit_backend
         self.warm_start = bool(warm_start)
@@ -950,7 +914,6 @@ class FleetPredictor:
             st.n_predictions[have] += 1
             st.sum_abs_error[have] += err
             st.sum_sq_error[have] += err**2
-            st.errors.append_tick(errors[:, None], mask=have)
         fired = self.detector.update(errors, have)
         st.n_drifts[fired] += 1
 
@@ -1021,7 +984,6 @@ class FleetPredictor:
                 "supervisor_policy": self.refit_supervisor.policy,
                 "fallback_forecaster": self.fallback_forecaster,
                 "fallback_kwargs": dict(self.fallback_kwargs),
-                "error_history": self.error_history,
                 "refit_streams": self.refit_streams,
                 "max_fit_windows": self.max_fit_windows,
                 "refit_mode": self.refit_mode,
@@ -1080,7 +1042,6 @@ class FleetPredictor:
         # predictor is worse than a refused checkpoint
         try:
             self.buffer.validate_state(state["buffer"])
-            self.stats.errors.validate_state(state["stats"]["errors"])
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
         self._step = int(state["step"])
@@ -1133,6 +1094,9 @@ class FleetPredictor:
         cfg["serve_dtype"] = np.dtype(cfg["serve_dtype"])
         params = cfg.pop("detector_params")
         cfg["detector"] = PageHinkley(**params)
+        # checkpoints written while the fleet kept an error ring carry its
+        # depth; the ring is gone and its saved state is ignored on load
+        cfg.pop("error_history", None)
         cfg.update(overrides)
         predictor = cls(**cfg)
         predictor.load_state_dict(state)

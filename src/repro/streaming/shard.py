@@ -1332,6 +1332,8 @@ class ShardedFleetPredictor:
             )
         state = artifact["state"]
         cfg = state["config"]
+        # a retired FleetPredictor option (see FleetPredictor.restore)
+        fleet_kwargs = {k: v for k, v in cfg["fleet_kwargs"].items() if k != "error_history"}
         kwargs: dict[str, Any] = {
             "shards": cfg["shards"],
             "tick_timeout": cfg["tick_timeout"],
@@ -1340,7 +1342,7 @@ class ShardedFleetPredictor:
             "checkpoint_dir": cfg.get("checkpoint_dir"),
             "checkpoint_interval": cfg.get("checkpoint_interval"),
             "pipeline": cfg.get("pipeline", False),
-            **cfg["fleet_kwargs"],
+            **fleet_kwargs,
         }
         kwargs.update(overrides)
         predictor = cls(cfg["n_streams"], **kwargs)

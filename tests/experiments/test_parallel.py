@@ -12,7 +12,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     TaskSpec,
     derive_seed,
-    revive_span,
     run_tasks,
     shutdown_pools,
     warm_pool,
@@ -20,6 +19,7 @@ from repro.experiments.parallel import (
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.obs.registry import MetricRegistry
+from repro.obs.trace import Span
 
 TOYS = "tests.experiments._paralleltasks"
 
@@ -174,7 +174,7 @@ class TestObsMerging:
             "counters": {"cells": 3},
             "children": [{"name": "inner", "duration": 0.5}],
         }
-        span = revive_span(data)
+        span = Span.from_dict(data)
         assert span.name == "task:x"
         assert span.duration == pytest.approx(1.5)
         assert span.status == "error"

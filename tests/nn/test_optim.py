@@ -1,23 +1,10 @@
-"""Optimizer, scheduler and clipping tests."""
+"""Optimizer and clipping tests."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import (
-    SGD,
-    Adagrad,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    ExponentialLR,
-    ReduceLROnPlateau,
-    RMSprop,
-    StepLR,
-    clip_grad_norm,
-    clip_grad_value,
-)
-from repro.nn.tensor import Tensor
+from repro.nn.optim import Adam, AdamW, clip_grad_norm, clip_grad_value
 
 
 def quadratic_param(start=5.0):
@@ -28,48 +15,6 @@ def quadratic_param(start=5.0):
 def step_once(opt, p):
     p.grad = 2.0 * p.data  # d/dx x^2
     opt.step()
-
-
-class TestSGD:
-    def test_vanilla_step(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        step_once(opt, p)
-        assert p.data[0] == pytest.approx(5.0 - 0.1 * 10.0)
-
-    def test_momentum_accelerates(self):
-        p1, p2 = quadratic_param(), quadratic_param()
-        plain = SGD([p1], lr=0.01)
-        mom = SGD([p2], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            step_once(plain, p1)
-            step_once(mom, p2)
-        assert abs(p2.data[0]) < abs(p1.data[0])
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, nesterov=True)
-
-    def test_skips_none_grads(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no grad set
-        assert p.data[0] == 5.0
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.0)
 
 
 class TestAdam:
@@ -101,65 +46,19 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([quadratic_param()], betas=(1.0, 0.9))
 
-
-class TestRMSpropAdagrad:
-    def test_rmsprop_converges(self):
+    def test_skips_none_grads(self):
         p = quadratic_param()
-        opt = RMSprop([p], lr=0.05)
-        for _ in range(200):
-            step_once(opt, p)
-        assert abs(p.data[0]) < 0.1
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no grad set
+        assert p.data[0] == 5.0
 
-    def test_adagrad_step_shrinks_over_time(self):
-        p = quadratic_param()
-        opt = Adagrad([p], lr=0.5)
-        step_once(opt, p)
-        first_step = abs(5.0 - p.data[0])
-        prev = p.data[0]
-        step_once(opt, p)
-        assert abs(prev - p.data[0]) < first_step
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
-
-class TestSchedulers:
-    def _opt(self):
-        return SGD([quadratic_param()], lr=1.0)
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_exponential_lr(self):
-        opt = self._opt()
-        sched = ExponentialLR(opt, gamma=0.5)
-        for _ in range(3):
-            sched.step()
-        assert opt.lr == pytest.approx(0.125)
-
-    def test_cosine_reaches_eta_min(self):
-        opt = self._opt()
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.01)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.01)
-
-    def test_plateau_reduces_after_patience(self):
-        opt = self._opt()
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=2)
-        sched.step(1.0)  # establishes best
-        for _ in range(3):  # 3 bad epochs > patience 2
-            sched.step(1.0)
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_plateau_respects_improvement(self):
-        opt = self._opt()
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=1)
-        for metric in (1.0, 0.9, 0.8, 0.7):
-            sched.step(metric)
-        assert opt.lr == pytest.approx(1.0)
+    def test_bad_lr_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([quadratic_param()], lr=0.0)
 
 
 class TestClipping:

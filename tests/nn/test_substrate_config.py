@@ -98,12 +98,12 @@ class TestDtypePolicy:
 class TestTrainerPredictPreallocation:
     def test_predict_matches_batched_concat(self):
         from repro.nn import MSELoss
-        from repro.nn.optim import SGD
+        from repro.nn.optim import Adam
         from repro.training.trainer import Trainer
 
         rng = np.random.default_rng(2)
         model = Linear(5, 2, rng=rng)
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.1), MSELoss(), rng=rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.1), MSELoss(), rng=rng)
         x = rng.standard_normal((23, 5))
         got = trainer.predict(x, batch_size=7)
         from repro.nn.tensor import no_grad
@@ -116,11 +116,11 @@ class TestTrainerPredictPreallocation:
 
     def test_predict_empty_input(self):
         from repro.nn import MSELoss
-        from repro.nn.optim import SGD
+        from repro.nn.optim import Adam
         from repro.training.trainer import Trainer
 
         rng = np.random.default_rng(3)
         model = Linear(4, 1, rng=rng)
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.1), MSELoss(), rng=rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.1), MSELoss(), rng=rng)
         out = trainer.predict(np.empty((0, 4)))
         assert out.shape[0] == 0

@@ -326,35 +326,3 @@ class TestMatrixRingBufferEdges:
         with pytest.raises(ValueError, match="mismatch"):
             bad.load_state_dict(buf.state_dict())
 
-
-class TestErrorQuantiles:
-    """Per-stream residual bands — the cluster autoscaler's calibration feed."""
-
-    def _stats(self):
-        from repro.streaming.fleet import _FleetStats
-
-        stats = _FleetStats(streams=3, error_history=64)
-        # stream 0 gets 20 scored errors, stream 1 gets 3, stream 2 none
-        for k in range(20):
-            mask = np.array([True, k < 3, False])
-            stats.errors.append_tick(np.full((3, 1), float(k)), mask=mask)
-        return stats
-
-    def test_min_count_gates_uncalibrated_streams(self):
-        stats = self._stats()
-        q = stats.error_quantiles(0.5, min_count=10)
-        assert np.isfinite(q[0]) and np.isnan(q[1]) and np.isnan(q[2])
-        q_all = stats.error_quantiles(0.5, min_count=1)
-        assert np.isfinite(q_all[:2]).all() and np.isnan(q_all[2])
-
-    def test_quantile_value_matches_numpy(self):
-        stats = self._stats()
-        q = stats.error_quantiles(0.9, min_count=10)
-        assert q[0] == pytest.approx(np.quantile(np.arange(20.0), 0.9))
-
-    def test_validation(self):
-        stats = self._stats()
-        with pytest.raises(ValueError, match="tau"):
-            stats.error_quantiles(1.0)
-        with pytest.raises(ValueError, match="min_count"):
-            stats.error_quantiles(0.5, min_count=0)

@@ -1,4 +1,4 @@
-"""Fleet history ring checkpoints: cursor validation and format compatibility.
+"""Fleet history ring checkpoints: cursor validation, format compatibility, size.
 
 The ring is wrap-padded in memory but checkpoints only the logical
 ``(streams, capacity, features)`` ring. These tests pin down that
@@ -6,9 +6,10 @@ The ring is wrap-padded in memory but checkpoints only the logical
 * a checkpoint with bad ring cursors is refused before anything is
   written — by the ring itself and by :class:`FleetPredictor`, whose
   state must be exactly as it was after the refusal;
-* a fleet checkpoint written before the ring was padded still restores
-  and serves bit-identically;
-* rings that never gather windows carry no pad.
+* fleet and sharded checkpoints written by older code (before the ring
+  was padded, while the fleet still kept an error ring) still restore
+  and serve bit-identically;
+* a fleet checkpoint is the history ring plus a few scalars per stream.
 """
 
 import math
@@ -18,7 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.streaming import CheckpointError, FleetPredictor, MatrixRingBuffer, PageHinkley
+from repro.obs.registry import MetricRegistry
+from repro.streaming import (
+    CheckpointError,
+    FleetPredictor,
+    MatrixRingBuffer,
+    PageHinkley,
+    ShardedFleetPredictor,
+    read_checkpoint,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -32,6 +41,16 @@ FLEET_KW = dict(
     refit_interval=8,
     min_fit_size=8,
     detector=PageHinkley(threshold=0.25, min_instances=30),
+)
+
+
+#: the sharded fixture's fleet config (``error_history`` aside)
+SHARD_KW = dict(
+    forecaster_name="holt",
+    window=8,
+    buffer_capacity=48,
+    refit_interval=16,
+    min_fit_size=12,
 )
 
 
@@ -122,19 +141,15 @@ class TestFleetRefusesBadRing:
             fleet.process_tick(row)
         return fleet, ticks[30:]
 
-    @pytest.mark.parametrize("ring", ["buffer", "errors"])
     @pytest.mark.parametrize("case", CURSOR_CASES)
-    def test_bad_cursor_raises_and_leaves_predictor_unchanged(self, ring, case):
+    def test_bad_cursor_raises_and_leaves_predictor_unchanged(self, case):
         fleet, rest = self._served()
         twin, _ = self._served()
         before = fleet.state_dict()
         bad = fleet.state_dict()
         # a foreign checkpoint: every scalar field differs from the live one
         bad.update(step=999, since_refit=7, refit_cursor=3, on_fallback=True)
-        if ring == "buffer":
-            bad["buffer"] = _with_cursor(bad["buffer"], case)
-        else:
-            bad["stats"] = {**bad["stats"], "errors": _with_cursor(bad["stats"]["errors"], case)}
+        bad["buffer"] = _with_cursor(bad["buffer"], case)
         with pytest.raises(CheckpointError, match="ring"):
             fleet.load_state_dict(bad)
         _assert_same_state(fleet.state_dict(), before)
@@ -181,12 +196,53 @@ class TestCheckpointCompatibility:
         assert fleet.buffer._data.shape == (3, CAPACITY + 5, 1)
         assert fleet.state_dict()["buffer"]["data"].shape == (3, CAPACITY, 1)
 
+    def test_sharded_checkpoint_with_error_history_restores_bit_identically(self, tmp_path):
+        """A composed checkpoint from a fleet that still kept an error ring.
 
-class TestUnpaddedRings:
-    def test_fleet_error_ring_storage_is_unpadded(self):
-        fleet = FleetPredictor(4096)
-        errors = fleet.stats.errors
-        assert errors.window == 1
-        assert errors._data.shape == (4096, 512, 1)
-        assert errors._data.dtype == np.float64
-        assert errors._data.nbytes == 4096 * 512 * 8
+        ``data/sharded_error_history.pkl`` holds a
+        ``ShardedFleetPredictor.save`` artifact written before the fleet's
+        error ring was removed: 4 holt streams over 2 shards, built with
+        ``error_history=64`` and ``SHARD_KW``, so its ``fleet_kwargs``
+        carry that option and every shard state an ``errors`` ring. It
+        also holds the tick trace, the tick it was saved after, and the
+        predictions the uninterrupted run served from there.
+        """
+        with open(DATA / "sharded_error_history.pkl", "rb") as fh:
+            saved = pickle.load(fh)
+        path = tmp_path / "fleet.ckpt"
+        path.write_bytes(saved["checkpoint"])
+        ticks, split = saved["ticks"], saved["split"]
+        state = read_checkpoint(path)["state"]
+        assert state["config"]["fleet_kwargs"]["error_history"] == 64
+        assert all("errors" in shard["stats"] for shard in state["shard_states"])
+
+        restored = ShardedFleetPredictor.restore(path, registry=MetricRegistry())
+        try:
+            assert "error_history" not in restored.fleet_kwargs
+            got = restored.run(ticks[split:])
+        finally:
+            restored.close(collect_metrics=False)
+        with ShardedFleetPredictor(4, shards=2, registry=MetricRegistry(),
+                                   **SHARD_KW) as uninterrupted:
+            want = uninterrupted.run(ticks)[split:]
+        assert len(got) == len(want) == len(saved["predictions"])
+        for g, w, recorded in zip(got, want, saved["predictions"]):
+            assert g.predictions.tobytes() == recorded.tobytes()
+            assert g.predictions.tobytes() == w.predictions.tobytes()
+            assert g.errors.tobytes() == w.errors.tobytes()
+            assert g.refit == w.refit
+
+
+class TestCheckpointSize:
+    def test_fleet_checkpoint_is_the_history_ring_plus_scalars_per_stream(self):
+        """No per-stream history besides the ring goes into a checkpoint."""
+        n = 4096
+        fleet = FleetPredictor(n, forecaster_name="holt", window=12, buffer_capacity=64)
+        for row in _ticks(5, n):
+            fleet.process_tick(row)
+        state = fleet.state_dict()
+        ring_bytes = state["buffer"]["data"].nbytes
+        assert len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)) <= (
+            ring_bytes + 512 * n
+        )
+
