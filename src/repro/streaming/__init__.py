@@ -26,7 +26,7 @@ from .checkpoint import (
     try_read_checkpoint,
     write_checkpoint,
 )
-from .drift import DriftDetector, PageHinkley
+from .drift import PageHinkley
 from .faults import (
     ChaosSchedule,
     FaultConfig,
@@ -54,7 +54,6 @@ from .shard import (
     shard_boundaries,
 )
 from .shm import (
-    SharedMatrixRingBuffer,
     ShmArraySpec,
     ShmBlock,
     SlottedShmBlock,
@@ -74,7 +73,6 @@ __all__ = [
     "RespawnPolicy",
     "AllShardsFailedError",
     "shard_boundaries",
-    "SharedMatrixRingBuffer",
     "ShmBlock",
     "SlottedShmBlock",
     "ShmArraySpec",
@@ -83,7 +81,6 @@ __all__ = [
     "FleetGate",
     "FleetGateResult",
     "PageHinkley",
-    "DriftDetector",
     "OnlinePredictor",
     "PredictionRecord",
     "HealthStatus",

@@ -182,6 +182,38 @@ class MatrixRingBuffer:
             np.zeros(streams, dtype=np.int64),
         )
 
+    @classmethod
+    def from_arrays(
+        cls,
+        data: np.ndarray,
+        head: np.ndarray,
+        size: np.ndarray,
+        *,
+        capacity: int,
+        window: int,
+    ) -> "MatrixRingBuffer":
+        """Build a ring over caller-owned storage (e.g. a shard's shm row-slice).
+
+        ``data`` must be ``(streams, capacity + window - 1, features)``,
+        as :func:`~repro.streaming.shm.ring_specs` lays it out; ``head``
+        and ``size`` are the matching ``(streams,)`` int64 cursors.
+        Every mutation is an in-place write, so processes mapping the
+        same storage observe the same ring. The ring takes no lock: the
+        sharded fleet's tick protocol lets workers write only while the
+        coordinator waits for their tick token. The caller owns the
+        storage's lifetime, and must drop the ring before unmapping it.
+        """
+        streams, width, features = data.shape
+        ring = cls(streams, capacity, features, window)
+        if width != capacity + window - 1:
+            raise ValueError(
+                f"storage shape {data.shape} does not match ring "
+                f"{(streams, capacity + window - 1, features)} "
+                f"(capacity {capacity}, window {window})"
+            )
+        ring._bind(data, np.asarray(head), np.asarray(size))
+        return ring
+
     def _bind(self, data: np.ndarray, head: np.ndarray, size: np.ndarray) -> None:
         """Point the ring at ``data``/``head``/``size`` storage."""
         self._data = data

@@ -8,44 +8,17 @@ how the paper's "mutation points" become an actionable signal online.
 
 from __future__ import annotations
 
-import abc
-import copy
-
-__all__ = ["DriftDetector", "PageHinkley"]
+__all__ = ["PageHinkley"]
 
 
-class DriftDetector(abc.ABC):
-    """Feed one score per step; ``drift_detected`` latches until reset."""
-
-    def __init__(self) -> None:
-        self.drift_detected = False
-        self.n_seen = 0
-
-    @abc.abstractmethod
-    def update(self, value: float) -> bool:
-        """Consume one observation; return True if drift fired this step."""
-
-    def reset(self) -> None:
-        self.drift_detected = False
-        self.n_seen = 0
-
-    # Detector state is plain scalars in every subclass, so generic
-    # __dict__ snapshots give exact checkpoint/restore without each
-    # subclass writing serialization code.
-
-    def state_dict(self) -> dict:
-        return copy.deepcopy(self.__dict__)
-
-    def load_state_dict(self, state: dict) -> None:
-        self.__dict__.update(copy.deepcopy(state))
-
-
-class PageHinkley(DriftDetector):
+class PageHinkley:
     """Page-Hinkley test on a stream of (absolute) errors.
 
     Maintains the cumulative deviation of the stream from its running
     mean, minus a drift allowance ``delta``; fires when the deviation
-    exceeds ``threshold`` after ``min_instances`` observations.
+    exceeds ``threshold`` after ``min_instances`` observations. Feed one
+    score per step with :meth:`update`; ``drift_detected`` latches until
+    :meth:`reset`.
     """
 
     def __init__(
@@ -54,7 +27,6 @@ class PageHinkley(DriftDetector):
         threshold: float = 0.5,
         min_instances: int = 30,
     ) -> None:
-        super().__init__()
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         if min_instances < 1:
@@ -62,11 +34,10 @@ class PageHinkley(DriftDetector):
         self.delta = delta
         self.threshold = threshold
         self.min_instances = min_instances
-        self._mean = 0.0
-        self._cumulative = 0.0
-        self._minimum = 0.0
+        self.reset()
 
     def update(self, value: float) -> bool:
+        """Consume one observation; return True if drift fired this step."""
         self.n_seen += 1
         # running mean (Welford-style single pass)
         self._mean += (value - self._mean) / self.n_seen
@@ -81,7 +52,8 @@ class PageHinkley(DriftDetector):
         return fired
 
     def reset(self) -> None:
-        super().reset()
+        self.drift_detected = False
+        self.n_seen = 0
         self._mean = 0.0
         self._cumulative = 0.0
         self._minimum = 0.0

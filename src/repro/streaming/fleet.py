@@ -69,7 +69,7 @@ from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import MatrixRingBuffer
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
-from .online import _HEALTH_LEVEL, PredictionRecord
+from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord
 from .refit import AsyncRefitEngine, RefitTask, fit_task
 from .resilience import (
     GATE_QUARANTINE,
@@ -86,6 +86,8 @@ __all__ = ["FleetPredictor", "FleetTick", "TickColumns"]
 _HEALTH_BY_LEVEL = {level: status for status, level in _HEALTH_LEVEL.items()}
 #: gate action code -> the ``gated`` field of :class:`PredictionRecord`
 _GATED_BY_ACTION = (None, "imputed", "quarantined")
+#: constructor options older checkpoints may still carry; restore drops them
+_RETIRED_OPTIONS = ("error_history", "refit_backend", "serve_dtype", "span_sample")
 
 
 @dataclass(frozen=True)
@@ -182,33 +184,23 @@ class TickColumns:
             gated=np.array(gated),
         )
 
-    def quarantine_rows(
-        self, sl: slice, raw_target: np.ndarray, *, health_level: int, gate_action: int
-    ) -> None:
+    def quarantine_rows(self, sl: slice, raw_target: np.ndarray) -> None:
         """Rows of a durably-dead shard: NaN predictions, raw actuals."""
         self.predictions[sl] = np.nan
         self.errors[sl] = np.nan
         self.actuals[sl] = raw_target
         self.drift[sl] = False
-        self.health[sl] = health_level
-        self.gated[sl] = gate_action
+        self.health[sl] = _HEALTH_LEVEL[HealthStatus.FALLBACK]
+        self.gated[sl] = GATE_QUARANTINE
 
-    def hold_rows(
-        self,
-        sl: slice,
-        raw_target: np.ndarray,
-        held: np.ndarray,
-        *,
-        health_level: int,
-        gate_action: int,
-    ) -> None:
+    def hold_rows(self, sl: slice, raw_target: np.ndarray, held: np.ndarray) -> None:
         """Rows of a recovering shard: serve the held last prediction."""
         self.predictions[sl] = held
         self.actuals[sl] = raw_target
         self.errors[sl] = np.abs(held - raw_target)
         self.drift[sl] = False
-        self.health[sl] = health_level
-        self.gated[sl] = gate_action
+        self.health[sl] = _HEALTH_LEVEL[HealthStatus.RECOVERING]
+        self.gated[sl] = GATE_QUARANTINE
 
     def finish(self, step: int, refit: bool, model_version: int) -> FleetTick:
         return FleetTick(
@@ -375,9 +367,7 @@ class FleetPredictor:
     detector:
         A :class:`~repro.streaming.drift.PageHinkley` *prototype*; its
         parameters are applied to every stream's vectorized detector
-        state. (Arbitrary :class:`DriftDetector` subclasses are a
-        scalar-predictor feature — the fleet keeps detector state in
-        arrays.)
+        state.
     refit_streams:
         How many stream buffers contribute windows to one shared-model
         (re)fit. Sampling is round-robin across refits, so successive
@@ -398,11 +388,6 @@ class FleetPredictor:
         to the next tick (counted in
         ``serving_fleet_refits_deferred_total``), so the effective
         cadence degrades gracefully to ``max(refit_interval, fit_time)``.
-    refit_backend:
-        Async worker flavor: ``"thread"`` (default — numpy kernels
-        release the GIL, so the fit overlaps serving on multicore) or
-        ``"process"`` (a persistent spawned process: full isolation at
-        the cost of one task/model pickle per refit).
     warm_start:
         Ship the current model's weights with each refit task, in either
         ``refit_mode``, so models implementing :meth:`Forecaster.warm_fit`
@@ -426,25 +411,20 @@ class FleetPredictor:
         target_col: int = 0,
         features: int = 1,
         detector: PageHinkley | None = None,
-        serve_dtype: np.dtype | type = np.float64,
         gate_policy: GatePolicy | None = None,
         supervisor_policy: SupervisorPolicy | None = None,
         fallback_forecaster: str = "persistence",
         fallback_kwargs: dict[str, Any] | None = None,
         refit_fault_hook: Callable[[], None] | None = None,
         registry: MetricRegistry | None = None,
-        span_sample: int = 8,
         refit_streams: int = 8,
         max_fit_windows: int = 4096,
         refit_mode: str = "sync",
-        refit_backend: str = "thread",
         warm_start: bool = False,
         warm_epochs: int | None = None,
     ) -> None:
         if n_streams < 1:
             raise ValueError(f"n_streams must be >= 1, got {n_streams}")
-        if span_sample < 1:
-            raise ValueError(f"span_sample must be >= 1, got {span_sample}")
         if buffer_capacity < window + 2:
             raise ValueError(
                 f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
@@ -455,10 +435,6 @@ class FleetPredictor:
             raise ValueError("refit_streams and max_fit_windows must be >= 1")
         if refit_mode not in ("sync", "async"):
             raise ValueError(f"refit_mode must be 'sync' or 'async', got {refit_mode!r}")
-        if refit_backend not in ("thread", "process"):
-            raise ValueError(
-                f"refit_backend must be 'thread' or 'process', got {refit_backend!r}"
-            )
         if warm_epochs is not None and warm_epochs < 1:
             raise ValueError(f"warm_epochs must be >= 1, got {warm_epochs}")
         if detector is not None and type(detector) is not PageHinkley:
@@ -562,7 +538,6 @@ class FleetPredictor:
         ):
             obs_registry.register(inst)
         self._last_health_level: int | None = None
-        self._span_sample = span_sample
         self._span_tick = 0
         self.fallback_forecaster = fallback_forecaster
         self.fallback_kwargs = dict(fallback_kwargs or {})
@@ -573,7 +548,6 @@ class FleetPredictor:
         self.on_fallback = False
         self.stats = _FleetStats(n_streams)
         self.refit_mode = refit_mode
-        self.refit_backend = refit_backend
         self.warm_start = bool(warm_start)
         self.warm_epochs = warm_epochs
         #: bumps on every adopted primary model (in-line refit or async swap)
@@ -583,15 +557,14 @@ class FleetPredictor:
         # the engine spawns its worker lazily on first submit, so sync-mode
         # fleets (and async ones that never refit) pay nothing here
         self.refit_engine: AsyncRefitEngine | None = (
-            AsyncRefitEngine(refit_backend) if refit_mode == "async" else None
+            AsyncRefitEngine() if refit_mode == "async" else None
         )
         self._step = 0
         self._since_refit = 0
         self._refit_cursor = 0
-        self._serve_dtype = np.dtype(serve_dtype)
         # preallocated (n_streams, window, features) inference batch —
         # each tick's due windows gather into its leading rows in place
-        self._batch = np.empty((n_streams, window, features), dtype=self._serve_dtype)
+        self._batch = np.empty((n_streams, window, features))
         self._last_batch_size = 0
         self._last_n_served = 0
 
@@ -787,8 +760,8 @@ class FleetPredictor:
         univariate fleets) — one record per stream, NaN rows for absent
         streams. When observability is enabled the tick's latency,
         forward batch size and instantaneous throughput land in the
-        fleet instruments, and every ``span_sample``-th tick runs inside
-        a ``serving.fleet_tick`` trace span.
+        fleet instruments, and every eighth tick runs inside a
+        ``serving.fleet_tick`` trace span.
         """
         if not is_enabled():
             return self._process_tick_inner(tick)
@@ -797,7 +770,7 @@ class FleetPredictor:
         b_clamped = st.total_clamped_predictions
         t0 = time.perf_counter()
         self._span_tick += 1
-        if self._span_tick >= self._span_sample:
+        if self._span_tick >= _SPAN_SAMPLE:
             self._span_tick = 0
             with trace.span("serving.fleet_tick") as sp:
                 result = self._process_tick_inner(tick)
@@ -978,7 +951,6 @@ class FleetPredictor:
                 "min_fit_size": self.min_fit_size,
                 "target_col": self.target_col,
                 "features": self.buffer.features,
-                "serve_dtype": self._serve_dtype.str,
                 "detector_params": dict(self._detector_params),
                 "gate_policy": self.gate.policy,
                 "supervisor_policy": self.refit_supervisor.policy,
@@ -987,7 +959,6 @@ class FleetPredictor:
                 "refit_streams": self.refit_streams,
                 "max_fit_windows": self.max_fit_windows,
                 "refit_mode": self.refit_mode,
-                "refit_backend": self.refit_backend,
                 "warm_start": self.warm_start,
                 "warm_epochs": self.warm_epochs,
             },
@@ -1090,13 +1061,9 @@ class FleetPredictor:
         if not isinstance(artifact, dict) or artifact.get("kind") != "fleet_predictor":
             raise CheckpointError(f"{path} does not hold a FleetPredictor checkpoint")
         state = artifact["state"]
-        cfg = dict(state["config"])
-        cfg["serve_dtype"] = np.dtype(cfg["serve_dtype"])
+        cfg = {k: v for k, v in state["config"].items() if k not in _RETIRED_OPTIONS}
         params = cfg.pop("detector_params")
         cfg["detector"] = PageHinkley(**params)
-        # checkpoints written while the fleet kept an error ring carry its
-        # depth; the ring is gone and its saved state is ignored on load
-        cfg.pop("error_history", None)
         cfg.update(overrides)
         predictor = cls(**cfg)
         predictor.load_state_dict(state)

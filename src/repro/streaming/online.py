@@ -40,7 +40,7 @@ from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import RollingBuffer
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from .drift import DriftDetector, PageHinkley
+from .drift import PageHinkley
 from .resilience import GatePolicy, HealthStatus, InputGate, Supervisor, SupervisorPolicy
 
 #: numeric encoding of :class:`HealthStatus` for the health gauge
@@ -50,6 +50,9 @@ _HEALTH_LEVEL = {
     HealthStatus.FALLBACK: 2,
     HealthStatus.RECOVERING: 3,
 }
+#: one serving step (record or fleet tick) in this many opens a trace
+#: span; the latency histogram still sees every step
+_SPAN_SAMPLE = 8
 
 __all__ = ["PredictionRecord", "OnlinePredictor"]
 
@@ -141,10 +144,8 @@ class OnlinePredictor:
     target_col:
         Which feature column is the prediction target.
     detector:
-        Drift detector over absolute errors (default Page-Hinkley).
-    serve_dtype:
-        Dtype of the preallocated inference window buffer (e.g.
-        ``np.float32`` to serve in single precision; default float64).
+        Page-Hinkley drift detector over absolute errors (default
+        parameters when ``None``).
     gate_policy:
         Input-gate behaviour (imputation / outlier screening); the gate
         is always on — it is what keeps one NaN record from silently
@@ -173,13 +174,9 @@ class OnlinePredictor:
         counters, plus the gate and supervisor instruments). ``None``
         uses the process-global registry. Optional telemetry respects
         :func:`repro.obs.set_enabled`; the gate/supervisor counts are
-        serving state and always record.
-    span_sample:
-        Open a ``serving.process`` trace span on every ``span_sample``-th
-        record (default 8). The latency histogram still sees *every*
-        record — sampling only thins the trace tree, the standard
-        tracing trade-off on per-record hot paths. Pass ``1`` to trace
-        every record.
+        serving state and always record. Every eighth record runs
+        inside a ``serving.process`` trace span; the latency histogram
+        still sees every record.
     """
 
     def __init__(
@@ -192,8 +189,7 @@ class OnlinePredictor:
         min_fit_size: int | None = None,
         target_col: int = 0,
         features: int = 1,
-        detector: DriftDetector | None = None,
-        serve_dtype: np.dtype | type = np.float64,
+        detector: PageHinkley | None = None,
         gate_policy: GatePolicy | None = None,
         supervisor_policy: SupervisorPolicy | None = None,
         fallback_forecaster: str = "persistence",
@@ -201,10 +197,7 @@ class OnlinePredictor:
         error_history: int | None = 512,
         refit_fault_hook: Callable[[], None] | None = None,
         registry: MetricRegistry | None = None,
-        span_sample: int = 8,
     ) -> None:
-        if span_sample < 1:
-            raise ValueError(f"span_sample must be >= 1, got {span_sample}")
         if buffer_capacity < window + 2:
             raise ValueError(
                 f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
@@ -262,7 +255,6 @@ class OnlinePredictor:
         # lookups and only touch the health gauge when the level changes
         self._c_predictions = self._obs_counters["predictions"]
         self._last_health_level: int | None = None
-        self._span_sample = span_sample
         self._span_tick = 0
         self.fallback_forecaster = fallback_forecaster
         self.fallback_kwargs = dict(fallback_kwargs or {})
@@ -275,10 +267,9 @@ class OnlinePredictor:
         self.stats = _OnlineStats(errors=deque(maxlen=error_history))
         self._step = 0
         self._since_refit = 0
-        self._serve_dtype = np.dtype(serve_dtype)
         # preallocated (1, window, features) inference input — refilled in
         # place each step instead of re-materializing the buffer tail
-        self._hist = np.empty((1, window, features), dtype=serve_dtype)
+        self._hist = np.empty((1, window, features))
 
     # -- health ---------------------------------------------------------------
 
@@ -394,8 +385,8 @@ class OnlinePredictor:
         When observability is enabled every step's latency lands in the
         ``serving_process_seconds`` histogram, the health gauge tracks
         the stamped :class:`HealthStatus`, refit/drift/fallback events
-        mirror into registry counters, and every ``span_sample``-th step
-        runs inside a ``serving.process`` trace span.
+        mirror into registry counters, and every eighth step runs inside
+        a ``serving.process`` trace span.
         """
         if not is_enabled():
             return self._process_inner(record)
@@ -408,7 +399,7 @@ class OnlinePredictor:
         b_clamped = st.n_clamped_predictions
         t0 = time.perf_counter()
         self._span_tick += 1
-        if self._span_tick >= self._span_sample:
+        if self._span_tick >= _SPAN_SAMPLE:
             self._span_tick = 0
             with trace.span("serving.process"):
                 result = self._process_inner(record)
@@ -536,7 +527,6 @@ class OnlinePredictor:
                 "min_fit_size": self.min_fit_size,
                 "target_col": self.target_col,
                 "features": self.buffer.features,
-                "serve_dtype": self._serve_dtype.str,
                 "gate_policy": self.gate.policy,
                 "supervisor_policy": self.refit_supervisor.policy,
                 "fallback_forecaster": self.fallback_forecaster,
@@ -547,7 +537,7 @@ class OnlinePredictor:
             "since_refit": self._since_refit,
             "on_fallback": self.on_fallback,
             "buffer": self.buffer.state_dict(),
-            "detector": self.detector,  # pickled whole: subclass-agnostic
+            "detector": self.detector,  # pickled whole
             "gate": self.gate.state_dict(),
             "refit_supervisor": self.refit_supervisor.state_dict(),
             "predict_supervisor": self.predict_supervisor.state_dict(),
@@ -607,7 +597,7 @@ class OnlinePredictor:
             raise CheckpointError(f"{path} does not hold an OnlinePredictor checkpoint")
         state = artifact["state"]
         cfg = dict(state["config"])
-        cfg["serve_dtype"] = np.dtype(cfg["serve_dtype"])
+        cfg.pop("serve_dtype", None)  # a retired option older checkpoints carry
         cfg.update(overrides)
         predictor = cls(**cfg)
         predictor.load_state_dict(state)

@@ -15,12 +15,11 @@ This module moves the fit off the serving path:
   step at submission (the staleness anchor). Tasks pickle, so an
   in-flight refit survives checkpoint/restore by resubmission.
 * :class:`AsyncRefitEngine` owns one background worker — a daemon
-  thread (default; numpy kernels release the GIL so the fit genuinely
-  overlaps serving on multicore) or a persistent spawned process (full
-  isolation, pays one pickle of the task/model per refit) — with
-  **one task in flight at a time**: ``submit`` rejects while busy (the
-  caller's refit clock decides whether to retry next tick), ``poll`` is
-  the non-blocking serving-path call that collects a finished fit.
+  thread (numpy kernels release the GIL, so the fit genuinely overlaps
+  serving on multicore) — with **one task in flight at a time**:
+  ``submit`` rejects while busy (the caller's refit clock decides
+  whether to retry next tick), ``poll`` is the non-blocking
+  serving-path call that collects a finished fit.
 * :func:`fit_task` executes one task. The worker runs it on a
   **fresh** model object (warm starts resume a *copy* deserialized from
   bytes), so the live serving model is never mutated off-thread; the
@@ -36,8 +35,6 @@ one, never a half-updated one.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -48,8 +45,6 @@ import numpy as np
 from ..models.base import Forecaster, create_forecaster
 
 __all__ = ["RefitTask", "RefitOutcome", "AsyncRefitEngine", "fit_task"]
-
-_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class RefitOutcome:
 
 
 def fit_task(task: RefitTask) -> Forecaster:
-    """Execute one fit request; shared by both backends (and sync callers).
+    """Execute one fit request; shared by the worker and sync callers.
 
     Warm path: deserialize the shipped weights and resume via
     :meth:`Forecaster.warm_fit` with the task's epoch budget. Any warm
@@ -120,27 +115,6 @@ def fit_task(task: RefitTask) -> Forecaster:
     model = create_forecaster(task.forecaster_name, **task.forecaster_kwargs)
     model.fit(task.x, task.y)
     return model
-
-
-def _process_worker(conn: Any) -> None:  # pragma: no cover - child process
-    """Persistent process backend: recv pickled tasks, send fitted bytes."""
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if msg[0] == "stop":
-            break
-        task: RefitTask = pickle.loads(msg[1])
-        t0 = time.perf_counter()
-        try:
-            model = fit_task(task)
-            conn.send(("ok", model.to_bytes(), time.perf_counter() - t0))
-        except Exception as exc:  # noqa: BLE001 — report, stay alive
-            conn.send(
-                ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)
-            )
-    conn.close()
 
 
 class AsyncRefitEngine:
@@ -162,20 +136,13 @@ class AsyncRefitEngine:
     and a restore can resubmit it deterministically.
     """
 
-    def __init__(self, backend: str = "thread") -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self.backend = backend
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._pending: RefitTask | None = None
         self._outcome: RefitOutcome | None = None
         self._closed = False
-        # thread backend
         self._thread: threading.Thread | None = None
-        # process backend
-        self._proc: Any = None
-        self._conn: Any = None
 
     # -- worker plumbing -------------------------------------------------------
 
@@ -214,45 +181,6 @@ class AsyncRefitEngine:
                 self._pending = None
                 self._cond.notify_all()
 
-    def _ensure_process(self) -> None:
-        if self._proc is not None and self._proc.is_alive():
-            return
-        ctx = mp.get_context("spawn")
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_process_worker, args=(child,), name="refit-worker", daemon=True
-        )
-        self._proc.start()
-        child.close()
-
-    def _poll_process(self) -> None:
-        """Drain a finished process fit (or its corpse) into the outcome slot."""
-        task = self._pending
-        if task is None:
-            return
-        try:
-            if not self._conn.poll(0):
-                if self._proc.is_alive():
-                    return
-                raise EOFError("refit worker process died")
-            kind, payload, fit_seconds = self._conn.recv()
-            if kind == "ok":
-                outcome = RefitOutcome(
-                    True, Forecaster.from_bytes(payload), task, fit_seconds=fit_seconds
-                )
-            else:
-                outcome = RefitOutcome(
-                    False, None, task, error=str(payload), fit_seconds=fit_seconds
-                )
-        except (EOFError, OSError) as exc:
-            outcome = RefitOutcome(False, None, task, error=f"worker died: {exc}")
-            self._proc = None  # respawned lazily on the next submit
-            self._conn = None
-        with self._cond:
-            self._outcome = outcome
-            self._pending = None
-            self._cond.notify_all()
-
     # -- API -------------------------------------------------------------------
 
     @property
@@ -263,8 +191,6 @@ class AsyncRefitEngine:
         exactly the condition under which :meth:`submit` rejects, so a
         caller that checks ``busy`` first never has a submit rejected.
         """
-        if self.backend == "process":
-            self._poll_process()
         with self._lock:
             return self._pending is not None or self._outcome is not None
 
@@ -272,24 +198,6 @@ class AsyncRefitEngine:
         """Hand a task to the worker; ``False`` while :attr:`busy`."""
         if self._closed:
             raise RuntimeError("AsyncRefitEngine is closed")
-        if self.backend == "process":
-            self._poll_process()
-            with self._lock:
-                if self._pending is not None or self._outcome is not None:
-                    return False
-                self._pending = task
-            self._ensure_process()
-            try:
-                self._conn.send(("fit", pickle.dumps(task, pickle.HIGHEST_PROTOCOL)))
-            except (BrokenPipeError, OSError) as exc:
-                with self._cond:
-                    self._outcome = RefitOutcome(
-                        False, None, task, error=f"worker pipe broken: {exc}"
-                    )
-                    self._pending = None
-                self._proc = None
-                self._conn = None
-            return True
         with self._cond:
             if self._pending is not None or self._outcome is not None:
                 return False
@@ -300,8 +208,6 @@ class AsyncRefitEngine:
 
     def poll(self) -> RefitOutcome | None:
         """Collect a finished fit, if any — non-blocking, the serving-path call."""
-        if self.backend == "process":
-            self._poll_process()
         with self._lock:
             outcome = self._outcome
             self._outcome = None
@@ -314,15 +220,6 @@ class AsyncRefitEngine:
         True after a successful ``wait`` until the caller collects it.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        if self.backend == "process":
-            while True:
-                self._poll_process()
-                with self._lock:
-                    if self._pending is None:
-                        return True
-                if deadline is not None and time.perf_counter() >= deadline:
-                    return False
-                time.sleep(0.002)
         with self._cond:
             while self._pending is not None:
                 remaining = None if deadline is None else deadline - time.perf_counter()
@@ -350,17 +247,6 @@ class AsyncRefitEngine:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        if self._proc is not None:
-            try:
-                self._conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():  # pragma: no cover - stuck worker
-                self._proc.terminate()
-            self._conn.close()
-            self._proc = None
-            self._conn = None
 
     def __enter__(self) -> "AsyncRefitEngine":
         return self

@@ -22,7 +22,8 @@ before tick *t* is collected, so at most two ticks are in flight:
   actuals, errors, drift, health, gate actions) back into the same
   bank;
 * worker stream histories live in a fleet-wide
-  :class:`~repro.streaming.shm.SharedMatrixRingBuffer`, so the
+  :class:`~repro.streaming.buffer.MatrixRingBuffer` over shared memory
+  (each worker's ring is its row-slice of the same arrays), so the
   coordinator can read any stream's recent records zero-copy
   (:meth:`ShardedFleetPredictor.stream_history`) without interrupting a
   worker;
@@ -100,6 +101,7 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from ..obs.trace import Span
+from .buffer import MatrixRingBuffer
 from .checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -107,9 +109,8 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .faults import ChaosSchedule, ProcessFault
-from .fleet import FleetPredictor, FleetTick, TickColumns
-from .resilience import GATE_QUARANTINE
-from .shm import ShmArraySpec, SlottedShmBlock, SharedMatrixRingBuffer, ring_specs
+from .fleet import _RETIRED_OPTIONS, FleetPredictor, FleetTick, TickColumns
+from .shm import ShmArraySpec, SlottedShmBlock, ring_specs
 
 __all__ = [
     "ShardedFleetPredictor",
@@ -117,12 +118,6 @@ __all__ = [
     "AllShardsFailedError",
     "shard_boundaries",
 ]
-
-#: gate action code and health level stamped on rows of a dead shard
-_DEAD_GATED = GATE_QUARANTINE
-_DEAD_HEALTH = 2
-#: health level stamped on rows whose shard is down but being recovered
-_RECOVERING_HEALTH = 3
 
 #: seconds the coordinator waits for the initial ready handshake — start-up
 #: pays interpreter spawn + imports, so it gets a deadline of its own
@@ -249,7 +244,7 @@ def _shard_worker(
         # swap the private history ring for this shard's row-slice of the
         # fleet-wide shared ring: same semantics, zero-copy parent reads
         private = predictor.buffer
-        predictor.buffer = SharedMatrixRingBuffer.from_arrays(
+        predictor.buffer = MatrixRingBuffer.from_arrays(
             block["ring_data"][lo:hi],
             block["ring_head"][lo:hi],
             block["ring_size"][lo:hi],
@@ -666,7 +661,7 @@ class ShardedFleetPredictor:
         )
         for slot in range(_TICK_BANKS):
             self._block["ticks_in", slot][...] = np.nan
-        self._ring: SharedMatrixRingBuffer | None = SharedMatrixRingBuffer.from_arrays(
+        self._ring: MatrixRingBuffer | None = MatrixRingBuffer.from_arrays(
             self._block["ring_data"],
             self._block["ring_head"],
             self._block["ring_size"],
@@ -1023,19 +1018,10 @@ class ShardedFleetPredictor:
                 refit = refit or ack[0]
                 acked_versions.append(ack[1])
             elif h.state == "quarantined":
-                cols.quarantine_rows(
-                    sl,
-                    entry.arr[sl, self.target_col],
-                    health_level=_DEAD_HEALTH,
-                    gate_action=_DEAD_GATED,
-                )
+                cols.quarantine_rows(sl, entry.arr[sl, self.target_col])
             else:  # down / respawning / freshly-respawned — hold the last prediction
                 cols.hold_rows(
-                    sl,
-                    entry.arr[sl, self.target_col],
-                    self._last_predictions[sl],
-                    health_level=_RECOVERING_HEALTH,
-                    gate_action=_DEAD_GATED,
+                    sl, entry.arr[sl, self.target_col], self._last_predictions[sl]
                 )
                 if h.failed_step is not None:
                     staleness = max(staleness, entry.step - h.failed_step + 1)
@@ -1332,8 +1318,9 @@ class ShardedFleetPredictor:
             )
         state = artifact["state"]
         cfg = state["config"]
-        # a retired FleetPredictor option (see FleetPredictor.restore)
-        fleet_kwargs = {k: v for k, v in cfg["fleet_kwargs"].items() if k != "error_history"}
+        fleet_kwargs = {
+            k: v for k, v in cfg["fleet_kwargs"].items() if k not in _RETIRED_OPTIONS
+        }
         kwargs: dict[str, Any] = {
             "shards": cfg["shards"],
             "tick_timeout": cfg["tick_timeout"],

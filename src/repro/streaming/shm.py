@@ -9,7 +9,7 @@ writes the ``(N, F)`` tick in, workers write the columnar
 :class:`~repro.streaming.fleet.FleetTick` mirror out). Only tiny
 constant-size control tokens cross the pipe per tick.
 
-Two building blocks live here:
+Three building blocks live here:
 
 * :class:`ShmBlock` — one shared segment carved into named, dtype-typed
   numpy arrays from a declarative list of :class:`ShmArraySpec`. The
@@ -22,18 +22,17 @@ Two building blocks live here:
   copy is its own aligned extent in the segment layout — property-tested
   in ``tests/streaming/test_shm_buffer.py``); ``shared`` specs opt out
   of slotting for state that must be one copy (e.g. the history ring).
-* :class:`SharedMatrixRingBuffer` — a
-  :class:`~repro.streaming.buffer.MatrixRingBuffer` whose storage
-  (data + per-stream heads and sizes) lives in an :class:`ShmBlock`, so
-  a worker's stream histories are readable zero-copy from the
-  coordinator (e.g. for snapshot composition or history inspection)
-  while remaining element-for-element identical in behaviour to the
-  private in-process ring (property-tested in
-  ``tests/streaming/test_shm_buffer.py``). The ring's layout is set by
-  its capacity *and* its gather width: :func:`ring_specs` sizes the data
-  array ``(streams, capacity + window - 1, features)`` to hold the wrap
-  pad, and every factory takes both explicitly rather than reading
-  capacity off the array shape.
+* :func:`ring_specs` — the three arrays (data + per-stream heads and
+  sizes) that hold a :class:`~repro.streaming.buffer.MatrixRingBuffer`
+  in a block. :meth:`MatrixRingBuffer.from_arrays
+  <repro.streaming.buffer.MatrixRingBuffer.from_arrays>` builds the ring
+  over them (or over any row-slice of them), so a worker's stream
+  histories are readable zero-copy from the coordinator while the ring
+  stays element-for-element identical in behaviour to a private one
+  (property-tested in ``tests/streaming/test_shm_buffer.py``). The data
+  array is ``(streams, capacity + window - 1, features)`` to hold the
+  wrap pad, so capacity cannot be read off its shape: both are named
+  explicitly.
 
 Ownership protocol: exactly one process *creates* a block (and its
 ``close()`` also unlinks the segment); every other process *attaches*
@@ -57,13 +56,10 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from .buffer import MatrixRingBuffer
-
 __all__ = [
     "ShmArraySpec",
     "ShmBlock",
     "SlottedShmBlock",
-    "SharedMatrixRingBuffer",
     "ring_specs",
     "slotted_specs",
 ]
@@ -320,119 +316,18 @@ class SlottedShmBlock:
 
 
 def ring_specs(
-    streams: int, capacity: int, features: int, prefix: str = "ring", *, window: int = 1
+    streams: int, capacity: int, features: int, *, window: int = 1
 ) -> tuple[ShmArraySpec, ShmArraySpec, ShmArraySpec]:
-    """The three arrays a :class:`SharedMatrixRingBuffer` needs in a block.
+    """The three arrays a shared :class:`~repro.streaming.buffer.MatrixRingBuffer` needs.
 
-    ``data`` is ``(streams, capacity + window - 1, features)``: the
+    ``ring_data`` is ``(streams, capacity + window - 1, features)``: the
     logical ring plus the wrap pad of a ring that gathers ``window``-wide
-    batches (see :class:`~repro.streaming.buffer.MatrixRingBuffer`).
+    batches. ``ring_head`` and ``ring_size`` are its ``(streams,)``
+    int64 cursors — the arguments of
+    :meth:`~repro.streaming.buffer.MatrixRingBuffer.from_arrays`.
     """
     return (
-        ShmArraySpec(f"{prefix}_data", (streams, capacity + window - 1, features), "<f8"),
-        ShmArraySpec(f"{prefix}_head", (streams,), "<i8"),
-        ShmArraySpec(f"{prefix}_size", (streams,), "<i8"),
+        ShmArraySpec("ring_data", (streams, capacity + window - 1, features), "<f8"),
+        ShmArraySpec("ring_head", (streams,), "<i8"),
+        ShmArraySpec("ring_size", (streams,), "<i8"),
     )
-
-
-class SharedMatrixRingBuffer(MatrixRingBuffer):
-    """A :class:`MatrixRingBuffer` whose storage lives in shared memory.
-
-    Behaviourally identical to the private ring — every method is
-    inherited and every mutation is an in-place write, so two processes
-    mapping the same block observe the same ring state. Construct with
-    :meth:`create` (allocates a dedicated owning block), :meth:`attach`
-    (maps a creator's block), or :meth:`from_arrays` (views carved out
-    of a caller-managed block, e.g. one shard's row-slice of the fleet
-    ring).
-
-    Concurrency contract: the ring itself is not locked. The sharded
-    fleet's tick protocol provides the synchronization — workers only
-    write while the coordinator is waiting for their tick token, and the
-    coordinator only reads between ticks.
-    """
-
-    def __init__(self, streams: int, capacity: int, features: int, window: int = 1) -> None:
-        # validate via the parent, then discard its private allocation if
-        # a factory re-points storage afterwards (create/attach/from_arrays)
-        super().__init__(streams, capacity, features, window)
-        self._block: ShmBlock | None = None
-
-    def _adopt(self, data: np.ndarray, head: np.ndarray, size: np.ndarray) -> None:
-        expected = (self.streams, self.capacity + self.window - 1, self.features)
-        if data.shape != expected:
-            raise ValueError(
-                f"storage shape {data.shape} does not match ring {expected} "
-                f"(capacity {self.capacity}, window {self.window})"
-            )
-        self._bind(data, head, size)
-
-    @classmethod
-    def create(
-        cls, streams: int, capacity: int, features: int, window: int = 1
-    ) -> "SharedMatrixRingBuffer":
-        """Allocate an owning shared block and build the ring over it."""
-        ring = cls(streams, capacity, features, window)
-        block = ShmBlock.create(ring_specs(streams, capacity, features, window=window))
-        ring._adopt(block["ring_data"], block["ring_head"], block["ring_size"])
-        ring._block = block
-        return ring
-
-    @classmethod
-    def attach(
-        cls, streams: int, capacity: int, features: int, name: str, window: int = 1
-    ) -> "SharedMatrixRingBuffer":
-        """Map a creator's ring by segment name (non-owning)."""
-        ring = cls(streams, capacity, features, window)
-        block = ShmBlock.attach(ring_specs(streams, capacity, features, window=window), name)
-        ring._adopt(block["ring_data"], block["ring_head"], block["ring_size"])
-        ring._block = block
-        return ring
-
-    @classmethod
-    def from_arrays(
-        cls,
-        data: np.ndarray,
-        head: np.ndarray,
-        size: np.ndarray,
-        *,
-        capacity: int | None = None,
-        window: int = 1,
-    ) -> "SharedMatrixRingBuffer":
-        """Build a ring over caller-owned storage (e.g. a shard's row-slice).
-
-        ``data`` must be ``(streams, capacity + window - 1, features)``,
-        as :func:`ring_specs` lays it out; ``head`` and ``size`` are the
-        matching ``(streams,)`` int64 cursors. ``capacity`` defaults to
-        ``data.shape[1]``, which is right only for an unpadded
-        (``window=1``) ring — a padded ring must name both. The caller
-        keeps ownership of the backing block's lifetime.
-        """
-        streams, width, features = data.shape
-        ring = cls(streams, width if capacity is None else capacity, features, window)
-        ring._adopt(data, np.asarray(head), np.asarray(size))
-        return ring
-
-    @property
-    def shm_name(self) -> str:
-        """Segment name for :meth:`attach`; raises if not block-backed."""
-        if self._block is None:
-            raise ValueError("this ring is not backed by its own shm block")
-        return self._block.name
-
-    def close(self) -> None:
-        """Release the backing block mapping (owner also unlinks).
-
-        The ring's storage (and with it the cached gather views) is
-        re-pointed at private (empty) arrays first — numpy views pin the
-        shared mapping, and ``mmap`` refuses to unmap while exported
-        buffers exist.
-        """
-        if self._block is not None:
-            self._adopt(
-                np.empty((self.streams, self.capacity + self.window - 1, self.features)),
-                np.zeros(self.streams, dtype=np.int64),
-                np.zeros(self.streams, dtype=np.int64),
-            )
-            self._block.close()
-            self._block = None

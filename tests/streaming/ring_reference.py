@@ -1,7 +1,7 @@
 """Per-stream :class:`RollingBuffer` oracle for the fleet ring's property tests.
 
-The wrap-padded :class:`~repro.streaming.buffer.MatrixRingBuffer` (and
-its shared-memory subclass) must behave exactly like ``streams``
+The wrap-padded :class:`~repro.streaming.buffer.MatrixRingBuffer` (also
+over shared-memory storage) must behave exactly like ``streams``
 independent rolling buffers under any sequence of masked ticks,
 ``clear()`` calls and checkpoint round trips. :func:`ring_ops` draws
 such sequences, :func:`apply_op` drives a ring and its references

@@ -95,13 +95,8 @@ def slow_forecaster():
 
 
 class TestEngine:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            AsyncRefitEngine("fibers")
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_submit_fit_poll_roundtrip(self, backend):
-        with AsyncRefitEngine(backend) as engine:
+    def test_submit_fit_poll_roundtrip(self):
+        with AsyncRefitEngine() as engine:
             task = _task()
             assert engine.submit(task)
             assert engine.wait(timeout=30.0)
@@ -116,7 +111,7 @@ class TestEngine:
             assert engine.pending_task() is None
 
     def test_busy_submit_rejected_until_outcome_consumed(self, slow_forecaster):
-        with AsyncRefitEngine("thread") as engine:
+        with AsyncRefitEngine() as engine:
             first = _task(slow_forecaster, fit_sleep=0.2)
             assert engine.submit(first)
             assert engine.busy
@@ -132,7 +127,7 @@ class TestEngine:
 
     def test_busy_until_outcome_polled(self):
         """``busy`` agrees with ``submit``: a landed, unpolled fit is busy."""
-        with AsyncRefitEngine("thread") as engine:
+        with AsyncRefitEngine() as engine:
             assert not engine.busy
             assert engine.submit(_task())
             assert engine.wait(timeout=30.0)
@@ -143,7 +138,7 @@ class TestEngine:
             assert engine.submit(_task())
 
     def test_fit_failure_becomes_outcome_not_exception(self):
-        with AsyncRefitEngine("thread") as engine:
+        with AsyncRefitEngine() as engine:
             task = _task("_no_such_forecaster_")
             assert engine.submit(task)
             # the failed task stays pending until the caller adopts it
@@ -154,13 +149,13 @@ class TestEngine:
             assert "unknown forecaster" in outcome.error
 
     def test_wait_timeout_returns_false(self, slow_forecaster):
-        with AsyncRefitEngine("thread") as engine:
+        with AsyncRefitEngine() as engine:
             assert engine.submit(_task(slow_forecaster, fit_sleep=0.3))
             assert not engine.wait(timeout=0.01)
             assert engine.wait(timeout=30.0)
 
     def test_close_is_idempotent_and_submit_after_close_raises(self):
-        engine = AsyncRefitEngine("thread")
+        engine = AsyncRefitEngine()
         engine.submit(_task())
         engine.wait(timeout=30.0)
         engine.close()

@@ -1,4 +1,4 @@
-"""Fleet history ring checkpoints: cursor validation, format compatibility, size.
+"""Serving checkpoints: ring cursor validation, format compatibility, size.
 
 The ring is wrap-padded in memory but checkpoints only the logical
 ``(streams, capacity, features)`` ring. These tests pin down that
@@ -6,9 +6,11 @@ The ring is wrap-padded in memory but checkpoints only the logical
 * a checkpoint with bad ring cursors is refused before anything is
   written — by the ring itself and by :class:`FleetPredictor`, whose
   state must be exactly as it was after the refusal;
-* fleet and sharded checkpoints written by older code (before the ring
-  was padded, while the fleet still kept an error ring) still restore
-  and serve bit-identically;
+* fleet, sharded and scalar checkpoints written by older code (before
+  the ring was padded, while the fleet still kept an error ring, while
+  the predictors still took options that are now retired) still restore
+  and serve bit-identically, and a retired option is refused when passed
+  to a constructor;
 * a fleet checkpoint is the history ring plus a few scalars per stream.
 """
 
@@ -20,10 +22,13 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricRegistry
+from repro.streaming.shm import ring_specs
 from repro.streaming import (
     CheckpointError,
+    AsyncRefitEngine,
     FleetPredictor,
     MatrixRingBuffer,
+    OnlinePredictor,
     PageHinkley,
     ShardedFleetPredictor,
     read_checkpoint,
@@ -43,6 +48,15 @@ FLEET_KW = dict(
     detector=PageHinkley(threshold=0.25, min_instances=30),
 )
 
+
+#: the scalar fixture's predictor config (its detector aside)
+ONLINE_KW = dict(
+    forecaster_name="holt",
+    window=6,
+    buffer_capacity=40,
+    refit_interval=25,
+    min_fit_size=12,
+)
 
 #: the sharded fixture's fleet config (``error_history`` aside)
 SHARD_KW = dict(
@@ -231,6 +245,62 @@ class TestCheckpointCompatibility:
             assert g.predictions.tobytes() == w.predictions.tobytes()
             assert g.errors.tobytes() == w.errors.tobytes()
             assert g.refit == w.refit
+
+    def test_scalar_checkpoint_with_page_hinkley_restores_bit_identically(self, tmp_path):
+        """A scalar checkpoint from before the drift ABC and ``serve_dtype`` went.
+
+        ``data/online_page_hinkley.pkl`` holds an ``OnlinePredictor.save``
+        artifact written by that code with ``ONLINE_KW`` and
+        ``PageHinkley(threshold=20.0, min_instances=30)``, saved mid-stream
+        (the detector has seen 82 errors and has not fired yet), plus the
+        whole trace, the step it was saved after, and the predictions the
+        uninterrupted run served from there (NaN where none was). The
+        trace shifts level 5 steps after the save: the restored detector,
+        past ``min_instances``, fires at once, where a fresh one could not
+        yet — so these predictions hold only if its state survived.
+        """
+        with open(DATA / "online_page_hinkley.pkl", "rb") as fh:
+            saved = pickle.load(fh)
+        path = tmp_path / "online.ckpt"
+        path.write_bytes(saved["checkpoint"])
+        trace, split = saved["trace"], saved["split"]
+        state = read_checkpoint(path)["state"]
+        assert state["config"]["serve_dtype"] == "<f8"
+        assert state["detector"].n_seen == 82 and not state["detector"].drift_detected
+
+        restored = OnlinePredictor.restore(path)
+        assert type(restored.detector) is PageHinkley
+        uninterrupted = OnlinePredictor(
+            detector=PageHinkley(threshold=20.0, min_instances=30), **ONLINE_KW
+        )
+        for x in trace[:split]:
+            uninterrupted.process(x)
+        drifts = restored.stats.n_drifts
+        for x, want in zip(trace[split:], saved["predictions"]):
+            got = restored.process(x).prediction
+            again = uninterrupted.process(x).prediction
+            got = np.nan if got is None else got
+            again = np.nan if again is None else again
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.float64(again).tobytes() == np.float64(want).tobytes()
+        assert restored.stats.n_drifts > drifts
+
+
+class TestRetiredOptions:
+    def test_constructors_refuse_retired_options(self):
+        """Each retired serving option is an unknown keyword, not a silent no-op."""
+        cases = [
+            (FleetPredictor, (2,), "refit_backend", "thread"),
+            (FleetPredictor, (2,), "serve_dtype", np.float64),
+            (FleetPredictor, (2,), "span_sample", 8),
+            (OnlinePredictor, (), "serve_dtype", np.float64),
+            (OnlinePredictor, (), "span_sample", 8),
+            (AsyncRefitEngine, (), "backend", "thread"),
+            (ring_specs, (2, 5, 1), "prefix", "ring"),
+        ]
+        for build, args, option, value in cases:
+            with pytest.raises(TypeError, match=option):
+                build(*args, **{option: value})
 
 
 class TestCheckpointSize:

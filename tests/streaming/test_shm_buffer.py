@@ -1,12 +1,20 @@
-"""Shared-memory ring buffer: element-for-element parity with the private ring.
+"""Shared-memory ring storage: element-for-element parity with the private ring.
 
-:class:`~repro.streaming.shm.SharedMatrixRingBuffer` inherits every
-method from :class:`~repro.streaming.buffer.MatrixRingBuffer` and only
-re-points the storage at a shared segment, so the contract is total
+A :class:`~repro.streaming.buffer.MatrixRingBuffer` built by
+``from_arrays`` over a :class:`~repro.streaming.shm.ShmBlock` laid out by
+:func:`~repro.streaming.shm.ring_specs` — the way the sharded fleet
+builds its coordinator ring and every worker's row-slice — only differs
+from a private ring in where its storage lives, so the contract is total
 behavioural equality: any append/wrap/read sequence must observe
 identical state through both. Hypothesis drives random masked tick
 sequences across random geometries to pin that down.
+
+A ring's arrays are views into the shared mapping, and ``close()``
+unmaps it: every test drops its rings before closing the owning block,
+and checks that the close unlinked the segment.
 """
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -15,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.streaming import (
     MatrixRingBuffer,
-    SharedMatrixRingBuffer,
     ShmArraySpec,
     ShmBlock,
     SlottedShmBlock,
@@ -25,18 +32,41 @@ from repro.streaming.shm import ring_specs, slotted_specs
 from .ring_reference import apply_op, assert_ring_matches, fresh_references, ring_ops
 
 
-@pytest.fixture
-def shared_ring():
-    rings = []
+def ring_over(block, *, capacity, window, rows=slice(None)):
+    """The ring over ``rows`` of a :func:`ring_specs` block (as a shard builds it)."""
+    return MatrixRingBuffer.from_arrays(
+        block["ring_data"][rows],
+        block["ring_head"][rows],
+        block["ring_size"][rows],
+        capacity=capacity,
+        window=window,
+    )
 
-    def make(streams, capacity, features=1):
-        ring = SharedMatrixRingBuffer.create(streams, capacity, features)
-        rings.append(ring)
-        return ring
+
+def close_unlinked(block):
+    """Close an owning block and check that its segment is gone."""
+    name = block.name
+    block.close()
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=name)
+
+
+@pytest.fixture
+def shm_ring():
+    """``make(streams, capacity, features, window)`` -> ``(block, ring)``.
+
+    Blocks are closed at teardown, after the test has dropped its rings.
+    """
+    blocks = []
+
+    def make(streams, capacity, features=1, window=1):
+        block = ShmBlock.create(ring_specs(streams, capacity, features, window=window))
+        blocks.append(block)
+        return block, ring_over(block, capacity=capacity, window=window)
 
     yield make
-    for ring in rings:
-        ring.close()
+    for block in blocks:
+        close_unlinked(block)
 
 
 class TestSharedRingParity:
@@ -53,8 +83,9 @@ class TestSharedRingParity:
     @settings(max_examples=60, deadline=None)
     def test_matches_private_ring_under_random_ticks(self, streams, capacity, masks, data):
         """Random append/wrap/read: shm ring == private ring, element for element."""
-        shared = SharedMatrixRingBuffer.create(streams, capacity, 1, window=capacity)
+        block = ShmBlock.create(ring_specs(streams, capacity, 1, window=capacity))
         try:
+            shared = ring_over(block, capacity=capacity, window=capacity)
             private = MatrixRingBuffer(streams, capacity, 1, window=capacity)
             rng = np.random.default_rng(0)
             for tick_mask in masks:
@@ -76,14 +107,15 @@ class TestSharedRingParity:
             np.testing.assert_array_equal(s_state["head"], p_state["head"])
             np.testing.assert_array_equal(s_state["size"], p_state["size"])
         finally:
-            shared.close()
+            shared = None
+            close_unlinked(block)
 
-    def test_state_dict_round_trip_through_shared_storage(self, shared_ring):
+    def test_state_dict_round_trip_through_shared_storage(self, shm_ring):
         private = MatrixRingBuffer(3, 4, 2)
         rng = np.random.default_rng(1)
         for _ in range(7):
             private.append_tick(rng.normal(size=(3, 2)))
-        shared = shared_ring(3, 4, 2)
+        _, shared = shm_ring(3, 4, 2)
         shared.load_state_dict(private.state_dict())
         for i in range(3):
             np.testing.assert_array_equal(shared.view(i), private.view(i))
@@ -96,15 +128,17 @@ class TestPaddedSharedRing:
     @settings(max_examples=50, deadline=None)
     def test_ticks_clears_and_roundtrips_match_rolling_buffers(self, streams, capacity, data):
         window = data.draw(st.integers(1, capacity), label="window")
-        ring = SharedMatrixRingBuffer.create(streams, capacity, 2, window=window)
+        block = ShmBlock.create(ring_specs(streams, capacity, 2, window=window))
         try:
+            ring = ring_over(block, capacity=capacity, window=window)
             refs = fresh_references(streams, capacity, 2)
             rng = np.random.default_rng(0)
             for op in data.draw(ring_ops(streams), label="ops"):
                 refs = apply_op(ring, refs, op, rng)
                 assert_ring_matches(ring, refs)
         finally:
-            ring.close()
+            ring = None
+            close_unlinked(block)
 
     @given(st.integers(2, 6), st.integers(1, 10), st.data())
     @settings(max_examples=40, deadline=None)
@@ -113,12 +147,11 @@ class TestPaddedSharedRing:
         window = data.draw(st.integers(1, capacity), label="window")
         split = data.draw(st.integers(1, streams - 1), label="split")
         block = ShmBlock.create(ring_specs(streams, capacity, 1, window=window))
-        arrays = [block["ring_data"], block["ring_head"], block["ring_size"]]
         geometry = dict(capacity=capacity, window=window)
         try:
-            fleet = SharedMatrixRingBuffer.from_arrays(*arrays, **geometry)
-            lower = SharedMatrixRingBuffer.from_arrays(*(a[:split] for a in arrays), **geometry)
-            upper = SharedMatrixRingBuffer.from_arrays(*(a[split:] for a in arrays), **geometry)
+            fleet = ring_over(block, **geometry)
+            lower = ring_over(block, rows=slice(None, split), **geometry)
+            upper = ring_over(block, rows=slice(split, None), **geometry)
             refs = fresh_references(streams, capacity, 1)
             rng = np.random.default_rng(2)
             for code, mask in data.draw(ring_ops(streams), label="ops"):
@@ -129,56 +162,49 @@ class TestPaddedSharedRing:
                 assert_ring_matches(upper, upper_refs)
             assert_ring_matches(fleet, refs)
         finally:
-            # views pin the mapping: drop them so the owner can unlink
-            arrays.clear()
             fleet = lower = upper = None
-            block.close()
+            close_unlinked(block)
 
-    def test_specs_and_factories_take_window_explicitly(self):
+    def test_specs_and_factories_take_window_explicitly(self, shm_ring):
         data_spec, head_spec, size_spec = ring_specs(4, 10, 2, window=6)
         assert data_spec.shape == (4, 15, 2)
         assert head_spec.shape == size_spec.shape == (4,)
         assert ring_specs(4, 10, 2)[0].shape == (4, 10, 2)
-        block = ShmBlock.create((data_spec, head_spec, size_spec))
+        block, ring = shm_ring(4, 10, 2, window=6)
+        assert (ring.capacity, ring.window) == (10, 6)
+        ring = None
         arrays = [block["ring_data"], block["ring_head"], block["ring_size"]]
-        try:
-            # capacity cannot be read off a padded array: it must be named
-            with pytest.raises(ValueError, match="does not match"):
-                SharedMatrixRingBuffer.from_arrays(*arrays, window=6)
-            ring = SharedMatrixRingBuffer.from_arrays(*arrays, capacity=10, window=6)
-            assert (ring.capacity, ring.window) == (10, 6)
-        finally:
-            arrays.clear()
-            ring = None
-            block.close()
+        # capacity cannot be read off a padded array: it must be named
+        with pytest.raises(TypeError, match="capacity"):
+            MatrixRingBuffer.from_arrays(*arrays, window=6)
+        with pytest.raises(ValueError, match="does not match"):
+            MatrixRingBuffer.from_arrays(*arrays, capacity=15, window=6)
+        arrays.clear()
 
 
 class TestCrossMappingCoherence:
-    def test_attach_sees_creator_writes(self, shared_ring):
-        creator = shared_ring(2, 5)
-        attached = SharedMatrixRingBuffer.attach(2, 5, 1, creator.shm_name)
+    def test_attach_sees_creator_writes(self, shm_ring):
+        block, creator = shm_ring(2, 5)
+        attached_block = ShmBlock.attach(ring_specs(2, 5, 1), block.name)
         try:
+            attached = ring_over(attached_block, capacity=5, window=1)
             creator.append_tick(np.array([[1.0], [2.0]]))
             creator.append_tick(np.array([[3.0], [4.0]]), mask=np.array([True, False]))
             np.testing.assert_array_equal(attached.view(0)[:, 0], [1.0, 3.0])
             np.testing.assert_array_equal(attached.view(1)[:, 0], [2.0])
             np.testing.assert_array_equal(attached.sizes, creator.sizes)
         finally:
-            attached.close()
+            attached = None
+            attached_block.close()
 
     def test_row_slice_rings_share_the_fleet_storage(self):
         """Shard-style slices: each slice ring writes its rows of one block."""
         block = ShmBlock.create(ring_specs(4, 3, 1))
+        geometry = dict(capacity=3, window=1)
         try:
-            fleet = SharedMatrixRingBuffer.from_arrays(
-                block["ring_data"], block["ring_head"], block["ring_size"]
-            )
-            lower = SharedMatrixRingBuffer.from_arrays(
-                block["ring_data"][:2], block["ring_head"][:2], block["ring_size"][:2]
-            )
-            upper = SharedMatrixRingBuffer.from_arrays(
-                block["ring_data"][2:], block["ring_head"][2:], block["ring_size"][2:]
-            )
+            fleet = ring_over(block, **geometry)
+            lower = ring_over(block, rows=slice(None, 2), **geometry)
+            upper = ring_over(block, rows=slice(2, None), **geometry)
             for t in range(5):
                 lower.append_tick(np.full((2, 1), float(t)))
                 upper.append_tick(np.full((2, 1), float(10 + t)))
@@ -186,7 +212,8 @@ class TestCrossMappingCoherence:
                 expected = [2.0, 3.0, 4.0] if i < 2 else [12.0, 13.0, 14.0]
                 np.testing.assert_array_equal(fleet.view(i)[:, 0], expected)
         finally:
-            block.close()
+            fleet = lower = upper = None
+            close_unlinked(block)
 
 
 class TestShmBlock:

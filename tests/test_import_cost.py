@@ -1,7 +1,7 @@
 """Import hygiene: a process loads only the code it runs.
 
-Every spawned process — a shard worker at start and on each respawn, the
-async-refit process backend, every parallel-runner worker — imports its
+Every spawned process — a shard worker at start and on each respawn,
+every parallel-runner worker — imports its
 entry module in a fresh interpreter. scipy alone is ~530 modules and well
 over a second to import, and the serving paths never call it, so these
 entry points must not load it. Each check runs in its own subprocess:
