@@ -14,7 +14,11 @@ batch size. ``test_bench_ring_last_windows`` and
 ``test_bench_ring_append_tick`` time the fleet history ring at the
 ``fleet_holt_4k`` shape (4096 streams, capacity 140, window 12, one
 feature, ~1 % of streams masked out per tick): the per-tick window
-gather and the per-tick absorb.
+gather and the per-tick absorb. ``test_bench_fleet_gate_check_tick``
+and ``test_bench_fleet_page_hinkley_update`` time two more per-tick
+passes of the fleet at that shape: gating one ``(4096, 1)`` tick with
+~1 % NaN rows, and advancing 4096 drift detectors on the ~99 % of
+streams that were served.
 
 The snapshot also records two start-up costs, each read in a fresh
 interpreter: the import of ``repro.streaming.shard`` (what a spawned shard
@@ -52,7 +56,9 @@ from repro.models.tcn import TemporalBlock
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
 from repro.nn.tensor import Tensor
-from repro.streaming import MatrixRingBuffer
+from repro.streaming import MatrixRingBuffer, PageHinkley
+from repro.streaming.fleet import _FleetPageHinkley
+from repro.streaming.resilience import FleetGate
 
 from ._machine import machine_info
 
@@ -222,6 +228,51 @@ def test_bench_ring_append_tick(benchmark, rng):
     assert int(ring.sizes.min()) == 140
 
 
+def _fleet_gate(rng):
+    """The fleet_holt_4k gate (4096 streams, 1 feature) past arming, plus one tick.
+
+    The gate has absorbed 40 ticks, past ``min_history`` (20), as in
+    steady serving; ~1 % of the tick's rows are NaN, as the workload's
+    faults are.
+    """
+    streams = 4096
+    gate = FleetGate(streams, 1)
+    for _ in range(40):
+        gate.check_tick(rng.random((streams, 1)))
+    tick = rng.random((streams, 1))
+    tick[rng.random(streams) < 0.01] = np.nan
+    return gate, tick
+
+
+def test_bench_fleet_gate_check_tick(benchmark, rng):
+    gate, tick = _fleet_gate(rng)
+
+    res = benchmark(lambda: gate.check_tick(tick))
+    assert res.records.shape == (4096, 1)
+
+
+def _fleet_page_hinkley(rng):
+    """4096 default Page-Hinkley detectors, 40 updates in, plus one tick's errors.
+
+    ~99 % of streams are served (the mask); unserved rows carry a NaN
+    error, as ``FleetPredictor`` passes them.
+    """
+    streams = 4096
+    detector = _FleetPageHinkley.from_prototype(PageHinkley(), streams)
+    for _ in range(40):
+        detector.update(rng.random(streams) * 0.05, rng.random(streams) > 0.01)
+    have = rng.random(streams) > 0.01
+    errors = np.where(have, rng.random(streams) * 0.05, np.nan)
+    return detector, errors, have
+
+
+def test_bench_fleet_page_hinkley_update(benchmark, rng):
+    detector, errors, have = _fleet_page_hinkley(rng)
+
+    fired = benchmark(lambda: detector.update(errors, have))
+    assert fired.shape == (4096,)
+
+
 def _minor_faults_per_call(fn, calls: int = 200) -> float:
     """Steady-state minor page faults per call of ``fn`` (after a warm-up)."""
     for _ in range(20):
@@ -289,7 +340,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     record its own row next to its predecessors.
     """
     from repro.nn.tensor import no_grad
-    from repro.streaming import OnlinePredictor, PageHinkley
+    from repro.streaming import OnlinePredictor
     from repro.traces import ClusterTraceGenerator, TraceConfig
 
     x = Tensor(rng.random((32, 16, 64)))
@@ -332,6 +383,10 @@ def test_perf_smoke_kernel_snapshot(rng):
     ring, due, batch, tick, accepted = _fleet_ring(rng)
     ring_gather = _ops_per_sec(lambda: ring.last_windows(due, 12, out=batch))
     ring_append = _ops_per_sec(lambda: ring.append_tick(tick, mask=accepted))
+    gate, gate_tick = _fleet_gate(rng)
+    gate_check = _ops_per_sec(lambda: gate.check_tick(gate_tick))
+    detector, errors, have = _fleet_page_hinkley(rng)
+    ph_update = _ops_per_sec(lambda: detector.update(errors, have))
 
     gen = ClusterTraceGenerator(TraceConfig(n_steps=400, seed=0))
     entity = gen.generate_entity("mutation", entity_id="c_smoke", low=0.3, high=0.7)
@@ -366,6 +421,10 @@ def test_perf_smoke_kernel_snapshot(rng):
             "ring_last_windows": "MatrixRingBuffer(4096, 140, 1, window=12), wrapped: "
             "last_windows of ~4055 streams into a float64 batch",
             "ring_append_tick": "append_tick of one (4096, 1) tick into that ring, ~1% masked",
+            "fleet_gate_check_tick": "FleetGate(4096, 1), default policy, armed: "
+            "check_tick of one tick with ~1% NaN rows",
+            "fleet_page_hinkley_update": "4096 default Page-Hinkley detectors: one "
+            "masked update, ~99% of streams served",
             "import_streaming_shard": "import repro.streaming.shard in a fresh interpreter",
             "sharded_holt_64x2_ready": "ShardedFleetPredictor(64, shards=2, "
             "forecaster_name='holt') construction to both workers ready",
@@ -383,6 +442,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "tcn_block_step": round(block_step, 1),
             "ring_last_windows": round(ring_gather, 1),
             "ring_append_tick": round(ring_append, 1),
+            "fleet_gate_check_tick": round(gate_check, 1),
+            "fleet_page_hinkley_update": round(ph_update, 1),
         },
         "startup_seconds": {name: round(sec, 3) for name, sec in startup.items()},
         "informational": {"rptcn_predict_minor_faults": round(rptcn_faults, 1)},
@@ -409,6 +470,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     assert gbt_fit > 0 and gbt_predict > 0
     assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0
     assert ring_gather > 0 and ring_append > 0
+    assert gate_check > 0 and ph_update > 0
     assert all(sec > 0 for sec in startup.values())
     assert serving_throughput > 100.0
 

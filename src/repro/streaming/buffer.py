@@ -201,7 +201,9 @@ class MatrixRingBuffer:
         same storage observe the same ring. The ring takes no lock: the
         sharded fleet's tick protocol lets workers write only while the
         coordinator waits for their tick token. The caller owns the
-        storage's lifetime, and must drop the ring before unmapping it.
+        storage's lifetime, and must drop the ring before unmapping it
+        (:meth:`ShmBlock.close <repro.streaming.shm.ShmBlock.close>`
+        refuses while the ring is alive).
         """
         streams, width, features = data.shape
         ring = cls(streams, capacity, features, window)
@@ -242,6 +244,7 @@ class MatrixRingBuffer:
             )
         if mask is None:
             idx = np.arange(self.streams)
+            mask = True
         else:
             mask = np.asarray(mask, bool)
             if mask.shape != (self.streams,):
@@ -249,6 +252,9 @@ class MatrixRingBuffer:
             idx = np.flatnonzero(mask)
             if idx.size == 0:
                 return
+            if idx.size == self.streams:
+                mask = True  # the plain ufunc loops: cheaper per call than a mask array
+        # the data write scatters: it must not touch an unmasked row's slots
         heads = self._head[idx]
         rows = records[idx]
         self._data[idx, heads] = rows
@@ -256,8 +262,10 @@ class MatrixRingBuffer:
             low = heads < self._pad
             if low.any():
                 self._data[idx[low], heads[low] + self.capacity] = rows[low]
-        self._head[idx] = (heads + 1) % self.capacity
-        self._size[idx] = np.minimum(self._size[idx] + 1, self.capacity)
+        np.add(self._head, 1, out=self._head, where=mask)
+        np.remainder(self._head, self.capacity, out=self._head, where=mask)
+        np.add(self._size, 1, out=self._size, where=mask)
+        np.minimum(self._size, self.capacity, out=self._size, where=mask)
 
     def last_windows(
         self, idx: np.ndarray, window: int, out: np.ndarray | None = None

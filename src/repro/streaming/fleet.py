@@ -221,7 +221,9 @@ class _FleetPageHinkley:
 
     Elementwise identical arithmetic to
     :class:`~repro.streaming.drift.PageHinkley`, state held as ``(N,)``
-    arrays; only streams selected by the update mask advance.
+    arrays; only streams selected by the update mask advance. Every
+    update is a masked whole-array ufunc pass (``where=``), so values on
+    masked-off streams — NaN errors of unserved streams — are never read.
     """
 
     def __init__(
@@ -236,37 +238,38 @@ class _FleetPageHinkley:
         self._mean = np.zeros(streams)
         self._cumulative = np.zeros(streams)
         self._minimum = np.zeros(streams)
+        # per-update scratch; masked-off entries hold stale values no pass reads
+        self._tmp = np.zeros(streams)
 
     @classmethod
     def from_prototype(cls, proto: PageHinkley, streams: int) -> "_FleetPageHinkley":
         return cls(streams, proto.delta, proto.threshold, proto.min_instances)
 
-    def update(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Advance masked streams by one observation; return the fired mask."""
-        fired = np.zeros(self.streams, dtype=bool)
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return fired
-        v = values[idx]
-        self.n_seen[idx] += 1
-        self._mean[idx] += (v - self._mean[idx]) / self.n_seen[idx]
-        self._cumulative[idx] += v - self._mean[idx] - self.delta
-        self._minimum[idx] = np.minimum(self._minimum[idx], self._cumulative[idx])
-        fired[idx] = (self.n_seen[idx] >= self.min_instances) & (
-            self._cumulative[idx] - self._minimum[idx] > self.threshold
-        )
+    def update(self, values: np.ndarray, mask: np.ndarray | bool) -> np.ndarray:
+        """Advance masked streams by one observation; return the fired mask.
+
+        ``mask`` is an ``(N,)`` bool array, or ``True`` for every stream.
+        """
+        tmp = self._tmp
+        np.add(self.n_seen, 1, out=self.n_seen, where=mask)
+        np.subtract(values, self._mean, out=tmp, where=mask)
+        np.divide(tmp, self.n_seen, out=tmp, where=mask)
+        np.add(self._mean, tmp, out=self._mean, where=mask)
+        np.subtract(values, self._mean, out=tmp, where=mask)
+        np.subtract(tmp, self.delta, out=tmp, where=mask)
+        np.add(self._cumulative, tmp, out=self._cumulative, where=mask)
+        np.minimum(self._minimum, self._cumulative, out=self._minimum, where=mask)
+        np.subtract(self._cumulative, self._minimum, out=tmp, where=mask)
+        # a fresh array per call: the fired mask is a FleetTick column
+        fired = np.greater(tmp, self.threshold, out=np.zeros(self.streams, bool), where=mask)
+        fired &= self.n_seen >= self.min_instances
         self.drift_detected |= fired
         return fired
 
     def reset(self, mask: np.ndarray) -> None:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return
-        self.n_seen[idx] = 0
-        self.drift_detected[idx] = False
-        self._mean[idx] = 0.0
-        self._cumulative[idx] = 0.0
-        self._minimum[idx] = 0.0
+        states = (self.n_seen, self.drift_detected, self._mean, self._cumulative, self._minimum)
+        for state in states:
+            np.copyto(state, state.dtype.type(0), where=mask)
 
     def state_dict(self) -> dict:
         return {
@@ -565,6 +568,8 @@ class FleetPredictor:
         # preallocated (n_streams, window, features) inference batch —
         # each tick's due windows gather into its leading rows in place
         self._batch = np.empty((n_streams, window, features))
+        # scratch of the masked squared-error pass (rows read only under its mask)
+        self._sq_error = np.zeros(n_streams)
         self._last_batch_size = 0
         self._last_n_served = 0
 
@@ -882,13 +887,21 @@ class FleetPredictor:
         self._last_n_served = int(np.count_nonzero(have))
         errors = np.full(self.n_streams, np.nan)
         if self._last_n_served:
-            err = np.abs(predictions[have] - actuals[have])
-            errors[have] = err
-            st.n_predictions[have] += 1
-            st.sum_abs_error[have] += err
-            st.sum_sq_error[have] += err**2
-        fired = self.detector.update(errors, have)
-        st.n_drifts[fired] += 1
+            # masked passes: unserved rows keep their NaN error and their sums.
+            # With every stream served the mask is ``True``: a bool-array
+            # ``where=`` more than doubles a ufunc call's fixed cost, which is
+            # most of each call in a small fleet
+            served = True if self._last_n_served == self.n_streams else have
+            np.subtract(predictions, actuals, out=errors, where=served)
+            np.abs(errors, out=errors, where=served)
+            np.add(st.n_predictions, 1, out=st.n_predictions, where=served)
+            np.add(st.sum_abs_error, errors, out=st.sum_abs_error, where=served)
+            sq = np.multiply(errors, errors, out=self._sq_error, where=served)
+            np.add(st.sum_sq_error, sq, out=st.sum_sq_error, where=served)
+            fired = self.detector.update(errors, served)
+            np.add(st.n_drifts, 1, out=st.n_drifts, where=fired)
+        else:
+            fired = np.zeros(self.n_streams, dtype=bool)
 
         # -- absorb + refit clock (a fully quarantined tick changes nothing,
         #    matching the scalar predictor's early return)

@@ -409,6 +409,14 @@ class FleetGate:
         self._count = np.zeros(streams, dtype=np.int64)
         self._mean = np.zeros((streams, features))
         self._m2 = np.zeros((streams, features))
+        # running std, derived from m2/count: updated only on the rows an
+        # absorb touches (0 until a stream has 2 records), rebuilt on load,
+        # never checkpointed
+        self._std = np.zeros((streams, features))
+        # per-tick scratch of the masked Welford passes; its masked-off
+        # rows hold stale values that no pass reads
+        self._delta = np.zeros((streams, features))
+        self._term = np.zeros((streams, features))
 
     # -- counter views ----------------------------------------------------------
 
@@ -455,25 +463,31 @@ class FleetGate:
             self._c_reasons[reason] = counter
         counter.inc(amount)
 
-    def _absorb_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Welford update for ``rows`` (bool mask) with per-stream ``values``."""
-        idx = np.flatnonzero(rows)
-        if idx.size == 0:
-            return
-        vals = values[idx]
-        self._last[idx] = vals
-        self._count[idx] += 1
-        delta = vals - self._mean[idx]
-        new_mean = self._mean[idx] + delta / self._count[idx][:, None]
-        self._mean[idx] = new_mean
-        self._m2[idx] += delta * (vals - new_mean)
+    def _absorb_rows(self, rows: np.ndarray | bool, values: np.ndarray) -> None:
+        """Welford update for ``rows`` (bool mask, or ``True`` for all) with ``values``.
 
-    def _running_std(self) -> np.ndarray:
-        std = np.zeros((self.streams, self.features))
-        ok = self._count >= 2
-        if ok.any():
-            std[ok] = np.sqrt(self._m2[ok] / (self._count[ok, None] - 1))
-        return std
+        Whole-array ufunc passes masked by ``where=``: rows outside the
+        mask are neither read nor written, so a discarded row's NaN or
+        inf never reaches the arithmetic. Same operations, same order as
+        the scalar gate's ``_absorb``.
+        """
+        cells = rows if rows is True else rows[:, None]
+        delta, term = self._delta, self._term
+        np.copyto(self._last, values, where=cells)
+        np.add(self._count, 1, out=self._count, where=rows)
+        np.subtract(values, self._mean, out=delta, where=cells)
+        np.divide(delta, self._count[:, None], out=term, where=cells)
+        np.add(self._mean, term, out=self._mean, where=cells)
+        np.subtract(values, self._mean, out=term, where=cells)
+        np.multiply(delta, term, out=term, where=cells)
+        np.add(self._m2, term, out=self._m2, where=cells)
+        self._refresh_std(rows)
+
+    def _refresh_std(self, rows: np.ndarray | bool) -> None:
+        """``std = sqrt(m2 / (count - 1))`` on ``rows`` that hold >= 2 records."""
+        cells = (rows & (self._count >= 2))[:, None]
+        np.divide(self._m2, (self._count - 1)[:, None], out=self._std, where=cells)
+        np.sqrt(self._std, out=self._std, where=cells)
 
     def band(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-stream ``(lo, hi, armed)`` plausibility bands.
@@ -483,7 +497,7 @@ class FleetGate:
         must not be used (the scalar gate returns ``None`` there).
         """
         armed = self._count >= self.policy.min_history
-        std = self._running_std()
+        std = self._std
         return self._mean - sigma * std, self._mean + sigma * std, armed
 
     # -- API -------------------------------------------------------------------
@@ -533,7 +547,7 @@ class FleetGate:
         if self.policy.outlier_sigma is not None:
             armed = ~quarantined & (self._count >= self.policy.min_history)
             if armed.any():
-                std = self._running_std()
+                std = self._std
                 band = self.policy.outlier_sigma * std
                 wild = armed[:, None] & (std > 0) & (np.abs(repaired - self._mean) > band)
                 wild_rows = wild.any(axis=1)
@@ -554,7 +568,9 @@ class FleetGate:
                         reasons[wild_rows & (reasons == _R_NONE)] = _R_OUTLIER
 
         accepted = ~quarantined
-        self._absorb_rows(accepted, repaired)
+        n_quar = int(quarantined.sum())
+        # all rows accepted: ``True`` runs the plain ufunc loops, cheaper per call
+        self._absorb_rows(True if n_quar == 0 else accepted, repaired)
         imputed = accepted & (reasons != _R_NONE)
         clean = accepted & (reasons == _R_NONE)
         actions[imputed] = GATE_IMPUTE
@@ -566,7 +582,7 @@ class FleetGate:
         counted = np.flatnonzero(reasons != _R_NONE)
         if counted.size:
             np.add.at(self._reason_counts, (reasons[counted], counted), 1)
-        n_clean, n_imp, n_quar = int(clean.sum()), int(imputed.sum()), int(quarantined.sum())
+        n_clean, n_imp = int(clean.sum()), int(imputed.sum())
         if n_clean:
             self._c_actions["accept"].inc(n_clean)
         if n_imp:
@@ -607,6 +623,8 @@ class FleetGate:
         self._count[...] = state["count"]
         self._mean[...] = state["mean"]
         self._m2[...] = state["m2"]
+        self._std[...] = 0.0
+        self._refresh_std(np.ones(self.streams, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

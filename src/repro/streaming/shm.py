@@ -51,6 +51,8 @@ logical ring).
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -108,10 +110,14 @@ class ShmBlock:
         self._shm = shm
         self._owner = owner
         self._closed = False
+        self._arrays = self._map()
+
+    def _map(self) -> dict[str, np.ndarray]:
+        """One array per spec over the segment's buffer."""
         offsets, _ = _layout(self.specs)
-        self._arrays = {
+        return {
             spec.name: np.ndarray(
-                spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=offsets[spec.name]
+                spec.shape, dtype=spec.dtype, buffer=self._shm.buf, offset=offsets[spec.name]
             )
             for spec in self.specs
         }
@@ -158,20 +164,49 @@ class ShmBlock:
         return field in self._arrays
 
     def close(self) -> None:
-        """Drop this process's mapping; the owner also destroys the segment."""
+        """Drop this process's mapping; the owner also destroys the segment.
+
+        Refuses with ``BufferError`` while any view of the block's arrays
+        is still alive (a ring built over them, a bank slice, a kept
+        reference): NumPy views of the segment do not pin the mapping,
+        so unmapping under them would make their next access crash the
+        interpreter. Drop them and call ``close`` again.
+        """
         if self._closed:
             return
+        pinned = self._pinned()
+        if pinned:
+            # views held only by unreachable cycles (a caught exception's
+            # traceback frames, say) do not count
+            gc.collect()
+            pinned = self._pinned()
+        if pinned:
+            raise BufferError(
+                f"shared block {self.name!r} still has live views of {', '.join(pinned)}; "
+                "drop every array and ring built over it before close()"
+            )
         self._closed = True
-        self._arrays.clear()  # views must die before the buffer unmaps
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover — a leaked view pins the mapping
-            return
+        self._arrays.clear()
+        self._shm.close()
         if self._owner:
             try:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover — already gone
                 pass
+
+    def _pinned(self) -> list[str]:
+        """Names of the block's arrays that something besides the block still holds.
+
+        Every view of an array keeps the array itself alive (it is the
+        view's ``base``), so an array that outlives the block's own
+        reference has a live view or holder.
+        """
+        refs = {name: weakref.ref(arr) for name, arr in self._arrays.items()}
+        self._arrays = {}
+        held = {name: arr for name, ref in refs.items() if (arr := ref()) is not None}
+        # a held array stays the block's own, so a later check still sees its views
+        self._arrays = {**self._map(), **held}
+        return list(held)
 
     def __del__(self) -> None:  # pragma: no cover — GC safety net
         try:

@@ -9,12 +9,18 @@ behavioural equality: any append/wrap/read sequence must observe
 identical state through both. Hypothesis drives random masked tick
 sequences across random geometries to pin that down.
 
-A ring's arrays are views into the shared mapping, and ``close()``
-unmaps it: every test drops its rings before closing the owning block,
-and checks that the close unlinked the segment.
+A ring's arrays are views into the shared mapping, so ``close()``
+refuses while one is alive (unmapping under it would crash the
+interpreter on its next access): every test drops its rings before
+closing the owning block, and checks that the close unlinked the
+segment.
 """
 
+import subprocess
+import sys
+import textwrap
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +247,64 @@ class TestShmBlock:
         block.close()  # idempotent
         with pytest.raises(FileNotFoundError):
             ShmBlock.attach(specs, name)
+
+
+class TestCloseWithLiveViews:
+    def test_close_refuses_while_a_ring_views_the_block(self):
+        block = ShmBlock.create(ring_specs(2, 5, 1))
+        ring = ring_over(block, capacity=5, window=1)
+        with pytest.raises(BufferError, match="ring_data, ring_head, ring_size"):
+            block.close()
+        # refused twice over: the block still tracks the arrays the ring holds
+        with pytest.raises(BufferError, match="live views"):
+            block.close()
+        ring.append_tick(np.ones((2, 1)))
+        assert ring.sizes.tolist() == [1, 1]
+        ring = None
+        close_unlinked(block)
+
+    def test_a_kept_array_reference_pins_the_block(self):
+        block = ShmBlock.create((ShmArraySpec("x", (4,), "<f8"),))
+        tail = block["x"][2:]
+        with pytest.raises(BufferError, match="x"):
+            block.close()
+        tail[...] = 1.0
+        del tail
+        close_unlinked(block)
+
+    def test_touching_a_ring_after_close_does_not_crash(self):
+        """Build a ring, close its block, touch the ring: no SIGSEGV."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {str(src)!r})
+            import numpy as np
+            from repro.streaming import MatrixRingBuffer, ShmBlock
+            from repro.streaming.shm import ring_specs
+
+            block = ShmBlock.create(ring_specs(2, 5, 1))
+            ring = MatrixRingBuffer.from_arrays(
+                block["ring_data"], block["ring_head"], block["ring_size"],
+                capacity=5, window=1,
+            )
+            try:
+                block.close()
+            except BufferError:
+                print("refused")
+            for _ in range(7):
+                ring.append_tick(np.ones((2, 1)))
+            print(ring.sizes.tolist())
+            ring = None
+            block.close()
+            print("closed")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.split() == ["refused", "[5,", "5]", "closed"]
 
 
 class TestSlottedShmBlock:
