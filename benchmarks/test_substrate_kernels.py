@@ -10,7 +10,10 @@ closed cluster loop's shape (30 rows through 40 trees of depth 3).
 ``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
 paper's model at the fleet serving shape: one 253-row forecast, and one
 forward + backward of a fused 16-channel residual block at training
-batch size. ``test_bench_ring_last_windows`` and
+batch size. ``test_bench_tcn_last_step_train_step`` times one fit batch
+of RPTCN's backbone: forward and backward of 32 windows through
+``TCN.last_step``, which computes only the conv rows the loss reads.
+``test_bench_ring_last_windows`` and
 ``test_bench_ring_append_tick`` time the fleet history ring at the
 ``fleet_holt_4k`` shape (4096 streams, capacity 140, window 12, one
 feature, ~1 % of streams masked out per tick): the per-tick window
@@ -52,7 +55,7 @@ from repro.models.arima import ARIMA
 from repro.models.exponential import HoltForecaster
 from repro.models.gbt import GradientBoostedTrees
 from repro.models.rptcn import RPTCNForecaster
-from repro.models.tcn import TemporalBlock
+from repro.models.tcn import TCN, TemporalBlock
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
 from repro.nn.tensor import Tensor
@@ -194,6 +197,30 @@ def _tcn_block_step(rng):
 def test_bench_tcn_block_step(benchmark, rng):
     grad = benchmark(_tcn_block_step(rng))
     assert grad.shape == (32, 16, 12)
+
+
+def _tcn_last_step_train_step(rng):
+    """fwd+bwd of RPTCN's backbone through ``TCN.last_step``: one fit batch.
+
+    The paper's stack (16, 16, 16), kernel 3, dilations (1, 2, 4), one
+    feature, 32 windows of 12, training mode (dropout 0.1).
+    """
+    net = TCN(1, (16, 16, 16), kernel_size=3, dropout=0.1, rng=rng)
+    net.train()
+    x = Tensor(rng.random((32, 1, 12)))
+
+    def step():
+        net.zero_grad()
+        out = net.last_step(x)
+        (out * out).sum().backward()
+        return net.blocks[0].conv1.v.grad
+
+    return step
+
+
+def test_bench_tcn_last_step_train_step(benchmark, rng):
+    grad = benchmark(_tcn_last_step_train_step(rng))
+    assert grad.shape == (16, 1, 3)
 
 
 def _fleet_ring(rng):
@@ -379,6 +406,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     rptcn_predict = _ops_per_sec(lambda: rptcn.predict(xr[:253]))
     rptcn_faults = _minor_faults_per_call(lambda: rptcn.predict(xr[:253]))
     block_step = _ops_per_sec(_tcn_block_step(rng))
+    last_step_train = _ops_per_sec(_tcn_last_step_train_step(rng))
 
     ring, due, batch, tick, accepted = _fleet_ring(rng)
     ring_gather = _ops_per_sec(lambda: ring.last_windows(due, 12, out=batch))
@@ -417,6 +445,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
             "rptcn_predict": "predict of that model, 253 rows",
             "tcn_block_step": "TemporalBlock(16->16, k=3, dil=2) x(32,16,12) fwd+bwd",
+            "tcn_last_step_train_step": "TCN(1, (16,16,16), k=3) train mode, x(32,1,12): "
+            "last_step fwd+bwd",
             "rptcn_predict_minor_faults": "minor page faults per steady-state predict",
             "ring_last_windows": "MatrixRingBuffer(4096, 140, 1, window=12), wrapped: "
             "last_windows of ~4055 streams into a float64 batch",
@@ -440,6 +470,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_fit": round(rptcn_fit, 2),
             "rptcn_predict": round(rptcn_predict, 1),
             "tcn_block_step": round(block_step, 1),
+            "tcn_last_step_train_step": round(last_step_train, 1),
             "ring_last_windows": round(ring_gather, 1),
             "ring_append_tick": round(ring_append, 1),
             "fleet_gate_check_tick": round(gate_check, 1),
@@ -468,7 +499,7 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert gbt_fit > 0 and gbt_predict > 0
-    assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0
+    assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0 and last_step_train > 0
     assert ring_gather > 0 and ring_append > 0
     assert gate_check > 0 and ph_update > 0
     assert all(sec > 0 for sec in startup.values())

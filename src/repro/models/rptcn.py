@@ -13,10 +13,11 @@ Architecture, exactly as §III-D describes it:
 4. a linear output head emitting the ``horizon`` future CPU values.
 
 With the ``feature`` and ``none`` attentions the FC layer reads only the
-backbone's last step, so the backbone runs :meth:`TCN.last_step`: at
-inference (``no_grad``, eval mode) it computes only the conv positions
-that reach that step, with the full forward's taps and ops. The
-``temporal`` attention reads every step and keeps the full backbone.
+backbone's last step, so the backbone runs :meth:`TCN.last_step`: in
+fits and in serving alike it computes, and backpropagates through, only
+the conv positions that reach that step, with the full forward's taps,
+ops and dropout draws. The ``temporal`` attention reads every step and
+keeps the full backbone.
 """
 
 from __future__ import annotations

@@ -12,13 +12,17 @@ hold its parameters and dropout settings, so state dicts and pickles keep
 their layout.
 
 Heads that read only the last backbone step call :meth:`TCN.last_step`.
-Under ``no_grad`` in eval mode it computes only the conv positions that
-can reach that step (31 of the 72 per window at kernel 3, dilations
-``(1, 2, 4)``, window 12) with the full forward's taps and ops, so it
-matches ``TCN(x)[:, :, -1]`` up to BLAS rounding a GEMM row differently
-for a different row count (bit for bit where it does not, as for the
-served RPTCN on x86-64 OpenBLAS). In grad or training mode it is exactly
-that full forward.
+It computes only the conv positions that can reach that step (31 of the
+72 per window at kernel 3, dilations ``(1, 2, 4)``, window 12) with the
+full forward's taps and ops, in inference and in training alike: with
+autograd on, each block is one graph node whose hand-written backward
+runs over the same kept rows, and in training mode it draws the full
+forward's dropout masks in the same order. Outputs and gradients match
+``TCN(x)[:, :, -1]`` up to BLAS rounding a GEMM row differently for a
+different row count: on x86-64 OpenBLAS the served RPTCN's predictions
+are bit for bit the same, while a fit's weights can move by a few ulps.
+The full forward stays the reference every test compares the pruned
+path with.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from ..nn.layers.dropout import SpatialDropout1d
 from ..nn.layers.linear import Linear
 from ..nn.layers.normalization import WeightNormConv1d
 from ..nn.module import Module
-from ..nn.tensor import Tensor, get_default_dtype, is_grad_enabled
+from ..nn.tensor import Tensor
 from .base import NeuralForecaster, register_forecaster
 
 __all__ = ["TemporalBlock", "TCN", "TCNForecaster"]
@@ -101,13 +105,14 @@ class TemporalBlock(Module):
         )
 
     def forward_rows(
-        self, xr: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """Eval-mode output at selected rows (:func:`F.temporal_block_rows`)."""
+        self, x: Tensor, rows: tuple[np.ndarray, ...], n: int
+    ) -> Tensor:
+        """Output at selected rows of ``n`` windows (:func:`F.temporal_block_rows`)."""
         down = self.downsample
         return F.temporal_block_rows(
-            xr,
+            x,
             rows,
+            n,
             self.conv1.v,
             self.conv1.g,
             self.conv1.bias,
@@ -116,6 +121,9 @@ class TemporalBlock(Module):
             self.conv2.bias,
             down_weight=down.weight if down is not None else None,
             down_bias=down.bias if down is not None else None,
+            p=self.drop1.p,
+            rng=self.drop1.rng,
+            training=self.training,
         )
 
 
@@ -173,32 +181,32 @@ class TCN(Module):
     def last_step(self, x: Tensor) -> Tensor:
         """Features at the last step, ``(N, C_out)``: ``self(x)[:, :, -1]``.
 
-        Under ``no_grad`` with every block in eval mode, only the conv
-        positions that reach the last step are computed: the blocks run
-        :meth:`TemporalBlock.forward_rows` over the memoized rows of
-        :func:`repro.nn._plans.last_step_rows`, starting from the window
-        as ``(1 + N * L, C_in)`` rows behind a zero row. Each kept row
-        reads the same taps and runs the same ops as in the full forward,
-        and the result keeps the input's dtype; only the GEMM row counts
-        differ (see :func:`repro.nn.functional.temporal_block_rows`).
-        With autograd on, or in training mode (dropout), this is the full
-        forward, so gradients and dropout draws are untouched.
+        Only the conv positions that reach the last step are computed:
+        the blocks run :meth:`TemporalBlock.forward_rows` over the
+        memoized rows of :func:`repro.nn._plans.last_step_rows`, starting
+        from the window as ``(1 + N * L, C_in)`` rows behind a zero row
+        (:func:`repro.nn.functional.window_rows`). Each kept row reads
+        the same taps and runs the same ops as in the full forward, and
+        each block's output rounds to the dtype policy as the full
+        forward's does. In training mode the blocks draw the full
+        forward's dropout masks in its order; with autograd on, each
+        block is one graph node whose backward touches only the kept
+        rows, at which the full backbone's gradient is zero anyway. Only
+        the GEMM and sum row counts differ from ``self(x)[:, :, -1]``, so
+        outputs and gradients match it up to how BLAS rounds a different
+        row count (see :func:`repro.nn.functional.temporal_block_rows`).
         """
-        if is_grad_enabled() or any(block.training for block in self.blocks):
-            return self(x)[:, :, -1]
-        n, c_in, window = x.shape
+        n, _, window = x.shape
         rows = _plans.last_step_rows(
             self.blocks[0].kernel_size,
             tuple(block.dilation for block in self.blocks),
             window,
             n,
         )
-        xl = x.data.transpose(0, 2, 1).reshape(n * window, c_in)
-        h = np.concatenate([np.zeros((1, c_in), dtype=xl.dtype), xl])
-        dtype = get_default_dtype()  # what each block's output Tensor holds
+        h = F.window_rows(x)
         for block, block_rows in zip(self.blocks, rows):
-            h = np.asarray(block.forward_rows(h, block_rows), dtype=dtype)
-        return Tensor(h[1:])
+            h = block.forward_rows(h, block_rows, n)
+        return h[1:]
 
 
 class _TCNHead(Module):

@@ -21,8 +21,9 @@ memoizes them process-wide:
 - :func:`last_step_plan` — the rows of a causal TCN stack that can reach
   its last output step, keyed on ``(kernel, dilations, window)``, and
   :func:`last_step_rows`, the same plan as flat row indices into a batch
-  of ``n`` windows. Serving heads that read only the last backbone step
-  compute just these rows (:meth:`repro.models.tcn.TCN.last_step`).
+  of ``n`` windows, with the inverse maps the backward gathers with.
+  Heads that read only the last backbone step compute, and train
+  through, just these rows (:meth:`repro.models.tcn.TCN.last_step`).
 """
 
 from __future__ import annotations
@@ -211,32 +212,61 @@ def _batch_rows(rows: np.ndarray, per_window: int, n: int) -> np.ndarray:
     return flat
 
 
+def _batch_readers(taps: np.ndarray, rows_in: int, n: int) -> np.ndarray:
+    """Adjoint of ``taps``: which im2col entry reads each input row, per tap.
+
+    Entry ``(w, r, j)`` (window ``w``, input row ``r``, tap ``j``) is the
+    flat position ``i * K + j`` of the entry of the ``n``-window im2col
+    whose tap ``j`` reads that row, or ``-1`` where none does. Within one
+    tap the kept rows read distinct input rows, so there is at most one.
+    Flattened like :func:`_batch_rows`, without the zero row.
+    """
+    m, k = taps.shape
+    readers = np.full((rows_in, k), -1)
+    for tap in range(k):
+        hit = np.flatnonzero(taps[:, tap] >= 0)
+        readers[taps[hit, tap], tap] = hit * k + tap
+    flat = readers[None] + (m * k * np.arange(n)).reshape(n, 1, 1)
+    flat[:, readers < 0] = -1
+    flat = flat.ravel()
+    flat.setflags(write=False)
+    return flat
+
+
 @lru_cache(maxsize=32)
 def _last_step_rows(
     kernel_size: int, dilations: tuple[int, ...], window: int, capacity: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(
         (
             _batch_rows(block.conv1, block.rows_in, capacity),
             _batch_rows(block.conv2, len(block.conv1), capacity),
             _batch_rows(block.residual, block.rows_in, capacity),
+            _batch_readers(block.conv1, block.rows_in, capacity),
+            _batch_readers(block.conv2, len(block.conv1), capacity),
         )
         for block in last_step_plan(kernel_size, dilations, window)
     )
 
 
+@lru_cache(maxsize=128)
 def last_step_rows(
     kernel_size: int, dilations: tuple[int, ...], window: int, n: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """:func:`last_step_plan` as flat ``(conv1, conv2, residual)`` rows of an ``n``-window batch.
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """:func:`last_step_plan` as flat rows of an ``n``-window batch.
 
+    Per block: ``(conv1, conv2, residual, conv1_readers, conv2_readers)``.
     Every stage of the batch is one zero row followed by the ``n``
     windows' rows, window-major; causal-zero taps point at the zero row.
-    One ``np.take`` with these rows is one stage's im2col (or residual
-    gather) for the whole batch. The rows of ``n`` windows are a prefix
-    of the rows of any larger batch, so they are built once per
-    power-of-two capacity and returned as prefix views: a fleet whose
-    batch size moves tick to tick shares one cached array.
+    One ``np.take`` with the first three is one stage's im2col (or
+    residual gather) for the whole batch; one ``np.take`` with a readers
+    array (:func:`_batch_readers`) gathers, per input row and tap, the
+    im2col gradient that flows back to that row, the im2col's adjoint as
+    a gather. The rows of ``n`` windows are a prefix of the rows of any
+    larger batch, so they are built once per power-of-two capacity and
+    returned as prefix views: a fleet whose batch size moves tick to tick
+    shares one cached array. The views of each batch size are memoized
+    as well, so a call is one cache lookup.
     """
     capacity = 1 << max(n - 1, 0).bit_length()
     return tuple(

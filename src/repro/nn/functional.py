@@ -11,9 +11,10 @@ hand-written BPTT backward — no per-step Tensor allocation. The TCN
 residual block is fused the same way: one autograd node per block,
 computed channels-last with one 2-D GEMM per convolution and a
 hand-written backward through weight norm, ReLU and spatial dropout.
-:func:`temporal_block_rows` is the block's inference-only twin over a
-subset of rows: heads that read only the last time step run it on the
-rows that can reach that step.
+:func:`temporal_block_rows` is the same block over a subset of rows, with
+its own hand-written backward: heads that read only the last time step
+run it, in training and in inference, on the rows that can reach that
+step.
 
 Every op with a nontrivial graph closure also has an inference fast path:
 when autograd is off (or no parent requires grad) the op returns a
@@ -32,6 +33,7 @@ __all__ = [
     "lstm",
     "temporal_block",
     "temporal_block_rows",
+    "window_rows",
     "softmax",
     "log_softmax",
     "dropout",
@@ -460,6 +462,22 @@ def _bias_relu(h: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return h
 
 
+def _conv_grads(
+    g: np.ndarray, cols: np.ndarray, v: Tensor, gain: Tensor, bias: Tensor, r: np.ndarray
+) -> None:
+    """Accumulate one weight-norm conv's ``v``/``g``/bias grads from its pre-activation grad."""
+    if v.requires_grad or gain.requires_grad:
+        c_out, c_in, k = v.shape
+        gw = (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0)
+        dv, dg = _weight_norm_backward(gw, v.data, gain.data, r)
+        if v.requires_grad:
+            v._accumulate(dv)
+        if gain.requires_grad:
+            gain._accumulate(dg)
+    if bias.requires_grad:
+        bias._accumulate(g.sum(axis=0))
+
+
 def temporal_block(
     x: Tensor,
     v1: Tensor,
@@ -561,20 +579,6 @@ def temporal_block(
             g.reshape(n, length, c_out)[...] *= mask
         return g
 
-    def conv_grads(
-        g: np.ndarray, cols: np.ndarray, v: Tensor, gain: Tensor, bias: Tensor, r: np.ndarray
-    ) -> None:
-        """Accumulate one conv's ``v``/``g``/bias grads from its pre-activation grad."""
-        if v.requires_grad or gain.requires_grad:
-            gw = (cols.T @ g).reshape(k, v.shape[1], c_out).transpose(2, 1, 0)
-            dv, dg = _weight_norm_backward(gw, v.data, gain.data, r)
-            if v.requires_grad:
-                v._accumulate(dv)
-            if gain.requires_grad:
-                gain._accumulate(dg)
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-
     def backward(grad: np.ndarray) -> None:
         g = grad.transpose(0, 2, 1).reshape(n * length, c_out) * (out > 0)
         gx = None
@@ -589,10 +593,10 @@ def temporal_block(
         elif x.requires_grad:
             gx = g
         g = branch_grad(g, h2, mask2)
-        conv_grads(g, cols2, v2, g2, b2, r2)
+        _conv_grads(g, cols2, v2, g2, b2, r2)
         g = _fold_causal(g @ w2m.T, n, length, k, dilation)
         g = branch_grad(g.reshape(n * length, c_out), h1, mask1)
-        conv_grads(g, cols1, v1, g1, b1, r1)
+        _conv_grads(g, cols1, v1, g1, b1, r1)
         if x.requires_grad:
             gx = gx + _fold_causal(g @ w1m.T, n, length, k, dilation).reshape(
                 n * length, c_in
@@ -602,24 +606,95 @@ def temporal_block(
     return Tensor._from_op(out.reshape(n, length, c_out).transpose(0, 2, 1), parents, backward)
 
 
-def _conv_rows(xr: np.ndarray, taps: np.ndarray, wm: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``ReLU(conv + bias)`` at the rows whose im2col taps are ``taps``.
+def window_rows(x: Tensor) -> Tensor:
+    """``(N, C, L)`` windows as the ``(1 + N*L, C)`` rows of :func:`temporal_block_rows`.
 
-    ``xr`` is rows ``(1 + M, C_in)`` after a leading zero row; the result
-    is ``(1 + len(taps) / K, C_out)`` in the same layout, its GEMM
-    written in place behind the zero row.
+    Row 0 is the causal zero row; window ``w``'s step ``t`` is row
+    ``1 + w * L + t``. The gradient that reaches the zero row is dropped.
     """
+    n, c, length = x.shape
+    xl = x.data.transpose(0, 2, 1).reshape(n * length, c)
+    rows = np.concatenate([np.zeros((1, c), dtype=xl.dtype), xl])
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad[1:].reshape(n, length, c).transpose(0, 2, 1))
+
+    return Tensor._from_op(rows, (x,), backward)
+
+
+def _row_cols(xr: np.ndarray, taps: np.ndarray, k: int) -> np.ndarray:
+    """im2col of the rows whose ``K`` taps are ``taps``: ``(len(taps) / K, K*C)``."""
     cols = np.take(xr, taps, axis=0)
-    cols = cols.reshape(cols.size // wm.shape[0], wm.shape[0])
+    return cols.reshape(len(taps) // k, k * xr.shape[1])
+
+
+def _conv_rows(cols: np.ndarray, wm: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``ReLU(cols @ wm + bias)`` as ``(1 + len(cols), C_out)`` rows behind a zero row."""
     out = np.empty((1 + len(cols), wm.shape[1]), dtype=np.result_type(cols, wm))
     out[0] = 0.0
     _bias_relu(np.matmul(cols, wm, out=out[1:]), bias)
     return out
 
 
+def _fold_rows(g: np.ndarray, wm: np.ndarray, readers: np.ndarray, k: int) -> np.ndarray:
+    """Input-row gradient ``(1 + M_in, C)`` of a row conv, from its pre-activation grad ``g``.
+
+    The adjoint of :func:`_row_cols` plus the GEMM: ``g @ wm.T`` is
+    written as ``(M * K, C)`` per-tap rows followed by one zero row, and
+    one ``np.take`` gathers, for every input row and tap, the entry that
+    read it (``readers`` of :func:`repro.nn._plans.last_step_rows`; a
+    ``-1`` reader gathers the zero row). The taps are summed in
+    :func:`_fold_causal`'s order, the zero-offset tap first and then
+    ``0 .. K-2``, so each row sums the same terms in the same order as
+    the full fold. The causal zero row gets no gradient.
+    """
+    m, width = len(g), wm.shape[0]
+    c = width // k
+    taps = np.empty((m * k + 1, c), dtype=np.result_type(g, wm))
+    taps[-1] = 0.0
+    np.matmul(g, wm.T, out=taps[:-1].reshape(m, width))
+    gathered = np.take(taps, readers, axis=0)
+    gathered = gathered.reshape(len(gathered) // k, k, c)
+    gx = np.empty((1 + len(gathered), c), dtype=taps.dtype)
+    gx[0] = 0.0
+    body = gx[1:]
+    np.copyto(body, gathered[:, k - 1])
+    for tap in range(k - 1):
+        body += gathered[:, tap]
+    return gx
+
+
+def _drop_rows(h: np.ndarray, rng: np.random.Generator, n: int, p: float) -> np.ndarray | None:
+    """Spatial dropout, in place, of ``n`` windows' rows behind the zero row.
+
+    Draws the ``(n, C, 1)`` mask of :func:`_channel_mask` and scales every
+    row of window ``w`` by mask row ``w``; returns the mask as ``(n, 1, C)``
+    (None, drawing nothing, when ``p`` is 0).
+    """
+    if p <= 0.0:
+        return None
+    c = h.shape[1]
+    mask = _channel_mask(rng, n, c, p).transpose(0, 2, 1)
+    if n:
+        h[1:].reshape(n, -1, c)[...] *= mask
+    return mask
+
+
+def _residual_rows(
+    res: np.ndarray, down_weight: Tensor | None, down_bias: Tensor | None
+) -> np.ndarray:
+    """The shortcut at the gathered input rows: identity, or the 1x1 downsample."""
+    if down_weight is None:
+        return res
+    res = res @ down_weight.data[:, :, 0].T
+    res += down_bias.data
+    return res
+
+
 def temporal_block_rows(
-    xr: np.ndarray,
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    x: Tensor,
+    rows: tuple[np.ndarray, ...],
+    n: int,
     v1: Tensor,
     g1: Tensor,
     b1: Tensor,
@@ -628,34 +703,114 @@ def temporal_block_rows(
     b2: Tensor,
     down_weight: Tensor | None = None,
     down_bias: Tensor | None = None,
-) -> np.ndarray:
-    """Inference-only :func:`temporal_block` over selected rows.
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+) -> Tensor:
+    """:func:`temporal_block` over selected rows of ``n`` windows, one autograd node.
 
-    ``xr`` holds block-input rows ``(1 + M_in, C_in)`` behind a leading
-    zero row; ``rows`` are the flat ``(conv1, conv2, residual)`` row
-    indices of :func:`repro.nn._plans.last_step_rows`, where a
-    causal-zero tap points at that zero row. Each conv is one ``np.take``
-    im2col and one GEMM over the needed rows only. Returns the output
-    rows ``(1 + M_out, C_out)`` in the same layout, for the next block.
+    ``x`` holds block-input rows ``(1 + M_in, C_in)`` behind a leading
+    zero row (:func:`window_rows` for the first block); ``rows`` is the
+    block's entry of :func:`repro.nn._plans.last_step_rows`: the flat
+    conv1, conv2 and residual rows, where a causal-zero tap points at
+    that zero row, and the two convs' readers for the backward. Each conv
+    is one ``np.take`` im2col and one GEMM over the needed rows only.
+    Returns the output rows ``(1 + M_out, C_out)`` in the same layout, for
+    the next block.
 
     A kept row gathers the same taps in the same order as the full
     forward's causal im2col and goes through the same weight-norm, GEMM,
-    bias, ReLU and residual ops as the eval-mode :func:`temporal_block`.
-    Only the GEMMs' row counts differ, so the rows agree up to how BLAS
-    rounds a row for a given row count (bit for bit where it rounds each
-    row alike). No dropout, no graph.
+    bias, ReLU, dropout and residual ops as :func:`temporal_block`.
+    Spatial dropout draws the same two ``(n, C_out, 1)`` masks from
+    ``rng`` in the same order, and scales every row of window ``w`` by
+    mask row ``w``. The backward is hand-written over the kept rows: the
+    weight grads are ``cols.T @ g`` (through the weight-norm chain rule),
+    the bias and downsample grads sum over the kept rows, and the input
+    grad is the im2col's adjoint, one gather per stage that sums each
+    input row's taps (:func:`_fold_rows`); the zero row gets none.
+    The full block's gradient is exactly zero at every dropped row, so
+    only the GEMMs' and sums' row counts differ: values and gradients
+    agree up to how BLAS and pairwise summation round a different row
+    count (bit for bit where nothing rounds).
     """
-    conv1, conv2, residual = rows
+    p = p if training else 0.0
+    parents = (x, v1, g1, b1, v2, g2, b2)
+    if down_weight is not None:
+        parents += (down_weight, down_bias)
+    if is_grad_enabled() and any(t.requires_grad for t in parents):
+        return _temporal_block_rows_graph(x, rows, n, parents, p, rng)
+    conv1, conv2, residual = rows[:3]
+    xr = x.data
+    k = v1.shape[2]
     w1m = _gemm_weight(_weight_norm(v1.data, g1.data)[0])
     w2m = _gemm_weight(_weight_norm(v2.data, g2.data)[0])
-    h = _conv_rows(xr, conv1, w1m, b1.data)
-    out = _conv_rows(h, conv2, w2m, b2.data)
+    h = _conv_rows(_row_cols(xr, conv1, k), w1m, b1.data)
+    _drop_rows(h, rng, n, p)
+    out = _conv_rows(_row_cols(h, conv2, k), w2m, b2.data)
     del h
+    _drop_rows(out, rng, n, p)
     body = out[1:]
-    res = np.take(xr, residual, axis=0)
-    if down_weight is not None:
-        res = res @ down_weight.data[:, :, 0].T
-        res += down_bias.data
-    body += res
+    body += _residual_rows(np.take(xr, residual, axis=0), down_weight, down_bias)
     np.maximum(body, 0.0, out=body)
-    return out
+    return Tensor(out)
+
+
+def _temporal_block_rows_graph(
+    x: Tensor,
+    rows: tuple[np.ndarray, ...],
+    n: int,
+    parents: tuple[Tensor, ...],
+    p: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """:func:`temporal_block_rows` with autograd: the forward keeps what its backward reads."""
+    v1, g1, b1, v2, g2, b2 = parents[1:7]
+    down_weight, down_bias = parents[7:] or (None, None)
+    conv1, conv2, residual, readers1, readers2 = rows
+    xr = x.data
+    c_out, _, k = v1.shape
+    w1, r1 = _weight_norm(v1.data, g1.data)
+    w2, r2 = _weight_norm(v2.data, g2.data)
+    w1m, w2m = _gemm_weight(w1), _gemm_weight(w2)
+    cols1 = _row_cols(xr, conv1, k)
+    h1 = _conv_rows(cols1, w1m, b1.data)
+    mask1 = _drop_rows(h1, rng, n, p)
+    cols2 = _row_cols(h1, conv2, k)
+    h2 = _conv_rows(cols2, w2m, b2.data)
+    mask2 = _drop_rows(h2, rng, n, p)
+    res_in = np.take(xr, residual, axis=0)
+    res = _residual_rows(res_in, down_weight, down_bias)
+    out = np.empty(h2.shape, dtype=np.result_type(h2, res))
+    out[0] = 0.0
+    np.add(h2[1:], res, out=out[1:])
+    np.maximum(out, 0.0, out=out)
+
+    def branch_grad(g: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Gradient at a conv's pre-activation from the grad at its dropout."""
+        g = g * (h[1:] > 0)
+        if mask is not None and n:
+            g.reshape(n, -1, c_out)[...] *= mask
+        return g
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad[1:] * (out[1:] > 0)
+        gres = None
+        if down_weight is not None:
+            if down_weight.requires_grad:
+                down_weight._accumulate((res_in.T @ g).T[:, :, None])
+            if down_bias.requires_grad:
+                down_bias._accumulate(g.sum(axis=0))
+            if x.requires_grad:
+                gres = g @ down_weight.data[:, :, 0]
+        elif x.requires_grad:
+            gres = g
+        g = branch_grad(g, h2, mask2)
+        _conv_grads(g, cols2, v2, g2, b2, r2)
+        g = branch_grad(_fold_rows(g, w2m, readers2, k)[1:], h1, mask1)
+        _conv_grads(g, cols1, v1, g1, b1, r1)
+        if x.requires_grad:
+            gx = _fold_rows(g, w1m, readers1, k)
+            gx[residual] += gres
+            x._accumulate(gx)
+
+    return Tensor._from_op(out, parents, backward)

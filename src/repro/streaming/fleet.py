@@ -744,11 +744,9 @@ class FleetPredictor:
         sigma = self.gate.policy.prediction_sigma
         if sigma is None:
             return
-        lo, hi, armed = self.gate.band(sigma)
+        lo_t, hi_t, armed = self.gate.band(sigma, served, self.target_col)
         vals = predictions[served]
-        lo_t = lo[served, self.target_col]
-        hi_t = hi[served, self.target_col]
-        wild = armed[served] & np.isfinite(vals) & ((vals < lo_t) | (vals > hi_t))
+        wild = armed & np.isfinite(vals) & ((vals < lo_t) | (vals > hi_t))
         if wild.any():
             self.stats.n_clamped_predictions[served[wild]] += 1
             self.stats.total_clamped_predictions += int(np.count_nonzero(wild))

@@ -187,12 +187,7 @@ class ShmBlock:
             )
         self._closed = True
         self._arrays.clear()
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover — already gone
-                pass
+        _release(self._shm, self._owner)
 
     def _pinned(self) -> list[str]:
         """Names of the block's arrays that something besides the block still holds.
@@ -208,10 +203,41 @@ class ShmBlock:
         self._arrays = {**self._map(), **held}
         return list(held)
 
+    def _release_with_last_view(self) -> None:
+        """Hand the mapping to the arrays still held: the last of them to die closes it."""
+        held = [self._arrays[name] for name in self._pinned()]
+        self._closed = True
+        self._arrays = {}
+        if not held:
+            _release(self._shm, self._owner)
+            return
+        shm, owner, alive = self._shm, self._owner, [len(held)]
+
+        def drop_one() -> None:
+            alive[0] -= 1
+            if not alive[0]:
+                _release(shm, owner)
+
+        for arr in held:
+            weakref.finalize(arr, drop_one)
+
     def __del__(self) -> None:  # pragma: no cover — GC safety net
         try:
             self.close()
+        except BufferError:
+            # collected under live views: unmapping now would crash their next access
+            self._release_with_last_view()
         except Exception:  # noqa: BLE001
+            pass
+
+
+def _release(shm: shared_memory.SharedMemory, owner: bool) -> None:
+    """Unmap ``shm``; the owner also destroys the segment."""
+    shm.close()
+    if owner:
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover — already gone
             pass
 
 

@@ -167,6 +167,8 @@ class Trainer:
 
         self.model.train()
         n = len(x_train)
+        # one module-tree walk per fit, not per batch
+        clipped = list(self.model.parameters()) if self.grad_clip_norm is not None else []
         with trace.span("train.fit") as fit_span:
             for epoch in range(epochs):
                 idx = np.arange(n)
@@ -191,9 +193,7 @@ class Trainer:
                             loss = self.loss(out, yb)
                             loss.backward()
                             if self.grad_clip_norm is not None:
-                                grad_norm = clip_grad_norm(
-                                    list(self.model.parameters()), self.grad_clip_norm
-                                )
+                                grad_norm = clip_grad_norm(clipped, self.grad_clip_norm)
                                 if obs_on:
                                     g_grad.set(grad_norm)
                             self.optimizer.step()

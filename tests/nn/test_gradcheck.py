@@ -20,7 +20,7 @@ from repro.nn.layers import (
     TemporalAttention,
     WeightNormConv1d,
 )
-from repro.models.tcn import TemporalBlock
+from repro.models.tcn import TCN, TemporalBlock
 from repro.nn.tensor import Tensor
 
 from ..conftest import check_gradients
@@ -183,6 +183,22 @@ class TestLayerGrads:
             return (block(x) ** 2).sum()
 
         check_gradients(loss, [x] + list(block.parameters()))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_tcn_last_step(self, rng, dropout):
+        """Through the pruned rows: a downsample block, then an identity
+        block, dilations (1, 2), window 7, kept-row dropout masks."""
+        net = TCN(2, (3, 3), kernel_size=3, dropout=dropout, rng=rng)
+        for block in net.blocks:
+            _kink_free_biases(block, rng)
+        x = leaf(rng, 3, 2, 7)
+
+        def loss():
+            for block in net.blocks:  # every probe redraws the same masks
+                block.drop1.rng = block.drop2.rng = np.random.default_rng(4)
+            return (net.last_step(x) ** 2).sum()
+
+        check_gradients(loss, [x] + list(net.parameters()))
 
     def test_layer_norm(self, rng):
         layer = LayerNorm(6)

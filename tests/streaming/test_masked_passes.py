@@ -191,6 +191,73 @@ class TestFleetGateBandParity:
             _assert_band_matches_scalars(old, scalars, 2.0)
 
 
+# -- output sanitizer -----------------------------------------------------------
+
+
+def _full_band_sanitize(gate: FleetGate, preds, served, target_col: int, sigma: float):
+    """The sanitizer over the whole ``(N, F)`` band: what ``_sanitize`` did before
+    it computed only the served cells of the target column."""
+    preds = preds.copy()
+    clamped = np.zeros(gate.streams, dtype=np.int64)
+    failed = np.zeros(gate.streams, dtype=np.int64)
+    vals = preds[served]
+    bad = ~np.isfinite(vals)
+    failed[served[bad]] += 1
+    preds[served[bad]] = np.nan
+    lo = gate._mean - sigma * gate._std
+    hi = gate._mean + sigma * gate._std
+    armed = gate._count >= gate.policy.min_history
+    vals = preds[served]
+    lo_t, hi_t = lo[served, target_col], hi[served, target_col]
+    wild = armed[served] & np.isfinite(vals) & ((vals < lo_t) | (vals > hi_t))
+    clamped[served[wild]] += 1
+    preds[served[wild]] = np.clip(vals[wild], lo_t[wild], hi_t[wild])
+    return preds, clamped, failed
+
+
+class TestSanitizeReadsOnlyTheServedBand:
+    @given(
+        streams=st.integers(1, 9),
+        features=st.integers(1, 3),
+        target=st.integers(0, 2),
+        ticks=st.integers(0, 30),
+        min_history=st.integers(2, 12),
+        sigma=st.sampled_from([0.5, 1.0, 2.5, 6.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_clamps_equal_the_full_band_computation(
+        self, streams, features, target, ticks, min_history, sigma, seed
+    ):
+        target = target % features
+        rng = np.random.default_rng(seed)
+        fleet = FleetPredictor(
+            streams,
+            "mean",
+            window=2,
+            buffer_capacity=8,
+            features=features,
+            target_col=target,
+            gate_policy=GatePolicy(min_history=min_history, prediction_sigma=sigma),
+        )
+        # a random gate state: streams that have seen different record counts
+        for _ in range(ticks):
+            tick = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), (streams, features))
+            tick[rng.random(streams) < 0.3] = np.nan
+            fleet.gate.check_tick(tick)
+        preds = rng.normal(0, 4, streams)
+        preds[rng.random(streams) < 0.1] = np.nan
+        preds[rng.random(streams) < 0.1] = np.inf
+        served = np.flatnonzero(rng.random(streams) < 0.7)
+        want, clamped, failed = _full_band_sanitize(fleet.gate, preds, served, target, sigma)
+        got = preds.copy()
+        fleet._sanitize(got, served)
+        assert got.tobytes() == want.tobytes()
+        assert fleet.stats.n_clamped_predictions.tolist() == clamped.tolist()
+        assert fleet.stats.total_clamped_predictions == int(clamped.sum())
+        assert fleet.stats.n_predict_failures.tolist() == failed.tolist()
+
+
 # -- warnings -----------------------------------------------------------------
 
 

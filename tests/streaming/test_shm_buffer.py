@@ -306,6 +306,49 @@ class TestCloseWithLiveViews:
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
         assert proc.stdout.split() == ["refused", "[5,", "5]", "closed"]
 
+    def test_a_block_dropped_under_a_live_ring_stays_mapped_until_the_ring_dies(self):
+        """Drop the block without ``close()``, keep using its ring: no SIGSEGV.
+
+        The collected block cannot close under the ring's views, so the
+        last of them keeps the mapping; once the ring dies the segment is
+        unmapped and, by its owner, unlinked.
+        """
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = textwrap.dedent(
+            f"""
+            import gc
+            import sys
+            sys.path.insert(0, {str(src)!r})
+            from multiprocessing import shared_memory
+            import numpy as np
+            from repro.streaming import MatrixRingBuffer, ShmBlock
+            from repro.streaming.shm import ring_specs
+
+            blk = ShmBlock.create(ring_specs(2, 5, 1))
+            name = blk.name
+            ring = MatrixRingBuffer.from_arrays(
+                blk["ring_data"], blk["ring_head"], blk["ring_size"],
+                capacity=4, window=2,
+            )
+            del blk
+            gc.collect()
+            for _ in range(6):
+                ring.append_tick(np.ones((2, 1)))
+            print(ring.sizes.tolist())
+            del ring
+            gc.collect()
+            try:
+                shared_memory.SharedMemory(name=name)
+            except FileNotFoundError:
+                print("unlinked")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.split() == ["[4,", "4]", "unlinked"]
+
 
 class TestSlottedShmBlock:
     SPECS = (
