@@ -145,25 +145,6 @@ def _execute(fn_path: str, params: dict[str, Any], span_name: str) -> dict[str, 
     return record
 
 
-def _execute_in_worker(item: tuple[str, dict[str, Any], str]) -> dict[str, Any]:
-    """Worker-side wrapper: isolate obs state, run, serialize spans/metrics.
-
-    Runs in a spawned child. The fresh registry installed here is the
-    child's process-global default, so any instrumentation the task
-    triggers (trainer gauges, plan-cache counters, serving histograms)
-    lands in it and travels back to the parent as plain series dicts.
-    """
-    fn_path, params, span_name = item
-    registry = obs_registry.MetricRegistry()
-    obs_registry.set_default_registry(registry)
-    tracer = obs_trace.default_tracer()
-    tracer.clear()
-    record = _execute(fn_path, params, span_name)
-    record["spans"] = [s.to_dict() for s in tracer.finished]
-    record["metrics"] = registry.snapshot()["series"]
-    return record
-
-
 def _execute_chunk_in_worker(
     items: Sequence[tuple[str, dict[str, Any], str]],
 ) -> dict[str, Any]:

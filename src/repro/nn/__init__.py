@@ -1,46 +1,34 @@
 """A from-scratch NumPy deep-learning framework.
 
 This subpackage replaces the TensorFlow/Keras stack the paper ran on:
-reverse-mode autodiff (:mod:`repro.nn.tensor`), layers
-(:mod:`repro.nn.layers`), losses and optimizers — everything the RPTCN
-architecture and its deep baselines need, with vectorized NumPy kernels.
+reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the forecasters
+build (:mod:`repro.nn.layers`: dilated causal weight-normalized convs,
+spatial dropout, LSTM/GRU, attention, the transformer encoder), the MSE
+loss, and Adam with gradient-norm clipping (:mod:`repro.nn.optim`), with
+vectorized NumPy kernels.
 """
 
 from . import functional, init, optim
 from .layers import (
-    ELU,
-    GELU,
     GRU,
     LSTM,
-    AvgPool1d,
     BahdanauAttention,
-    BatchNorm1d,
-    CausalConv1d,
     Conv1d,
     Dropout,
     FeatureAttention,
-    Flatten,
-    GlobalAvgPool1d,
     GRUCell,
-    Lambda,
     LayerNorm,
-    LeakyReLU,
     Linear,
     LSTMCell,
-    LuongAttention,
-    MaxPool1d,
     ModuleList,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Softmax,
     SpatialDropout1d,
     Tanh,
     TemporalAttention,
     WeightNormConv1d,
 )
 from .init import default_rng, set_default_seed
-from .losses import HuberLoss, MAELoss, MSELoss
+from .losses import MSELoss
 from .module import Module, Parameter
 from .tensor import (
     Tensor,
@@ -66,31 +54,16 @@ __all__ = [
     "init",
     "optim",
     "MSELoss",
-    "MAELoss",
-    "HuberLoss",
     # layers
     "Linear",
     "Conv1d",
-    "CausalConv1d",
     "WeightNormConv1d",
     "LayerNorm",
-    "BatchNorm1d",
     "Dropout",
     "SpatialDropout1d",
-    "ReLU",
-    "Sigmoid",
     "Tanh",
-    "Softmax",
-    "LeakyReLU",
-    "ELU",
-    "GELU",
     "Sequential",
     "ModuleList",
-    "Flatten",
-    "Lambda",
-    "MaxPool1d",
-    "AvgPool1d",
-    "GlobalAvgPool1d",
     "LSTM",
     "LSTMCell",
     "GRU",
@@ -98,5 +71,4 @@ __all__ = [
     "FeatureAttention",
     "TemporalAttention",
     "BahdanauAttention",
-    "LuongAttention",
 ]

@@ -35,23 +35,15 @@ __all__ = [
     "temporal_block_rows",
     "window_rows",
     "softmax",
-    "log_softmax",
     "dropout",
     "spatial_dropout1d",
     "linear",
-    "max_pool1d",
-    "avg_pool1d",
 ]
 
 
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
-
-
-def _gather_indices(length: int, kernel_size: int, dilation: int, stride: int) -> np.ndarray:
-    """Index matrix ``idx[k, t] = t * stride + k * dilation`` for im2col."""
-    return _plans.gather_indices(length, kernel_size, dilation, stride)
 
 
 def conv1d(
@@ -126,50 +118,6 @@ def conv1d(
 
 
 # ---------------------------------------------------------------------------
-# pooling
-# ---------------------------------------------------------------------------
-
-
-def max_pool1d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over the last axis of a ``(N, C, L)`` tensor."""
-    stride = stride or kernel_size
-    idx = _gather_indices(x.shape[-1], kernel_size, 1, stride)
-    windows = x.data[:, :, idx]  # (N, C, K, L_out)
-    out = windows.max(axis=2)
-    argmax = windows.argmax(axis=2)  # (N, C, L_out)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        n, c, l_out = grad.shape
-        src_pos = idx[argmax, np.arange(l_out)[None, None, :]]  # (N, C, L_out)
-        ni = np.arange(n)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        np.add.at(gx, (ni, ci, src_pos), grad)
-        x._accumulate(gx)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def avg_pool1d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Average pooling over the last axis of a ``(N, C, L)`` tensor."""
-    stride = stride or kernel_size
-    idx = _gather_indices(x.shape[-1], kernel_size, 1, stride)
-    out = x.data[:, :, idx].mean(axis=2)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        g = np.repeat(grad[:, :, None, :] / kernel_size, kernel_size, axis=2)
-        np.add.at(gx, (slice(None), slice(None), idx), g)
-        x._accumulate(gx)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
 # normalized exponentials
 # ---------------------------------------------------------------------------
 
@@ -185,20 +133,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             # J^T g = s * (g - sum(g * s))
             dot = (grad * out).sum(axis=axis, keepdims=True)
             x._accumulate(out * (grad - dot))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -412,10 +346,17 @@ def _weight_norm(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _weight_norm_backward(
     gw: np.ndarray, v: np.ndarray, g: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients ``(dv, dg)`` of :func:`_weight_norm` given ``dL/dw``."""
+    """Gradients ``(dv, dg)`` of :func:`_weight_norm` given ``dL/dw``.
+
+    A filter with ``||v|| = 0`` gets 0 for the projection term of ``dv``,
+    its exact limit (``v`` and ``dot`` are 0 there), instead of ``0 / 0``.
+    """
     norm = r + WEIGHT_NORM_EPS
     dot = (gw * v).sum(axis=(1, 2), keepdims=True)
-    dv = gw * (g / norm) - v * (g * dot / (norm * norm * r))
+    num = g * dot
+    den = norm * norm * r
+    proj = np.divide(num, den, out=np.zeros(num.shape, np.result_type(num, den)), where=r > 0)
+    dv = gw * (g / norm) - v * proj
     return dv, dot / norm
 
 

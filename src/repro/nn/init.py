@@ -12,11 +12,8 @@ import numpy as np
 
 __all__ = [
     "glorot_uniform",
-    "glorot_normal",
     "he_uniform",
-    "he_normal",
     "orthogonal",
-    "uniform",
     "zeros",
     "ones",
     "compute_fans",
@@ -79,22 +76,10 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def glorot_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = compute_fans(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = compute_fans(shape)
     limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = compute_fans(shape)
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -108,10 +93,6 @@ def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1
     q *= np.sign(np.diag(r))  # deterministic sign convention
     q = q.T if rows < cols else q
     return gain * q[:rows, :cols].reshape(shape)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, limit: float) -> np.ndarray:
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

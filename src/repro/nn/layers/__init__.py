@@ -1,19 +1,12 @@
 """Neural-network layers built on the :mod:`repro.nn` autograd engine."""
 
-from .activations import ELU, GELU, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
-from .attention import (
-    BahdanauAttention,
-    FeatureAttention,
-    LuongAttention,
-    TemporalAttention,
-)
+from .activations import Tanh
+from .attention import BahdanauAttention, FeatureAttention, TemporalAttention
 from .container import ModuleList, Sequential
-from .conv import CausalConv1d, Conv1d
+from .conv import Conv1d
 from .dropout import Dropout, SpatialDropout1d
-from .flatten import Flatten, Lambda
 from .linear import Linear
-from .normalization import BatchNorm1d, LayerNorm, WeightNormConv1d
-from .pooling import AvgPool1d, GlobalAvgPool1d, MaxPool1d
+from .normalization import LayerNorm, WeightNormConv1d
 from .recurrent import GRU, LSTM, GRUCell, LSTMCell
 from .transformer import (
     MultiHeadSelfAttention,
@@ -22,32 +15,18 @@ from .transformer import (
 )
 
 __all__ = [
-    "ReLU",
-    "Sigmoid",
     "Tanh",
-    "Softmax",
-    "LeakyReLU",
-    "ELU",
-    "GELU",
     "FeatureAttention",
     "TemporalAttention",
     "BahdanauAttention",
-    "LuongAttention",
     "Sequential",
     "ModuleList",
     "Conv1d",
-    "CausalConv1d",
     "Dropout",
     "SpatialDropout1d",
-    "Flatten",
-    "Lambda",
     "Linear",
     "LayerNorm",
-    "BatchNorm1d",
     "WeightNormConv1d",
-    "MaxPool1d",
-    "AvgPool1d",
-    "GlobalAvgPool1d",
     "LSTM",
     "LSTMCell",
     "GRU",

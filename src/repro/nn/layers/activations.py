@@ -2,31 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .. import functional as F
 from ..module import Module
 from ..tensor import Tensor
 
-__all__ = ["ReLU", "Sigmoid", "Tanh", "Softmax", "LeakyReLU", "ELU", "GELU"]
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ReLU()"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Sigmoid()"
+__all__ = ["Tanh"]
 
 
 class Tanh(Module):
@@ -35,52 +14,3 @@ class Tanh(Module):
 
     def __repr__(self) -> str:  # pragma: no cover
         return "Tanh()"
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=self.axis)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Softmax(axis={self.axis})"
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor.where(x.data > 0, x, x * self.negative_slope)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LeakyReLU(slope={self.negative_slope})"
-
-
-class ELU(Module):
-    def __init__(self, alpha: float = 1.0) -> None:
-        super().__init__()
-        self.alpha = alpha
-
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor.where(x.data > 0, x, (x.exp() - 1.0) * self.alpha)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ELU(alpha={self.alpha})"
-
-
-class GELU(Module):
-    """Tanh approximation of the Gaussian Error Linear Unit."""
-
-    _C = math.sqrt(2.0 / math.pi)
-
-    def forward(self, x: Tensor) -> Tensor:
-        inner = (x + x * x * x * 0.044715) * self._C
-        return x * (inner.tanh() + 1.0) * 0.5
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "GELU()"

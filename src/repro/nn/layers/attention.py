@@ -6,9 +6,10 @@ The paper defines attention generically (eqs. 7-8):
     g = a ⊙ z           # elementwise re-weighting of the feature vector
 
 :class:`FeatureAttention` is that exact form and is the mechanism used in
-RPTCN after the fully connected layer (paper Fig. 5). The classic
-sequence-attention variants the paper cites (Bahdanau, Luong) are provided
-for the ablation benchmarks.
+RPTCN after the fully connected layer (paper Fig. 5).
+:class:`TemporalAttention` weighs the time steps of a sequence, and
+:class:`BahdanauAttention` is the additive attention the seq2seq baseline
+decodes with.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "FeatureAttention",
     "TemporalAttention",
     "BahdanauAttention",
-    "LuongAttention",
 ]
 
 
@@ -125,36 +125,3 @@ class BahdanauAttention(Module):
 
     def __repr__(self) -> str:  # pragma: no cover
         return "BahdanauAttention()"
-
-
-class LuongAttention(Module):
-    """Multiplicative attention (Luong et al. 2015), dot or general form."""
-
-    def __init__(
-        self,
-        key_size: int,
-        query_size: int | None = None,
-        mode: str = "dot",
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        if mode not in ("dot", "general"):
-            raise ValueError(f"mode must be 'dot' or 'general', got {mode!r}")
-        if mode == "dot" and query_size not in (None, key_size):
-            raise ValueError("dot attention requires query_size == key_size")
-        self.mode = mode
-        self.w = (
-            Linear(query_size or key_size, key_size, bias=False, rng=rng)
-            if mode == "general"
-            else None
-        )
-
-    def forward(self, keys: Tensor, query: Tensor) -> Tensor:
-        q = self.w(query) if self.w is not None else query
-        q3 = q.reshape(q.shape[0], -1, 1)  # (N, C, 1)
-        e = keys @ q3  # (N, T, 1)
-        alpha = F.softmax(e, axis=1)
-        return (alpha * keys).sum(axis=1)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LuongAttention(mode={self.mode})"

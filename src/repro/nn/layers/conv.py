@@ -1,10 +1,11 @@
-"""1-D convolutions, including the causal dilated form used by TCNs.
+"""Standard 1-D convolution.
 
 The paper's eq. (3) (causal convolution) and eq. (4) (dilated convolution)
-are realized by :class:`CausalConv1d`: left-only zero padding of
-``(K - 1) * d`` keeps the output aligned with the input so that position
-``t`` of the output depends only on inputs ``<= t`` — "future information
-does not leak into the past".
+are this convolution with ``padding=((K - 1) * d, 0)``: left-only zero
+padding keeps the output aligned with the input so that position ``t`` of
+the output depends only on inputs ``<= t`` — "future information does not
+leak into the past". The TCN's weight-normalized convs
+(:class:`~repro.nn.layers.normalization.WeightNormConv1d`) pad that way.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["Conv1d", "CausalConv1d"]
+__all__ = ["Conv1d"]
 
 
 class Conv1d(Module):
@@ -71,40 +72,4 @@ class Conv1d(Module):
         return (
             f"Conv1d({self.in_channels}, {self.out_channels}, k={self.kernel_size}, "
             f"stride={self.stride}, pad={self.padding}, dilation={self.dilation})"
-        )
-
-
-class CausalConv1d(Conv1d):
-    """Dilated causal convolution: output length equals input length.
-
-    Pads ``(kernel_size - 1) * dilation`` zeros on the left only, so the
-    value at output step ``t`` is a function of input steps ``t, t-d, ...,
-    t-(K-1)d`` exactly as in the paper's eq. (4).
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        dilation: int = 1,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        left_pad = (kernel_size - 1) * dilation
-        super().__init__(
-            in_channels,
-            out_channels,
-            kernel_size,
-            stride=1,
-            padding=(left_pad, 0),
-            dilation=dilation,
-            bias=bias,
-            rng=rng,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CausalConv1d({self.in_channels}, {self.out_channels}, "
-            f"k={self.kernel_size}, dilation={self.dilation})"
         )

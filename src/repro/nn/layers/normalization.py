@@ -1,4 +1,4 @@
-"""Normalization layers: weight-normalized convolution, LayerNorm, BatchNorm.
+"""Normalization layers: weight-normalized convolution and LayerNorm.
 
 TCN residual blocks (paper Fig. 6) wrap each dilated causal convolution in
 *weight normalization* (Salimans & Kingma 2016): the weight is
@@ -20,7 +20,7 @@ from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["WeightNormConv1d", "LayerNorm", "BatchNorm1d"]
+__all__ = ["WeightNormConv1d", "LayerNorm"]
 
 _EPS = F.WEIGHT_NORM_EPS
 
@@ -89,46 +89,3 @@ class LayerNorm(Module):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LayerNorm({self.normalized_shape})"
-
-
-class BatchNorm1d(Module):
-    """Batch normalization over ``(N, C)`` or ``(N, C, L)`` inputs.
-
-    Keeps exponential running statistics for eval-mode normalization.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(init.ones((num_features,)))
-        self.beta = Parameter(init.zeros((num_features,)))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            axes: tuple[int, ...] = (0,)
-            view = (1, self.num_features)
-        elif x.ndim == 3:
-            axes = (0, 2)
-            view = (1, self.num_features, 1)
-        else:
-            raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got shape {x.shape}")
-
-        if self.training:
-            mu = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(-1)
-        else:
-            mu = Tensor(self.running_mean.reshape(view))
-            var = Tensor(self.running_var.reshape(view))
-
-        normed = (x - mu) / (var + self.eps).sqrt()
-        return normed * self.gamma.reshape(view) + self.beta.reshape(view)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BatchNorm1d({self.num_features})"

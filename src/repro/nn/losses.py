@@ -1,8 +1,9 @@
 """Loss functions.
 
-MSE (paper eq. 9) is the training objective in all experiments; MAE
-(paper eq. 10) is the second reporting metric. Huber is included for the
-robustness ablation.
+MSE (paper eq. 9) is the training objective in all experiments. MAE
+(paper eq. 10) is a reporting metric only
+(:func:`repro.training.metrics.mae`); the quantile forecasters' pinball
+loss lives with them in :mod:`repro.models.quantile`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from .module import Module
 from .tensor import Tensor
 
-__all__ = ["MSELoss", "MAELoss", "HuberLoss"]
+__all__ = ["MSELoss"]
 
 
 class _Loss(Module):
@@ -35,29 +36,3 @@ class MSELoss(_Loss):
         target = Tensor.ensure(target)
         diff = prediction - target
         return self._reduce(diff * diff)
-
-
-class MAELoss(_Loss):
-    """Mean absolute error — paper eq. (10)."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        target = Tensor.ensure(target)
-        return self._reduce((prediction - target).abs())
-
-
-class HuberLoss(_Loss):
-    """Quadratic near zero, linear in the tails (delta-smooth L1)."""
-
-    def __init__(self, delta: float = 1.0, reduction: str = "mean") -> None:
-        super().__init__(reduction)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        target = Tensor.ensure(target)
-        diff = prediction - target
-        abs_diff = diff.abs()
-        quadratic = diff * diff * 0.5
-        linear = abs_diff * self.delta - 0.5 * self.delta**2
-        return self._reduce(Tensor.where(abs_diff.data <= self.delta, quadratic, linear))

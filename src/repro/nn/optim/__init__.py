@@ -1,13 +1,9 @@
-"""First-order optimizers and gradient clipping."""
+"""The Adam optimizer and gradient-norm clipping."""
 
-from .adam import Adam, AdamW
-from .base import Optimizer
-from .clip import clip_grad_norm, clip_grad_value
+from .adam import Adam
+from .clip import clip_grad_norm
 
 __all__ = [
-    "Optimizer",
     "Adam",
-    "AdamW",
     "clip_grad_norm",
-    "clip_grad_value",
 ]

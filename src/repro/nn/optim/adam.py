@@ -1,4 +1,4 @@
-"""Adam and AdamW optimizers (Kingma & Ba 2015; Loshchilov & Hutter 2019).
+"""The Adam optimizer (Kingma & Ba 2015).
 
 Adam is the optimizer used for all deep models in the reproduction, matching
 the Keras default setup of the paper's experiments.
@@ -11,30 +11,42 @@ from typing import Iterable
 import numpy as np
 
 from ..module import Parameter
-from .base import Optimizer
 
-__all__ = ["Adam", "AdamW"]
+__all__ = ["Adam"]
 
 
-class Adam(Optimizer):
+class Adam:
+    """Holds a parameter list and applies Adam updates in place.
+
+    Updates mutate ``param.data`` in place, with no reallocation per
+    step. A parameter with no grad is skipped and keeps its moments.
+    """
+
     def __init__(
         self,
         params: Iterable[Parameter],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr)
+        self.params = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
 
     def step(self) -> None:
         self._t += 1
@@ -45,25 +57,8 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data  # L2-coupled (classic Adam)
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay applied directly to the weights."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for p in self.params:
-                if p.grad is not None:
-                    p.data -= self.lr * self.weight_decay * p.data
-        wd, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = wd

@@ -1,15 +1,13 @@
-"""Gradient clipping utilities (used for recurrent baselines)."""
+"""Gradient-norm clipping (used for recurrent baselines)."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
 
-import numpy as np
-
 from ..module import Parameter
 
-__all__ = ["clip_grad_norm", "clip_grad_value"]
+__all__ = ["clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -28,12 +26,3 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for g in grads:
             g *= scale
     return total
-
-
-def clip_grad_value(params: Iterable[Parameter], clip_value: float) -> None:
-    """Clamp each gradient element into ``[-clip_value, clip_value]``."""
-    if clip_value <= 0:
-        raise ValueError(f"clip_value must be positive, got {clip_value}")
-    for p in params:
-        if p.grad is not None:
-            np.clip(p.grad, -clip_value, clip_value, out=p.grad)

@@ -234,13 +234,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a new Tensor sharing data but cut out of the graph."""
-        out = Tensor(0.0)
-        out.data = self.data
-        out.requires_grad = False
-        return out
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
@@ -505,16 +498,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self,), backward)
 
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        data = np.clip(self.data, lo, hi)
-        mask = (self.data >= lo) & (self.data <= hi)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._from_op(data, (self,), backward)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -546,34 +529,6 @@ class Tensor:
         mu = self.mean(axis=axis, keepdims=True)
         centered = self - mu
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        in_shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            d = data
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(in_shape) for a in axes)
-                shape = tuple(1 if i in axes else s for i, s in enumerate(in_shape))
-                g = g.reshape(shape)
-                d = d.reshape(shape)
-            elif axis is None and not keepdims:
-                g = np.asarray(g).reshape((1,) * len(in_shape))
-                d = np.asarray(d).reshape((1,) * len(in_shape))
-            mask = self.data == d
-            # split gradient equally among ties (matches subgradient convention)
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.where(mask, g / counts, 0.0))
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
 
     # -- shape manipulation ----------------------------------------------------
 
@@ -629,20 +584,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self,), backward)
 
-    def pad(self, pad_width) -> "Tensor":
-        """Zero-pad; ``pad_width`` follows ``np.pad`` conventions."""
-        data = np.pad(self.data, pad_width)
-        slices = tuple(
-            slice(before, before + dim)
-            for (before, _), dim in zip(pad_width, self.data.shape)
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[slices])
-
-        return Tensor._from_op(data, (self,), backward)
-
     # -- static combinators ----------------------------------------------------
 
     @staticmethod
@@ -687,21 +628,3 @@ class Tensor:
                 b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.data.shape))
 
         return Tensor._from_op(data, (a, b), backward)
-
-    # -- factory methods -------------------------------------------------------
-
-    @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> "Tensor":
-        if rng is None:
-            from . import init
-
-            rng = init.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)

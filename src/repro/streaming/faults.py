@@ -33,8 +33,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..traces.corruption import CorruptionConfig
-
 __all__ = [
     "InjectedFault",
     "FaultConfig",
@@ -78,26 +76,6 @@ class FaultConfig:
                     raise ValueError(f"{f.name} must be in [0, 1), got {v}")
         if self.outlier_scale <= 1.0:
             raise ValueError("outlier_scale must exceed 1")
-
-    @classmethod
-    def from_corruption(
-        cls,
-        config: CorruptionConfig,
-        drop_rate: float = 0.0,
-        refit_failure_rate: float = 0.0,
-        seed: int | None = None,
-    ) -> "FaultConfig":
-        """Lift an archived-trace corruption profile onto the live stream."""
-        return cls(
-            drop_rate=drop_rate,
-            nan_cell_rate=config.missing_cell_rate,
-            nan_row_rate=config.missing_row_rate,
-            duplicate_rate=config.duplicate_rate,
-            outlier_rate=config.outlier_rate,
-            outlier_scale=config.outlier_scale,
-            refit_failure_rate=refit_failure_rate,
-            seed=config.seed if seed is None else seed,
-        )
 
     @classmethod
     def at_level(

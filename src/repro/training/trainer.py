@@ -1,10 +1,9 @@
 """Mini-batch training loop for :mod:`repro.nn` models.
 
 The loop is observable through :mod:`repro.obs`: ``fit`` runs inside a
-``train.fit`` span with one ``train.epoch`` child per epoch (and
-optionally a ``train.batch`` child per batch), per-batch and per-epoch
-latencies land in histograms, and loss / grad-norm / throughput gauges
-track the most recent values. All of it is skipped when
+``train.fit`` span with one ``train.epoch`` child per epoch, per-batch
+and per-epoch latencies land in histograms, and loss / grad-norm /
+throughput gauges track the most recent values. All of it is skipped when
 :func:`repro.obs.set_enabled` has turned instrumentation off, so the
 uninstrumented hot path stays as fast as before.
 """
@@ -12,25 +11,20 @@ uninstrumented hot path stays as fast as before.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..nn import init as nn_init
 from ..nn.module import Module
-from ..nn.optim.base import Optimizer
+from ..nn.optim.adam import Adam
 from ..nn.optim.clip import clip_grad_norm
 from ..nn.tensor import Tensor, no_grad
 from ..obs import trace
 from ..obs.registry import MetricRegistry, get_registry, is_enabled
-from .callbacks import Callback, History
+from .callbacks import Callback
 
 __all__ = ["Trainer", "TrainingHistory"]
-
-#: shared reusable no-op context for the un-spanned batch path
-_NULL_CTX = nullcontext()
-
 
 @dataclass
 class TrainingHistory:
@@ -51,30 +45,27 @@ class Trainer:
     Parameters
     ----------
     model, optimizer, loss:
-        Any :class:`~repro.nn.Module` triple; the loss is called as
+        The model, an :class:`~repro.nn.optim.Adam` over its parameters,
+        and a loss module; the loss is called as
         ``loss(prediction, target)`` and must return a scalar Tensor.
     grad_clip_norm:
         Optional joint-L2 gradient clipping (recurrent nets benefit).
     rng:
-        Generator for batch shuffling — keeps runs reproducible.
+        Generator for the per-epoch batch shuffle — keeps runs
+        reproducible.
     registry:
         :class:`~repro.obs.MetricRegistry` for training metrics
         (``None`` = the process-global default, resolved at fit time).
-    batch_spans:
-        Also open a ``train.batch`` span per batch. Off by default —
-        epoch spans plus the batch-latency histogram cover the common
-        case without growing the trace tree by thousands of nodes.
     """
 
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
+        optimizer: Adam,
         loss: Module,
         grad_clip_norm: float | None = None,
         rng: np.random.Generator | None = None,
         registry: MetricRegistry | None = None,
-        batch_spans: bool = False,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
@@ -82,7 +73,6 @@ class Trainer:
         self.grad_clip_norm = grad_clip_norm
         self.rng = rng if rng is not None else nn_init.default_rng()
         self.registry = registry
-        self.batch_spans = batch_spans
 
     # -- evaluation ----------------------------------------------------------
 
@@ -141,8 +131,6 @@ class Trainer:
         epochs: int = 50,
         batch_size: int = 32,
         callbacks: list[Callback] | None = None,
-        shuffle: bool = True,
-        verbose: bool = False,
     ) -> TrainingHistory:
         callbacks = list(callbacks or [])
         history = TrainingHistory()
@@ -172,32 +160,25 @@ class Trainer:
         with trace.span("train.fit") as fit_span:
             for epoch in range(epochs):
                 idx = np.arange(n)
-                if shuffle:
-                    self.rng.shuffle(idx)
+                self.rng.shuffle(idx)
                 epoch_loss = 0.0
                 epoch_t0 = time.perf_counter()
                 with trace.span("train.epoch") as epoch_span:
                     for start in range(0, n, batch_size):
                         sel = idx[start : start + batch_size]
                         batch_t0 = time.perf_counter()
-                        batch_ctx = (
-                            trace.span("train.batch")
-                            if obs_on and self.batch_spans
-                            else _NULL_CTX
-                        )
-                        with batch_ctx:
-                            xb = Tensor(x_train[sel])
-                            yb = Tensor(y_train[sel])
-                            self.optimizer.zero_grad()
-                            out = self.model(xb)
-                            loss = self.loss(out, yb)
-                            loss.backward()
-                            if self.grad_clip_norm is not None:
-                                grad_norm = clip_grad_norm(clipped, self.grad_clip_norm)
-                                if obs_on:
-                                    g_grad.set(grad_norm)
-                            self.optimizer.step()
-                            epoch_loss += loss.item() * len(sel)
+                        xb = Tensor(x_train[sel])
+                        yb = Tensor(y_train[sel])
+                        self.optimizer.zero_grad()
+                        out = self.model(xb)
+                        loss = self.loss(out, yb)
+                        loss.backward()
+                        if self.grad_clip_norm is not None:
+                            grad_norm = clip_grad_norm(clipped, self.grad_clip_norm)
+                            if obs_on:
+                                g_grad.set(grad_norm)
+                        self.optimizer.step()
+                        epoch_loss += loss.item() * len(sel)
                         if obs_on:
                             h_batch.observe(time.perf_counter() - batch_t0)
                             c_batches.inc()
@@ -222,12 +203,6 @@ class Trainer:
                         g_val.set(logs["val_loss"])
                     if epoch_dt > 0:
                         g_tput.set(n / epoch_dt)
-
-                if verbose:  # pragma: no cover - console output
-                    extra = (
-                        f" val_loss={logs.get('val_loss', float('nan')):.5f}" if has_val else ""
-                    )
-                    print(f"epoch {epoch + 1}/{epochs} loss={epoch_loss:.5f}{extra}")
 
                 stop = False
                 for cb in callbacks:

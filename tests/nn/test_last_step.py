@@ -58,9 +58,7 @@ def _integer_valued(net: TCN, rng: np.random.Generator) -> None:
     """
     for block in net.blocks:
         for conv in (block.conv1, block.conv2):
-            v = rng.integers(-1, 2, conv.v.shape)
-            v[~v.any(axis=(1, 2)), 0, 0] = 1  # an all-zero filter's norm gradient is 0/0
-            conv.v.data[...] = v
+            conv.v.data[...] = rng.integers(-1, 2, conv.v.shape)
             _, r = F._weight_norm(conv.v.data, conv.g.data)
             conv.g.data[...] = r + F.WEIGHT_NORM_EPS
             conv.bias.data[...] = rng.integers(-1, 2, conv.bias.shape)

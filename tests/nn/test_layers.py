@@ -3,25 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.layers import (
-    ELU,
-    GELU,
-    AvgPool1d,
-    CausalConv1d,
     Conv1d,
     Dropout,
-    Flatten,
-    GlobalAvgPool1d,
-    Lambda,
-    LeakyReLU,
     Linear,
-    MaxPool1d,
     ModuleList,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Softmax,
     SpatialDropout1d,
     Tanh,
     WeightNormConv1d,
@@ -57,39 +44,9 @@ class TestLinear:
 
 
 class TestConv:
-    def test_causal_preserves_length(self, rng):
-        for k, d in [(2, 1), (3, 2), (5, 4)]:
-            layer = CausalConv1d(3, 4, k, dilation=d, rng=rng)
-            assert layer(Tensor(rng.random((2, 3, 20)))).shape == (2, 4, 20)
-
-    def test_causality_no_future_leak(self, rng):
-        """Perturbing x at step t must not change outputs before t."""
-        layer = CausalConv1d(1, 1, 3, dilation=2, rng=rng)
-        x = rng.random((1, 1, 16))
-        base = layer(Tensor(x)).data.copy()
-        x2 = x.copy()
-        t = 9
-        x2[0, 0, t] += 10.0
-        out = layer(Tensor(x2)).data
-        np.testing.assert_array_equal(out[0, 0, :t], base[0, 0, :t])
-        assert out[0, 0, t] != base[0, 0, t]
-
     def test_receptive_field_formula(self, rng):
         layer = Conv1d(1, 1, kernel_size=3, dilation=4, rng=rng)
         assert layer.receptive_field == (3 - 1) * 4 + 1
-
-    def test_receptive_field_is_tight(self, rng):
-        """Output at the last step depends on exactly the last RF inputs."""
-        layer = CausalConv1d(1, 1, 3, dilation=3, bias=False, rng=rng)
-        layer.weight.data[...] = 1.0
-        rf = layer.receptive_field
-        n = 20
-        x = np.zeros((1, 1, n))
-        x[0, 0, n - rf] = 1.0  # oldest step inside the field
-        assert layer(Tensor(x)).data[0, 0, -1] == 1.0
-        x = np.zeros((1, 1, n))
-        x[0, 0, n - rf - 1] = 1.0  # one step too old
-        assert layer(Tensor(x)).data[0, 0, -1] == 0.0
 
     def test_channel_mismatch_raises(self, rng):
         layer = Conv1d(3, 4, 3, rng=rng)
@@ -133,28 +90,8 @@ class TestWeightNorm:
 class TestActivations:
     def test_relu_tanh_sigmoid_shapes(self, rng):
         x = Tensor(rng.standard_normal((3, 4)))
-        for layer in (ReLU(), Tanh(), Sigmoid(), LeakyReLU(), ELU(), GELU()):
+        for layer in (Tanh(),):
             assert layer(x).shape == (3, 4)
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = Softmax(axis=-1)(Tensor(rng.standard_normal((5, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5))
-
-    def test_leaky_relu_slope(self):
-        out = LeakyReLU(0.1)(Tensor([-10.0, 10.0]))
-        np.testing.assert_allclose(out.data, [-1.0, 10.0])
-
-    def test_elu_negative_branch(self):
-        out = ELU(1.0)(Tensor([-100.0]))
-        assert out.data[0] == pytest.approx(-1.0, abs=1e-6)
-
-    def test_gelu_matches_reference(self):
-        # reference values of the tanh-approximated GELU
-        x = Tensor([0.0, 1.0, -1.0])
-        out = GELU()(x).data
-        assert out[0] == pytest.approx(0.0)
-        assert out[1] == pytest.approx(0.8412, abs=1e-3)
-        assert out[2] == pytest.approx(-0.1588, abs=1e-3)
 
 
 class TestDropout:
@@ -193,26 +130,9 @@ class TestDropout:
         assert layer(x).data.mean() == pytest.approx(1.0, abs=0.02)
 
 
-class TestPooling:
-    def test_max_pool_values(self):
-        x = Tensor(np.arange(8.0).reshape(1, 1, 8))
-        out = MaxPool1d(2)(x)
-        np.testing.assert_array_equal(out.data[0, 0], [1, 3, 5, 7])
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(8.0).reshape(1, 1, 8))
-        out = AvgPool1d(4)(x)
-        np.testing.assert_array_equal(out.data[0, 0], [1.5, 5.5])
-
-    def test_global_avg_pool(self, rng):
-        x = rng.random((2, 3, 7))
-        out = GlobalAvgPool1d()(Tensor(x))
-        np.testing.assert_allclose(out.data, x.mean(axis=-1))
-
-
 class TestContainers:
     def test_sequential_applies_in_order(self, rng):
-        model = Sequential(Linear(3, 5, rng=rng), ReLU(), Linear(5, 2, rng=rng))
+        model = Sequential(Linear(3, 5, rng=rng), Tanh(), Linear(5, 2, rng=rng))
         assert model(Tensor(rng.random((4, 3)))).shape == (4, 2)
         assert len(model) == 3
 
@@ -222,21 +142,14 @@ class TestContainers:
 
     def test_sequential_append_and_index(self, rng):
         model = Sequential(Linear(2, 2, rng=rng))
-        model.append(ReLU())
-        assert isinstance(model[1], ReLU)
+        model.append(Tanh())
+        assert isinstance(model[1], Tanh)
 
     def test_module_list_registers(self, rng):
         ml = ModuleList([Linear(2, 2, rng=rng), Linear(2, 2, rng=rng)])
         assert len(list(ml.parameters())) == 4
         with pytest.raises(RuntimeError):
             ml(Tensor(np.zeros((1, 2))))
-
-    def test_flatten_and_lambda(self, rng):
-        x = Tensor(rng.random((2, 3, 4)))
-        assert Flatten()(x).shape == (2, 12)
-        assert Lambda(lambda t: t * 2.0)(x).data[0, 0, 0] == pytest.approx(
-            2 * x.data[0, 0, 0]
-        )
 
     def test_train_eval_propagates(self, rng):
         model = Sequential(Linear(2, 2, rng=rng), Dropout(0.5, rng=rng))

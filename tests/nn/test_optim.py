@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, AdamW, clip_grad_norm, clip_grad_value
+from repro.nn.optim import Adam, clip_grad_norm
 
 
 def quadratic_param(start=5.0):
@@ -33,14 +33,6 @@ class TestAdam:
             p.grad = np.array([g])
             opt.step()
             assert abs(p.data[0]) == pytest.approx(0.1, rel=1e-3)
-
-    def test_adamw_decouples_decay(self):
-        p = Parameter(np.array([1.0]))
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        # decoupled decay shrinks weight; Adam moment update of zero grad adds nothing
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
@@ -75,14 +67,6 @@ class TestClipping:
         clip_grad_norm([p], max_norm=1.0)
         np.testing.assert_allclose(p.grad, [0.3, 0.4])
 
-    def test_clip_value(self):
-        p = Parameter(np.zeros(3))
-        p.grad = np.array([-5.0, 0.5, 5.0])
-        clip_grad_value([p], 1.0)
-        np.testing.assert_array_equal(p.grad, [-1.0, 0.5, 1.0])
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             clip_grad_norm([], 0.0)
-        with pytest.raises(ValueError):
-            clip_grad_value([], -1.0)

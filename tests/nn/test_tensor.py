@@ -15,12 +15,6 @@ class TestConstruction:
     def test_requires_grad_default_false(self):
         assert not Tensor([1.0]).requires_grad
 
-    def test_factories(self):
-        assert Tensor.zeros(2, 3).shape == (2, 3)
-        assert Tensor.ones(4).data.sum() == 4.0
-        r = Tensor.randn(5, 2, rng=np.random.default_rng(0))
-        assert r.shape == (5, 2)
-
     def test_ensure_passthrough(self):
         t = Tensor([1.0])
         assert Tensor.ensure(t) is t
@@ -150,12 +144,6 @@ class TestNoGrad:
             assert not is_grad_enabled()
         assert is_grad_enabled()
 
-    def test_detach(self):
-        x = Tensor([1.0], requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        assert d.data is x.data
-
 
 class TestReductions:
     def test_sum_axis_values(self):
@@ -169,17 +157,6 @@ class TestReductions:
     def test_var(self):
         x = np.random.default_rng(0).random((5, 3))
         np.testing.assert_allclose(Tensor(x).var(axis=0).data, x.var(axis=0))
-
-    def test_max_min(self):
-        x = np.array([[1.0, 5.0], [3.0, 2.0]])
-        assert Tensor(x).max().item() == 5.0
-        assert Tensor(x).min().item() == 1.0
-        np.testing.assert_array_equal(Tensor(x).max(axis=0).data, [3.0, 5.0])
-
-    def test_max_ties_split_gradient(self):
-        x = Tensor(np.array([2.0, 2.0, 1.0]), requires_grad=True)
-        x.max().backward()
-        np.testing.assert_allclose(x.grad, [0.5, 0.5, 0.0])
 
 
 class TestShapeOps:
@@ -205,13 +182,6 @@ class TestShapeOps:
         x = Tensor(np.arange(3.0), requires_grad=True)
         x[np.array([0, 0, 1])].sum().backward()
         np.testing.assert_array_equal(x.grad, [2, 1, 0])
-
-    def test_pad(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        p = x.pad(((1, 1), (0, 2)))
-        assert p.shape == (4, 4)
-        p.sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
     def test_flatten_from(self):
         x = Tensor(np.zeros((2, 3, 4)))
@@ -255,11 +225,6 @@ class TestElementwise:
     def test_relu(self):
         np.testing.assert_array_equal(
             Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0]
-        )
-
-    def test_clip(self):
-        np.testing.assert_array_equal(
-            Tensor([-2.0, 0.5, 2.0]).clip(0.0, 1.0).data, [0.0, 0.5, 1.0]
         )
 
     def test_abs(self):

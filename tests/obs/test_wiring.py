@@ -64,19 +64,6 @@ class TestTrainerWiring:
         # batch spans are off by default
         assert root.find("train.batch") == []
 
-    def test_batch_spans_opt_in(self, rng):
-        reg = MetricRegistry()
-        model = Sequential(Linear(2, 4, rng=rng), Linear(4, 1, rng=rng))
-        trainer = Trainer(
-            model, Adam(model.parameters(), lr=0.05), MSELoss(),
-            rng=rng, registry=reg, batch_spans=True,
-        )
-        x = rng.random((32, 2))
-        y = x[:, :1]
-        trace.default_tracer().clear()
-        trainer.fit(x, y, epochs=1, batch_size=16)
-        assert len(trace.default_tracer().last.find("train.batch")) == 2
-
 
 class TestServingWiring:
     def test_latency_histogram_and_health(self):

@@ -120,18 +120,6 @@ class TestFaultInjector:
         assert raised == inj.counts["refit_faults"]
         assert 140 < raised < 260
 
-    def test_from_corruption_bridges_trace_config(self):
-        from repro.traces.corruption import CorruptionConfig
-
-        cc = CorruptionConfig(missing_cell_rate=0.05, outlier_rate=0.02, seed=7)
-        cfg = FaultConfig.from_corruption(cc, drop_rate=0.01, refit_failure_rate=0.1)
-        assert cfg.nan_cell_rate == pytest.approx(0.05)
-        assert cfg.nan_row_rate == pytest.approx(cc.missing_row_rate)
-        assert cfg.outlier_rate == pytest.approx(0.02)
-        assert cfg.drop_rate == pytest.approx(0.01)
-        assert cfg.refit_failure_rate == pytest.approx(0.1)
-        assert cfg.seed == 7
-
 
 class TestProcessFault:
     def test_validation(self):
