@@ -6,12 +6,10 @@ each RPTCN addition (FC layer, attention) and each pipeline stage
 the authors sketch (first-order differences, correlation-weighted lags).
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table
 from repro.data.pipeline import PipelineConfig, PredictionPipeline
-from repro.models import RPTCNForecaster
 from repro.traces.generator import ClusterTraceGenerator, TraceConfig
 
 from .conftest import run_once

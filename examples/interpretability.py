@@ -21,7 +21,6 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.data import PipelineConfig, PredictionPipeline
 from repro.models import GBTForecaster, RPTCNForecaster
-from repro.nn.tensor import Tensor
 from repro.traces import ClusterTraceGenerator, TraceConfig
 
 

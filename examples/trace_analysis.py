@@ -10,7 +10,6 @@ Run:  python examples/trace_analysis.py
 from __future__ import annotations
 
 import tempfile
-from pathlib import Path
 
 from repro.analysis.characterization import (
     boxplot_stats_per_window,

@@ -8,28 +8,8 @@ from .characterization import (
     utilization_summary,
 )
 from .convergence import ConvergenceRecord, compare_convergence, epochs_to_threshold
-from .dynamics import detect_changepoints, mutation_density, time_to_track
-from .reporting import (
-    format_table,
-    render_ascii_series,
-    series_to_rows,
-    format_table2,
-)
-from .imbalance import (
-    ImbalanceSummary,
-    cluster_imbalance,
-    cross_resource_imbalance,
-    spatial_imbalance,
-    temporal_imbalance,
-)
-from .timeseries import (
-    ADFResult,
-    Decomposition,
-    acf,
-    adf_test,
-    pacf,
-    seasonal_decompose,
-)
+from .dynamics import time_to_track
+from .reporting import format_table, format_table2, render_ascii_series
 
 __all__ = [
     "BoxplotStats",
@@ -43,19 +23,5 @@ __all__ = [
     "format_table",
     "format_table2",
     "render_ascii_series",
-    "series_to_rows",
-    "acf",
-    "pacf",
-    "adf_test",
-    "ADFResult",
-    "seasonal_decompose",
-    "Decomposition",
-    "spatial_imbalance",
-    "temporal_imbalance",
-    "cross_resource_imbalance",
-    "cluster_imbalance",
-    "ImbalanceSummary",
-    "detect_changepoints",
     "time_to_track",
-    "mutation_density",
 ]

@@ -8,7 +8,6 @@ the paper's qualitative ordering (RPTCN starts lowest and stays lowest).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,69 +1,18 @@
-"""Mutation-point (changepoint) analysis.
+"""Tracking after a mutation point.
 
 The paper's core difficulty claim is that cloud series have *mutation
-points* — abrupt, sustained level changes that periodic models miss.
-This module makes that notion operational:
-
-* :func:`detect_changepoints` — two-sided CUSUM detector over a series,
-  returning the indices of sustained mean shifts;
-* :func:`time_to_track` — how many steps after a changepoint a model's
-  predictions need to re-enter a tolerance band around the truth (the
-  formal version of Fig. 8's "the predicted values have not been
-  corrected since then");
-* :func:`mutation_density` — changepoints per kilo-sample, the
-  "high-dynamic" score used to characterize workloads.
+points*: abrupt, sustained level changes that periodic models miss.
+:func:`time_to_track` measures how many steps after such a point a
+model's predictions need to re-enter a tolerance band around the truth
+(the formal version of Fig. 8's "the predicted values have not been
+corrected since then").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["detect_changepoints", "time_to_track", "mutation_density"]
-
-
-def detect_changepoints(
-    series: np.ndarray,
-    threshold: float = 5.0,
-    drift: float = 0.5,
-    min_gap: int = 10,
-) -> list[int]:
-    """Two-sided CUSUM changepoint detection.
-
-    ``threshold`` and ``drift`` are in units of the series' robust sigma
-    (MAD-based). After each detection the statistics reset and detections
-    within ``min_gap`` samples of the previous one are suppressed, so a
-    single level shift reports once.
-    """
-    series = np.asarray(series, float)
-    if series.ndim != 1 or len(series) < 4:
-        raise ValueError("need a 1-D series with at least 4 points")
-    if threshold <= 0 or drift < 0 or min_gap < 1:
-        raise ValueError("threshold > 0, drift >= 0, min_gap >= 1 required")
-
-    diffs = np.diff(series)
-    mad = np.median(np.abs(diffs - np.median(diffs)))
-    sigma = 1.4826 * mad if mad > 0 else (diffs.std() or 1.0)
-
-    changepoints: list[int] = []
-    mean = series[0]
-    pos = neg = 0.0
-    last_cp = -min_gap
-    n_since_reset = 1
-    for t in range(1, len(series)):
-        # running mean of the current segment
-        z = (series[t] - mean) / sigma
-        pos = max(0.0, pos + z - drift)
-        neg = max(0.0, neg - z - drift)
-        n_since_reset += 1
-        mean += (series[t] - mean) / n_since_reset
-        if pos > threshold or neg > threshold:
-            if t - last_cp >= min_gap:
-                changepoints.append(t)
-                last_cp = t
-            pos = neg = 0.0
-            mean = series[t]
-            n_since_reset = 1
-    return changepoints
+__all__ = ["time_to_track"]
 
 
 def time_to_track(
@@ -97,8 +46,3 @@ def time_to_track(
             return i - sustain + 1
     return None
 
-
-def mutation_density(series: np.ndarray, **detector_kwargs) -> float:
-    """Changepoints per 1000 samples — a workload's high-dynamic score."""
-    cps = detect_changepoints(series, **detector_kwargs)
-    return 1000.0 * len(cps) / len(series)

@@ -1,8 +1,8 @@
 """Plain-text rendering of tables and figure data.
 
 The benchmark harness prints regenerated paper artifacts to stdout; these
-helpers format them: aligned tables (Table II), ASCII sparkline charts
-(Figs. 8-10 shape checks), and row dumps for external plotting.
+helpers format them as aligned tables (Table II) and ASCII sparkline
+charts (Figs. 8-10 shape checks).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_table2", "render_ascii_series", "series_to_rows"]
+__all__ = ["format_table", "format_table2", "render_ascii_series"]
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -94,19 +94,3 @@ def render_ascii_series(
     prefix = f"{label:12s} " if label else ""
     return f"{prefix}[{lo:.3f}..{hi:.3f}] {chart}"
 
-
-def series_to_rows(
-    named_series: dict[str, np.ndarray], index_name: str = "t"
-) -> list[list]:
-    """Zip several aligned series into printable rows (figure data dumps)."""
-    if not named_series:
-        raise ValueError("no series given")
-    lengths = {len(v) for v in named_series.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"series lengths differ: { {k: len(v) for k, v in named_series.items()} }")
-    n = lengths.pop()
-    keys = list(named_series)
-    rows = [[index_name, *keys]]
-    for i in range(n):
-        rows.append([i, *[float(named_series[k][i]) for k in keys]])
-    return rows

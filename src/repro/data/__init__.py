@@ -5,7 +5,7 @@ Each stage of the paper's Algorithm 1 is a standalone, testable module;
 ``PredictionPipeline`` that feeds any :mod:`repro.models` forecaster.
 """
 
-from .cleaning import CleaningReport, clean_entity, clean_matrix
+from .cleaning import CleaningReport, clean_matrix
 from .correlation import (
     correlation_matrix,
     pearson,
@@ -15,11 +15,10 @@ from .correlation import (
 from .expansion import (
     difference_expand,
     horizontal_expand,
-    vertical_expand,
     weighted_horizontal_expand,
 )
 from .pipeline import PipelineConfig, PredictionPipeline, PipelineResult
-from .scaling import MinMaxScaler, StandardScaler
+from .scaling import MinMaxScaler
 from .windowing import (
     SplitIndices,
     WindowDataset,
@@ -29,18 +28,15 @@ from .windowing import (
 
 __all__ = [
     "CleaningReport",
-    "clean_entity",
     "clean_matrix",
     "pearson",
     "correlation_matrix",
     "rank_by_correlation",
     "select_top_half",
     "horizontal_expand",
-    "vertical_expand",
     "difference_expand",
     "weighted_horizontal_expand",
     "MinMaxScaler",
-    "StandardScaler",
     "make_windows",
     "chronological_split",
     "SplitIndices",

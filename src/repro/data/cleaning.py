@@ -9,13 +9,11 @@ recorded in a :class:`CleaningReport` for auditability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..traces.schema import EntityTrace
-
-__all__ = ["CleaningReport", "clean_matrix", "clean_entity"]
+__all__ = ["CleaningReport", "clean_matrix"]
 
 
 @dataclass(frozen=True)
@@ -118,12 +116,3 @@ def clean_matrix(
     )
     return timestamps, values, report
 
-
-def clean_entity(
-    entity: EntityTrace, *, policy: str = "drop", winsorize_z: float | None = None
-) -> tuple[EntityTrace, CleaningReport]:
-    """Clean one entity's log, returning a new :class:`EntityTrace`."""
-    ts, vals, report = clean_matrix(
-        entity.timestamps, entity.values, policy=policy, winsorize_z=winsorize_z
-    )
-    return replace(entity, timestamps=ts, values=vals), report

@@ -30,6 +30,10 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"pearson expects equal-length 1-D arrays, got {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise ValueError("need at least two samples")
+    # ρ is scale-invariant: a unit largest magnitude keeps the sums of
+    # squares of a tiny series from underflowing
+    x = x / (np.abs(x).max() or 1.0)
+    y = y / (np.abs(y).max() or 1.0)
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc**2).sum() * (yc**2).sum())
@@ -43,7 +47,6 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, float)
     if values.ndim != 2:
         raise ValueError(f"expected (T, k) matrix, got shape {values.shape}")
-    k = values.shape[1]
     centered = values - values.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     safe = np.where(norms == 0.0, 1.0, norms)

@@ -6,8 +6,9 @@ axis with lagged copies of each indicator: ``r`` becomes
 short-term-neighbouring moments and extends the effective time span seen
 by a fixed-length window without lengthening it.
 
-*Vertical* expansion (Fig. 4a) lengthens the per-indicator history — i.e.
-it is a window-length multiplier applied at windowing time.
+*Vertical* expansion (Fig. 4a) lengthens the per-indicator history, so
+it needs no function here: it is a longer ``window`` passed to
+:func:`repro.data.windowing.make_windows`.
 
 The §V-C "future work" variants are implemented too: first-order
 difference features and correlation-weighted lag counts.
@@ -19,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "horizontal_expand",
-    "vertical_expand",
     "difference_expand",
     "weighted_horizontal_expand",
 ]
@@ -60,20 +60,6 @@ def horizontal_expand(
             blocks.append(values[max_lag - lag : max_lag - lag + out_rows, j])
             out_names.append(f"{names[j]}_lag{lag}")
     return np.column_stack(blocks), out_names
-
-
-def vertical_expand(window_size: int, factor: int = 2) -> int:
-    """Paper Fig. 4(a): lengthen each indicator's history.
-
-    Vertical expansion does not change the feature matrix — it feeds a
-    longer slice of every column into the model, i.e. it multiplies the
-    sliding-window length used by :func:`repro.data.windowing.make_windows`.
-    The paper notes it "will cost more time on training the model";
-    the ablation benchmark quantifies that trade-off.
-    """
-    if window_size < 1 or factor < 1:
-        raise ValueError(f"window_size and factor must be >= 1, got {window_size}, {factor}")
-    return window_size * factor
 
 
 def difference_expand(

@@ -3,38 +3,32 @@
 The paper normalizes with the max-min method (eq. 1):
 ``x_norm = (x - X_min) / (X_max - X_min)``. :class:`MinMaxScaler`
 implements exactly that with a fitted inverse for de-normalizing
-predictions back to utilization percent; :class:`StandardScaler` is
-provided for ablations.
+predictions back to utilization percent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MinMaxScaler", "StandardScaler"]
+__all__ = ["MinMaxScaler"]
 
 
-class _FittedScaler:
-    _fitted: bool = False
-
-    def _check_fitted(self) -> None:
-        if not self._fitted:
-            raise RuntimeError(f"{type(self).__name__} must be fitted before use")
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-
-class MinMaxScaler(_FittedScaler):
+class MinMaxScaler:
     """Per-column min-max normalization to ``[0, 1]`` (paper eq. 1).
 
     Constant columns map to 0 (the paper's formula would divide by zero;
     zero is the conventional choice and keeps the inverse exact).
     """
 
+    _fitted: bool = False
+
     def __init__(self) -> None:
         self.min_: np.ndarray | None = None
         self.max_: np.ndarray | None = None
+
+    def _check_fitted(self) -> None:
+        if not self._fitted:
+            raise RuntimeError(f"{type(self).__name__} must be fitted before use")
 
     def fit(self, x: np.ndarray) -> "MinMaxScaler":
         x = np.asarray(x, float)
@@ -46,6 +40,9 @@ class MinMaxScaler(_FittedScaler):
         self.max_ = x.max(axis=0)
         self._fitted = True
         return self
+
+    def fit_transform(self, x: np.ndarray) -> np.ndarray:
+        return self.fit(x).transform(x)
 
     def _span(self) -> np.ndarray:
         span = self.max_ - self.min_
@@ -76,40 +73,3 @@ class MinMaxScaler(_FittedScaler):
         span = self._span()
         return np.asarray(x, float) * span[column] + self.min_[column]
 
-
-class StandardScaler(_FittedScaler):
-    """Per-column z-score scaling; constant columns get unit sigma."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.std_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "StandardScaler":
-        x = np.asarray(x, float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if np.isnan(x).any():
-            raise ValueError("StandardScaler.fit received NaNs; clean the data first")
-        self.mean_ = x.mean(axis=0)
-        std = x.std(axis=0)
-        self.std_ = np.where(std == 0.0, 1.0, std)
-        self._fitted = True
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        x = np.asarray(x, float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        out = (x - self.mean_) / self.std_
-        return out[:, 0] if squeeze else out
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        x = np.asarray(x, float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        out = x * self.std_ + self.mean_
-        return out[:, 0] if squeeze else out

@@ -40,7 +40,7 @@ from .parallel import (
     shutdown_pools,
     warm_pool,
 )
-from .persistence import load_result, save_result, to_jsonable
+from .persistence import to_jsonable
 from .resilience import ResilienceLevelResult, ResilienceResult, run_resilience
 from .robustness import (
     RobustnessResult,
@@ -85,8 +85,6 @@ __all__ = [
     "run_generalization_target",
     "generalization_tasks",
     "GeneralizationResult",
-    "save_result",
-    "load_result",
     "to_jsonable",
     "TaskSpec",
     "TaskResult",

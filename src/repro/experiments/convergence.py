@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..analysis.convergence import ConvergenceRecord, compare_convergence
 from ..data.pipeline import PipelineConfig, PredictionPipeline
 from ..traces.generator import ClusterTraceGenerator, TraceConfig

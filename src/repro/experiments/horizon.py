@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..data.pipeline import PipelineConfig, PredictionPipeline
 from ..traces.generator import ClusterTraceGenerator, TraceConfig
 from .accuracy import model_kwargs_for

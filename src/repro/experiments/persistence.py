@@ -1,24 +1,19 @@
-"""Persist experiment results to JSON for longitudinal comparison.
+"""Convert experiment results to plain JSON types.
 
-Reproduction runs accumulate: saving each harness's output lets CI diff
-today's shape against yesterday's and lets EXPERIMENTS.md cite a concrete
-artifact. Only plain-JSON types are written; numpy scalars/arrays are
-converted on the way out.
+:func:`to_jsonable` turns result objects (dataclasses, numpy scalars and
+arrays, tuple keys) into JSON-ready values. The result cache
+(:mod:`repro.experiments.cache`) keys tasks by the converted parameters
+and stores converted results.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, is_dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..ioutil import atomic_write_json
-
-__all__ = ["to_jsonable", "save_result", "load_result"]
+__all__ = ["to_jsonable"]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -45,17 +40,3 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
-
-def save_result(result: Any, path: str | Path, experiment: str = "") -> Path:
-    """Atomically write a result object with provenance metadata."""
-    payload = {
-        "experiment": experiment,
-        "written_at": datetime.now(timezone.utc).isoformat(),
-        "result": to_jsonable(result),
-    }
-    return atomic_write_json(path, payload)
-
-
-def load_result(path: str | Path) -> dict:
-    """Load a previously saved result payload."""
-    return json.loads(Path(path).read_text())

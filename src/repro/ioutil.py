@@ -11,14 +11,13 @@ the final rename cannot cross filesystems) and publishes them with
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
-__all__ = ["atomic_output", "atomic_write_bytes", "atomic_write_json"]
+__all__ = ["atomic_output", "atomic_write_bytes"]
 
 
 @contextmanager
@@ -54,17 +53,3 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     with atomic_output(path) as tmp:
         tmp.write_bytes(data)
 
-
-def atomic_write_json(path: str | Path, obj: Any, indent: int | None = 2) -> Path:
-    """Serialize ``obj`` as JSON and publish it atomically; returns the path.
-
-    ``obj`` must already be JSON-serializable (see
-    ``repro.experiments.persistence.to_jsonable`` for the converter the
-    result writers use). Keys are sorted so identical payloads produce
-    identical bytes — a property the experiment result cache relies on.
-    """
-    path = Path(path)
-    text = json.dumps(obj, indent=indent, sort_keys=True) + "\n"
-    with atomic_output(path, suffix=path.suffix or ".tmp") as tmp:
-        tmp.write_text(text)
-    return path

@@ -17,7 +17,7 @@ from .bilstm import BiLSTMForecaster
 from .clustered import ClusteredForecaster, KMeans, window_features
 from .cnn_lstm import CNNLSTMForecaster
 from .ensemble import EnsembleForecaster, HybridARIMANNForecaster
-from .exponential import HoltForecaster, holt_linear, simple_exponential_smoothing
+from .exponential import HoltForecaster, holt_linear
 from .gbt import GradientBoostedTrees, GBTForecaster, RegressionTree
 from .gru import GRUForecaster
 from .gru_pruned import PrunedGRUForecaster
@@ -57,7 +57,6 @@ __all__ = [
     "MLPForecaster",
     "HoltForecaster",
     "holt_linear",
-    "simple_exponential_smoothing",
     "grid_search",
     "GridSearchResult",
     "TrialResult",

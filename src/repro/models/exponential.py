@@ -1,10 +1,11 @@
-"""Exponential-smoothing forecasters (simple and Holt's linear trend).
+"""Holt's linear-trend exponential-smoothing forecaster.
 
-Classical one-pass baselines from the workload-prediction literature the
-paper surveys (§VI-A). Both fit their smoothing constants by grid search
-on the training series' one-step error and then forecast each evaluation
+A classical one-pass baseline from the workload-prediction literature the
+paper surveys (§VI-A). It fits its smoothing constants by grid search on
+the training series' one-step error and then forecasts each evaluation
 window independently from its own history, mirroring the ARIMA wrapper's
-rolling protocol.
+rolling protocol. :func:`holt_linear` is the scalar recursion that the
+vectorized fit and predict reproduce.
 """
 
 from __future__ import annotations
@@ -13,26 +14,7 @@ import numpy as np
 
 from .base import Forecaster, register_forecaster
 
-__all__ = ["simple_exponential_smoothing", "holt_linear", "HoltForecaster"]
-
-
-def simple_exponential_smoothing(series: np.ndarray, alpha: float) -> np.ndarray:
-    """Level estimates ``l_t = alpha * x_t + (1 - alpha) * l_{t-1}``.
-
-    Returns the level after observing each point; the one-step forecast
-    for ``t+1`` is ``l_t``.
-    """
-    series = np.asarray(series, float)
-    if series.ndim != 1 or len(series) == 0:
-        raise ValueError(f"series must be non-empty 1-D, got shape {series.shape}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    from scipy.signal import lfilter
-
-    # l_t - (1-alpha) l_{t-1} = alpha x_t, seeded with l_0 = x_0
-    levels = lfilter([alpha], [1.0, -(1.0 - alpha)], series,
-                     zi=[(1.0 - alpha) * series[0]])[0]
-    return levels
+__all__ = ["holt_linear", "HoltForecaster"]
 
 
 def holt_linear(

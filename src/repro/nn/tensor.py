@@ -234,9 +234,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -429,24 +426,6 @@ class Tensor:
 
     # -- elementwise nonlinearities -----------------------------------------
 
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._from_op(data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
 
@@ -486,15 +465,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * mask)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
 
         return Tensor._from_op(data, (self,), backward)
 

@@ -21,20 +21,19 @@ from __future__ import annotations
 
 from . import export, profile, registry, trace
 from .export import jsonl_text, prometheus_text, summary, write_snapshot
-from .profile import profile_block, profiled
+from .profile import profiled
 from .registry import (
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRegistry,
     default_registry,
     get_registry,
     log_buckets,
     set_default_registry,
     use_registry,
 )
-from .trace import Span, Tracer, current_span, default_tracer, set_clock, span, use_clock
+from .trace import Span, Tracer, default_tracer, set_clock, span, use_clock
 
 __all__ = [
     "registry",
@@ -45,7 +44,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NullRegistry",
     "log_buckets",
     "default_registry",
     "set_default_registry",
@@ -54,7 +52,6 @@ __all__ = [
     "Span",
     "Tracer",
     "span",
-    "current_span",
     "default_tracer",
     "set_clock",
     "use_clock",
@@ -63,7 +60,6 @@ __all__ = [
     "summary",
     "write_snapshot",
     "profiled",
-    "profile_block",
     "set_enabled",
     "is_enabled",
 ]

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .registry import MetricRegistry, get_registry, is_enabled, log_buckets
 
-__all__ = ["profiled", "profile_block"]
+__all__ = ["profiled"]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -83,29 +82,3 @@ def profiled(
         return wrapper  # type: ignore[return-value]
 
     return decorate if fn is None else decorate(fn)
-
-
-@contextmanager
-def profile_block(
-    name: str, registry: MetricRegistry | None = None
-) -> Iterator[None]:
-    """Time an ad-hoc code block into the same ``profiled_*`` metrics."""
-    if not is_enabled():
-        yield
-        return
-    reg = get_registry(registry)
-    labels = {"function": name}
-    reg.counter("profiled_calls_total", "calls into profiled functions", labels).inc()
-    t0 = time.perf_counter()
-    try:
-        yield
-    except BaseException:
-        reg.counter("profiled_errors_total", "profiled calls that raised", labels).inc()
-        raise
-    finally:
-        reg.histogram(
-            "profiled_seconds",
-            "latency of profiled functions",
-            labels,
-            buckets=_PROFILE_BUCKETS,
-        ).observe(time.perf_counter() - t0)

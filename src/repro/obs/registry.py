@@ -43,7 +43,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NullRegistry",
     "log_buckets",
     "default_registry",
     "set_default_registry",
@@ -493,19 +492,6 @@ class MetricRegistry:
             self._shared.clear()
             self._owned.clear()
             self._collectors.clear()
-
-
-class NullRegistry(MetricRegistry):
-    """A registry that records nothing — handy as an explicit off switch."""
-
-    def _get_or_create(self, cls, name, help, labels, **kwargs):
-        return cls(name, help, labels, **kwargs)  # fresh, never stored
-
-    def register(self, instrument: _Instrument) -> _Instrument:
-        return instrument
-
-    def add_collector(self, fn, name=None) -> None:
-        return None
 
 
 # ---------------------------------------------------------------------------

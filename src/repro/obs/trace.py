@@ -31,7 +31,6 @@ __all__ = [
     "Span",
     "Tracer",
     "span",
-    "current_span",
     "default_tracer",
     "set_enabled",
     "set_clock",
@@ -290,11 +289,6 @@ def default_tracer() -> Tracer:
 def span(name: str) -> Span:
     """Open a span on the process-default tracer."""
     return _default_tracer.span(name)
-
-
-def current_span() -> Span | None:
-    """Innermost open span on the default tracer (this thread)."""
-    return _default_tracer.current()
 
 
 def set_enabled(flag: bool) -> bool:

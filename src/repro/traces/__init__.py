@@ -11,12 +11,11 @@ paper reports about the real trace — see ``DESIGN.md`` §2.
 from .corruption import CorruptionConfig, corrupt_trace
 from .generator import ClusterTraceGenerator, TraceConfig, generate_cluster_cached
 from .io import read_trace_csv, write_trace_csv
-from .presets import PRESETS, preset
+from .presets import PRESETS
 from .schema import (
     CONTAINER_COLUMNS,
     INDICATORS,
     MACHINE_COLUMNS,
-    ContainerKind,
     EntityTrace,
     ClusterTrace,
     indicator_names,
@@ -38,7 +37,6 @@ __all__ = [
     "indicator_names",
     "EntityTrace",
     "ClusterTrace",
-    "ContainerKind",
     "ClusterTraceGenerator",
     "generate_cluster_cached",
     "TraceConfig",
@@ -54,5 +52,4 @@ __all__ = [
     "spiky_batch_load",
     "mutation_load",
     "PRESETS",
-    "preset",
 ]

@@ -1,17 +1,16 @@
 """Named cluster presets — one-line construction of common trace shapes.
 
-Each preset returns a ready :class:`~repro.traces.generator.TraceConfig`
-so examples, tests and user code share calibrated starting points instead
-of re-deriving knob values.
+``PRESETS[name]()`` returns a ready
+:class:`~repro.traces.generator.TraceConfig`, so user code and tests share
+calibrated starting points instead of re-deriving knob values; override
+fields with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .generator import TraceConfig
 
-__all__ = ["PRESETS", "preset"]
+__all__ = ["PRESETS"]
 
 
 def _dev() -> TraceConfig:
@@ -57,14 +56,3 @@ PRESETS = {
     "high_dynamic": _high_dynamic,
 }
 
-
-def preset(name: str, **overrides) -> TraceConfig:
-    """Fetch a preset config, optionally overriding fields.
-
-    >>> cfg = preset("dev", seed=7, n_steps=800)
-    """
-    try:
-        cfg = PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
-    return replace(cfg, **overrides) if overrides else cfg

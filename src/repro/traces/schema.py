@@ -10,7 +10,6 @@ library operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "MACHINE_COLUMNS",
     "CONTAINER_COLUMNS",
     "indicator_names",
-    "ContainerKind",
     "EntityTrace",
     "ClusterTrace",
 ]
@@ -68,13 +66,6 @@ CONTAINER_COLUMNS: tuple[str, ...] = (
     "time_stamp",
     *indicator_names(),
 )
-
-
-class ContainerKind(str, Enum):
-    """Workload co-location classes the trace mixes on each machine."""
-
-    ONLINE_SERVICE = "online"
-    BATCH_JOB = "batch"
 
 
 @dataclass

@@ -1,14 +1,7 @@
 """Training loop, callbacks and evaluation metrics."""
 
-from .callbacks import (
-    Callback,
-    CSVLogger,
-    EarlyStopping,
-    History,
-    LambdaCallback,
-    ModelCheckpoint,
-)
-from .metrics import mae, mape, mse, r2_score, rmse, smape
+from .callbacks import Callback, EarlyStopping
+from .metrics import mae, mse, rmse
 from .trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -16,14 +9,7 @@ __all__ = [
     "TrainingHistory",
     "Callback",
     "EarlyStopping",
-    "ModelCheckpoint",
-    "CSVLogger",
-    "History",
-    "LambdaCallback",
     "mse",
     "mae",
     "rmse",
-    "mape",
-    "smape",
-    "r2_score",
 ]

@@ -1,28 +1,20 @@
-"""Training callbacks.
+"""Training callbacks: the :class:`Callback` hooks and early stopping.
 
 :class:`EarlyStopping` reproduces the paper's setup: "we use the callback
 function EarlyStopping to prevent model overfitting, and the parameter
 *patience* is 10" (§IV-A), including Keras' restore-best-weights option.
+Per-epoch logs need no callback: they come back in the
+:class:`~repro.training.trainer.TrainingHistory` that
+:meth:`~repro.training.trainer.Trainer.fit` returns.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
-from typing import Callable
 
-from ..ioutil import atomic_output
 from ..nn.module import Module
 
-__all__ = [
-    "Callback",
-    "EarlyStopping",
-    "ModelCheckpoint",
-    "CSVLogger",
-    "History",
-    "LambdaCallback",
-]
+__all__ = ["Callback", "EarlyStopping"]
 
 
 class Callback:
@@ -93,108 +85,3 @@ class EarlyStopping(Callback):
         if self.restore_best_weights and self._best_state is not None:
             model.load_state_dict(self._best_state)
 
-
-class ModelCheckpoint(Callback):
-    """Save model weights whenever the monitored metric improves.
-
-    Writes are crash-safe: :meth:`Module.save` stages the archive in a
-    temp file and publishes it with ``os.replace``, so a process killed
-    mid-epoch never leaves a truncated ``.npz`` over the last good
-    checkpoint.
-    """
-
-    def __init__(self, path: str | Path, monitor: str = "val_loss") -> None:
-        self.path = Path(path)
-        self.monitor = monitor
-        self.best = math.inf
-
-    def on_epoch_end(self, epoch: int, logs: dict[str, float], model: Module) -> None:
-        current = logs.get(self.monitor)
-        if current is None:
-            raise KeyError(
-                f"ModelCheckpoint monitors {self.monitor!r} but logs only has {sorted(logs)}"
-            )
-        if current < self.best:
-            self.best = current
-            model.save(self.path)
-
-
-class CSVLogger(Callback):
-    """Log one row of epoch logs per epoch to a CSV file.
-
-    Every epoch republishes the whole log through
-    :func:`repro.ioutil.atomic_output`, so a process killed mid-epoch
-    leaves the previous epoch's complete file rather than a truncated
-    row. Epoch counts are small (hundreds), so the rewrite is noise next
-    to the epoch itself.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._keys: list[str] | None = None
-        self._rows: list[list[float]] = []
-
-    def _publish(self) -> None:
-        with atomic_output(self.path, suffix=".csv") as tmp:
-            with tmp.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                if self._keys is not None:
-                    writer.writerow(["epoch", *self._keys])
-                    writer.writerows(self._rows)
-
-    def on_train_begin(self, model: Module) -> None:
-        self._keys = None
-        self._rows = []
-        self._publish()
-
-    def on_epoch_end(self, epoch: int, logs: dict[str, float], model: Module) -> None:
-        if self._keys is None:
-            self._keys = sorted(logs)
-        self._rows.append([epoch, *[logs[k] for k in self._keys]])
-        self._publish()
-
-
-class History(Callback):
-    """Accumulate per-epoch logs in memory (Figs. 9-10 convergence data)."""
-
-    def __init__(self) -> None:
-        self.epochs: list[int] = []
-        self.records: dict[str, list[float]] = {}
-
-    def on_train_begin(self, model: Module) -> None:
-        self.epochs.clear()
-        self.records.clear()
-
-    def on_epoch_end(self, epoch: int, logs: dict[str, float], model: Module) -> None:
-        self.epochs.append(epoch)
-        for key, value in logs.items():
-            self.records.setdefault(key, []).append(value)
-
-    def __getitem__(self, key: str) -> list[float]:
-        return self.records[key]
-
-
-class LambdaCallback(Callback):
-    """Adapt plain functions into a callback."""
-
-    def __init__(
-        self,
-        on_epoch_end: Callable[[int, dict[str, float], Module], None] | None = None,
-        on_train_begin: Callable[[Module], None] | None = None,
-        on_train_end: Callable[[Module], None] | None = None,
-    ) -> None:
-        self._epoch_end = on_epoch_end
-        self._train_begin = on_train_begin
-        self._train_end = on_train_end
-
-    def on_train_begin(self, model: Module) -> None:
-        if self._train_begin:
-            self._train_begin(model)
-
-    def on_epoch_end(self, epoch: int, logs: dict[str, float], model: Module) -> None:
-        if self._epoch_end:
-            self._epoch_end(epoch, logs, model)
-
-    def on_train_end(self, model: Module) -> None:
-        if self._train_end:
-            self._train_end(model)

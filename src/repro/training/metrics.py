@@ -1,8 +1,8 @@
 """Evaluation metrics.
 
 MSE (paper eq. 9) and MAE (paper eq. 10) are the two metrics Table II
-reports; the rest are standard companions used by the extended analyses.
-All metrics accept arrays of any matching shape and reduce over every
+reports; the prediction pipeline also reports their companion RMSE. All
+metrics accept arrays of any matching shape and reduce over every
 element.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "mae", "rmse", "mape", "smape", "r2_score"]
+__all__ = ["mse", "mae", "rmse"]
 
 
 def _check(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -38,26 +38,3 @@ def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(mse(y_true, y_pred)))
 
-
-def mape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-8) -> float:
-    """Mean absolute percentage error; near-zero truths are floored at eps."""
-    y_true, y_pred = _check(y_true, y_pred)
-    denom = np.maximum(np.abs(y_true), eps)
-    return float(np.mean(np.abs(y_true - y_pred) / denom) * 100.0)
-
-
-def smape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-8) -> float:
-    """Symmetric MAPE in [0, 200]."""
-    y_true, y_pred = _check(y_true, y_pred)
-    denom = np.maximum((np.abs(y_true) + np.abs(y_pred)) / 2.0, eps)
-    return float(np.mean(np.abs(y_true - y_pred) / denom) * 100.0)
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; 0 for a constant truth fitted exactly."""
-    y_true, y_pred = _check(y_true, y_pred)
-    ss_res = float(((y_true - y_pred) ** 2).sum())
-    ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot

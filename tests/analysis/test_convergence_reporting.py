@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.convergence import compare_convergence, epochs_to_threshold
-from repro.analysis.reporting import (
-    format_table,
-    format_table2,
-    render_ascii_series,
-    series_to_rows,
-)
+from repro.analysis.reporting import format_table, format_table2, render_ascii_series
 
 
 class TestEpochsToThreshold:
@@ -92,18 +87,3 @@ class TestAscii:
         with pytest.raises(ValueError):
             render_ascii_series(np.array([]))
 
-
-class TestRows:
-    def test_series_to_rows(self):
-        rows = series_to_rows({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
-        assert rows[0] == ["t", "a", "b"]
-        assert rows[1] == [0, 1.0, 3.0]
-        assert rows[2] == [1, 2.0, 4.0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            series_to_rows({"a": np.zeros(2), "b": np.zeros(3)})
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            series_to_rows({})

@@ -1,63 +1,14 @@
-"""Changepoint-detection and time-to-track tests."""
+"""Time-to-track tests."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.dynamics import (
-    detect_changepoints,
-    mutation_density,
-    time_to_track,
-)
+from repro.analysis.dynamics import time_to_track
 
 
 def step_series(rng, n=400, cp=200, low=0.2, high=0.7, noise=0.02):
     series = np.concatenate([np.full(cp, low), np.full(n - cp, high)])
     return series + rng.normal(0, noise, n)
-
-
-class TestDetect:
-    def test_finds_single_step(self, rng):
-        series = step_series(rng)
-        cps = detect_changepoints(series)
-        assert len(cps) >= 1
-        assert min(abs(c - 200) for c in cps) <= 10
-
-    def test_no_false_alarm_on_stationary_noise(self, rng):
-        series = 0.5 + rng.normal(0, 0.02, 2000)
-        assert detect_changepoints(series, threshold=8.0) == []
-
-    def test_two_steps_found(self, rng):
-        series = np.concatenate(
-            [np.full(200, 0.2), np.full(200, 0.7), np.full(200, 0.3)]
-        ) + rng.normal(0, 0.02, 600)
-        cps = detect_changepoints(series)
-        assert len(cps) >= 2
-        assert min(abs(c - 200) for c in cps) <= 10
-        assert min(abs(c - 400) for c in cps) <= 10
-
-    def test_min_gap_suppresses_duplicates(self, rng):
-        series = step_series(rng)
-        cps = detect_changepoints(series, min_gap=50)
-        gaps = np.diff(cps)
-        assert (gaps >= 50).all() if len(cps) > 1 else True
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_changepoints(np.zeros(2))
-        with pytest.raises(ValueError):
-            detect_changepoints(np.zeros(100), threshold=0)
-
-    def test_regime_switching_denser_than_stationary(self, rng):
-        """The high-dynamic archetype scores far above stationary noise.
-
-        (A smooth sinusoid is itself a continuous mean shift to CUSUM, so
-        the clean contrast is against a level-stationary series.)
-        """
-        from repro.traces.workloads import regime_switching_load
-
-        reg = regime_switching_load(4000, rng, dwell_mean=150, noise=0.02)
-        flat = 0.5 + rng.normal(0, 0.02, 4000)
-        assert mutation_density(reg) > 5 * max(mutation_density(flat), 0.25)
 
 
 class TestTimeToTrack:

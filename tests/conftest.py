@@ -1,11 +1,25 @@
-"""Shared fixtures and numerical-gradient helpers."""
+"""Shared fixtures, numerical-gradient helpers and hypothesis profiles.
+
+Hypothesis runs under the ``tier1`` profile: derandomized, so every run
+draws the same examples and a failure reproduces on rerun. Each test
+keeps its own ``max_examples``. Set ``HYPOTHESIS_PROFILE=weekly`` for
+fresh random draws that print a reproduction blob on failure; CI's
+scheduled run does.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.nn.tensor import Tensor
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("weekly", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

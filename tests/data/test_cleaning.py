@@ -1,9 +1,11 @@
 """DataClean stage tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.data.cleaning import clean_entity, clean_matrix
+from repro.data.cleaning import clean_matrix
 from repro.traces.corruption import CorruptionConfig, corrupt_entity
 from repro.traces.generator import ClusterTraceGenerator, TraceConfig
 
@@ -85,7 +87,8 @@ class TestEntityIntegration:
         entity = gen.generate().containers[0]
         rng = np.random.default_rng(0)
         dirty = corrupt_entity(entity, CorruptionConfig(seed=0), rng)
-        cleaned, report = clean_entity(dirty, policy="drop")
+        ts, vals, report = clean_matrix(dirty.timestamps, dirty.values, policy="drop")
+        cleaned = replace(dirty, timestamps=ts, values=vals)
         assert not np.isnan(cleaned.values).any()
         assert cleaned.complete_mask().all()
         assert report.n_output <= report.n_input

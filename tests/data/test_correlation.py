@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,6 +48,8 @@ class TestPearson:
 
     @given(series)
     @settings(max_examples=50, deadline=None)
+    @example(np.array([1.36e-81, 0, 0, 0, 0, 0, 0]))  # sums of squares underflowed
+    @example(np.array([1e-170, 0, 0, 0, 0, 0, 0]))
     def test_self_correlation_property(self, x):
         r = pearson(x, x)
         assert r == pytest.approx(1.0) or r == 0.0  # 0 iff constant

@@ -6,7 +6,6 @@ import pytest
 from repro.data.expansion import (
     difference_expand,
     horizontal_expand,
-    vertical_expand,
     weighted_horizontal_expand,
 )
 
@@ -53,18 +52,6 @@ class TestHorizontal:
             horizontal_expand(matrix[:2], lags=(5, 0))
         with pytest.raises(ValueError):
             horizontal_expand(matrix, ["only_one"])
-
-
-class TestVertical:
-    def test_multiplies_window(self):
-        assert vertical_expand(12, 2) == 24
-        assert vertical_expand(12) == 24
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            vertical_expand(0)
-        with pytest.raises(ValueError):
-            vertical_expand(12, 0)
 
 
 class TestDifference:

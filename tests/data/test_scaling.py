@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.data.scaling import MinMaxScaler, StandardScaler
+from repro.data.scaling import MinMaxScaler
 
 finite_matrix = arrays(
     np.float64,
@@ -67,23 +67,3 @@ class TestMinMax:
         x = np.array([[1.0], [np.nan]])
         with pytest.raises(ValueError, match="NaN"):
             MinMaxScaler().fit(x)
-
-
-class TestStandard:
-    def test_zero_mean_unit_std(self, rng):
-        x = rng.normal(5, 3, size=(500, 2))
-        out = StandardScaler().fit_transform(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
-
-    @given(finite_matrix)
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_roundtrip_property(self, x):
-        sc = StandardScaler().fit(x)
-        back = sc.inverse_transform(sc.transform(x))
-        np.testing.assert_allclose(back, x, atol=1e-6 * (1 + np.abs(x).max()))
-
-    def test_constant_column_safe(self):
-        x = np.full((10, 1), 3.0)
-        out = StandardScaler().fit_transform(x)
-        np.testing.assert_array_equal(out, np.zeros((10, 1)))

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.data.scaling import MinMaxScaler, StandardScaler
+from repro.data.scaling import MinMaxScaler
 
 
 class TestOutOfTrainingRange:
     """With train-only fitting (the pipeline's protocol), evaluation data
-    can exceed [0, 1]; the scalers must pass it through linearly."""
+    can exceed [0, 1]; the scaler must pass it through linearly."""
 
     def test_minmax_extrapolates_linearly(self):
         sc = MinMaxScaler().fit(np.array([[0.0], [10.0]]))
@@ -16,12 +16,6 @@ class TestOutOfTrainingRange:
         np.testing.assert_allclose(out[:, 0], [2.0, -1.0])
         back = sc.inverse_transform(out)
         np.testing.assert_allclose(back[:, 0], [20.0, -10.0])
-
-    def test_standard_extrapolates_linearly(self):
-        sc = StandardScaler().fit(np.array([[0.0], [2.0]]))
-        out = sc.transform(np.array([[4.0]]))
-        back = sc.inverse_transform(out)
-        np.testing.assert_allclose(back[:, 0], [4.0])
 
 
 class TestDtypes:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.windowing import (
-    SplitIndices,
     WindowDataset,
     chronological_split,
     make_windows,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.accuracy import SCENARIO_MODELS, Table2Result, run_table2
+from repro.experiments.accuracy import SCENARIO_MODELS, run_table2
 from repro.experiments.characterization import (
     build_cluster,
     run_fig1,

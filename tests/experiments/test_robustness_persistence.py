@@ -1,11 +1,9 @@
-"""Robustness harness and JSON persistence tests."""
-
-import json
+"""Robustness harness and JSON conversion tests."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.persistence import load_result, save_result, to_jsonable
+from repro.experiments.persistence import to_jsonable
 from repro.experiments.robustness import RobustnessResult, run_robustness
 from .test_harnesses import TINY
 
@@ -63,33 +61,9 @@ class TestPersistence:
         assert out["nested"] == [2, [1, 2]]
         assert out["s"] == {"__slice__": [0, 5, None]}
 
-    def test_dataclass_roundtrip(self, tmp_path):
-        res = RobustnessResult(scenario="uni", level="containers", seeds=(1,))
-        res.mse = {"m": [0.5]}
-        res.mae = {"m": [0.1]}
-        path = save_result(res, tmp_path / "r.json", experiment="robustness")
-        payload = load_result(path)
-        assert payload["experiment"] == "robustness"
-        assert payload["result"]["scenario"] == "uni"
-        assert payload["result"]["mse"]["m"] == [0.5]
-        assert "written_at" in payload
-
-    def test_table2_result_serializes(self, tmp_path):
-        from repro.experiments.accuracy import Table2Result
-
-        res = Table2Result(profile="quick")
-        res.metrics[("uni", "rptcn", "containers")] = {"mse": 0.004, "mae": 0.04}
-        path = save_result(res, tmp_path / "t2.json", experiment="table2")
-        payload = load_result(path)
-        assert payload["result"]["metrics"]["uni|rptcn|containers"]["mse"] == 0.004
-
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             to_jsonable(object())
-
-    def test_valid_json_on_disk(self, tmp_path):
-        path = save_result({"x": 1}, tmp_path / "x.json")
-        json.loads(path.read_text())  # must not raise
 
 
 class TestFeatureImportances:

@@ -6,35 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models import GRUForecaster, HoltForecaster, MLPForecaster
-from repro.models.exponential import holt_linear, simple_exponential_smoothing
+from repro.models.exponential import holt_linear
 
 from .test_deep_models import sine_windows
-
-
-class TestSES:
-    def test_constant_series_fixed_point(self):
-        levels = simple_exponential_smoothing(np.full(20, 5.0), alpha=0.3)
-        np.testing.assert_allclose(levels, 5.0)
-
-    def test_alpha_one_is_identity(self, rng):
-        x = rng.random(30)
-        np.testing.assert_allclose(simple_exponential_smoothing(x, 1.0), x)
-
-    def test_matches_recursion(self, rng):
-        x = rng.random(50)
-        alpha = 0.4
-        levels = simple_exponential_smoothing(x, alpha)
-        manual = np.empty_like(x)
-        manual[0] = x[0]
-        for t in range(1, len(x)):
-            manual[t] = alpha * x[t] + (1 - alpha) * manual[t - 1]
-        np.testing.assert_allclose(levels, manual)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simple_exponential_smoothing(np.zeros(5), 0.0)
-        with pytest.raises(ValueError):
-            simple_exponential_smoothing(np.zeros((2, 2)), 0.5)
 
 
 def _oracle_grid(series, alphas, betas):

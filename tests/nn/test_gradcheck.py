@@ -31,13 +31,13 @@ class TestElementwiseGrads:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: x.exp(),
             lambda x: x.tanh(),
             lambda x: x.sigmoid(),
             lambda x: x.relu(),
-            lambda x: x.abs(),
-            lambda x: x.sqrt().sum() + x.log(),  # positive-domain combo
+            lambda x: x.sqrt(),  # positive domain
             lambda x: x**3,
+            lambda x: 1.0 / x,  # reflected division, positive domain
+            lambda x: 2.0 - (-x),  # reflected subtraction and negation
         ],
     )
     def test_unary(self, rng, op):
@@ -47,7 +47,7 @@ class TestElementwiseGrads:
     def test_binary_broadcast(self, rng):
         a = leaf(rng, 2, 3)
         b = leaf(rng, 3)
-        check_gradients(lambda: (a * b + a / (b.abs() + 2.0) - b).sum(), [a, b])
+        check_gradients(lambda: (a * b + a / (b * b + 2.0) - b).sum(), [a, b])
 
     def test_where(self, rng):
         a = leaf(rng, 4)

@@ -1,7 +1,6 @@
 """LSTM / GRU behavioural tests."""
 
 import numpy as np
-import pytest
 
 from repro.nn.layers import GRU, LSTM, GRUCell, LSTMCell
 from repro.nn.tensor import Tensor

@@ -227,13 +227,6 @@ class TestElementwise:
             Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0]
         )
 
-    def test_abs(self):
-        np.testing.assert_array_equal(Tensor([-2.0, 3.0]).abs().data, [2.0, 3.0])
-
-    def test_exp_log_inverse(self):
-        x = np.array([0.5, 1.5])
-        np.testing.assert_allclose(Tensor(x).log().exp().data, x)
-
     def test_comparisons_return_bool_arrays(self):
         x = Tensor([1.0, 2.0, 3.0])
         assert (x > 1.5).tolist() == [False, True, True]

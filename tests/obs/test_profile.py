@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import registry as reg_mod
-from repro.obs.profile import profile_block, profiled
+from repro.obs.profile import profiled
 from repro.obs.registry import use_registry
 
 
@@ -99,18 +99,3 @@ class TestProfiled:
             assert ambient.collect() == []
         assert _series(pinned, "profiled_calls_total", "pinned")["value"] == 1.0
 
-
-class TestProfileBlock:
-    def test_block_timed(self):
-        with use_registry() as reg:
-            with profile_block("chunk"):
-                pass
-            assert _series(reg, "profiled_calls_total", "chunk")["value"] == 1.0
-            assert _series(reg, "profiled_seconds", "chunk")["count"] == 1
-
-    def test_block_error_counted(self):
-        with use_registry() as reg:
-            with pytest.raises(RuntimeError):
-                with profile_block("chunk"):
-                    raise RuntimeError("x")
-            assert _series(reg, "profiled_errors_total", "chunk")["value"] == 1.0

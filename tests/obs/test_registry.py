@@ -10,7 +10,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRegistry,
     log_buckets,
     use_registry,
 )
@@ -229,13 +228,6 @@ class TestRegistry:
         for t in threads:
             t.join()
         assert c.value == 40_000
-
-    def test_null_registry_records_nothing(self):
-        reg = NullRegistry()
-        reg.counter("x").inc()
-        reg.register(Counter("y"))
-        reg.add_collector(lambda: None)
-        assert reg.collect() == []
 
     def test_use_registry_swaps_default(self):
         from repro.obs.registry import default_registry

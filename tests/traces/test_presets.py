@@ -1,39 +1,28 @@
 """Cluster preset tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.traces.generator import ClusterTraceGenerator, TraceConfig
-from repro.traces.presets import PRESETS, preset
+from repro.traces.presets import PRESETS
 
 
 class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_all_presets_valid_configs(self, name):
-        cfg = preset(name)
+        cfg = PRESETS[name]()
         assert isinstance(cfg, TraceConfig)  # __post_init__ validated it
 
-    def test_overrides_applied(self):
-        cfg = preset("dev", seed=99, n_steps=700)
-        assert cfg.seed == 99
-        assert cfg.n_steps == 700
-
-    def test_unknown_preset(self):
-        with pytest.raises(KeyError, match="unknown preset"):
-            preset("bogus")
-
     def test_dev_preset_generates_fast(self):
-        trace = ClusterTraceGenerator(preset("dev", n_steps=300)).generate()
+        trace = ClusterTraceGenerator(replace(PRESETS["dev"](), n_steps=300)).generate()
         assert trace.n_machines == 2
         assert trace.n_containers == 4
 
     def test_high_dynamic_mix_restricted(self):
-        cfg = preset("high_dynamic")
+        cfg = PRESETS["high_dynamic"]()
         assert set(cfg.container_mix) == {"regime_switching", "bursty"}
 
     def test_paper_like_resolves_diurnal_cycle(self):
-        cfg = preset("paper_like")
+        cfg = PRESETS["paper_like"]()
         assert cfg.n_steps >= cfg.diurnal_period
-
-    def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError):
-            preset("dev", n_steps=2)  # TraceConfig validation still applies

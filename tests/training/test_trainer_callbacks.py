@@ -6,13 +6,7 @@ import pytest
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam
-from repro.training.callbacks import (
-    CSVLogger,
-    EarlyStopping,
-    History,
-    LambdaCallback,
-    ModelCheckpoint,
-)
+from repro.training.callbacks import EarlyStopping
 from repro.training.trainer import Trainer
 
 
@@ -107,37 +101,3 @@ class TestEarlyStopping:
         es.on_epoch_end(1, {"val_loss": 1.5}, m)
         assert es.stop_training
 
-
-class TestOtherCallbacks:
-    def test_history_records(self, rng, problem):
-        xt, yt, xv, yv = problem
-        trainer = make_trainer(rng)
-        hist_cb = History()
-        trainer.fit(xt, yt, xv, yv, epochs=4, callbacks=[hist_cb])
-        assert hist_cb.epochs == [0, 1, 2, 3]
-        assert len(hist_cb["loss"]) == 4
-        assert len(hist_cb["val_loss"]) == 4
-
-    def test_checkpoint_saves_best(self, rng, problem, tmp_path):
-        xt, yt, xv, yv = problem
-        trainer = make_trainer(rng)
-        path = tmp_path / "best.npz"
-        trainer.fit(xt, yt, xv, yv, epochs=5, callbacks=[ModelCheckpoint(path)])
-        assert path.exists()
-
-    def test_csv_logger(self, rng, problem, tmp_path):
-        xt, yt, xv, yv = problem
-        trainer = make_trainer(rng)
-        path = tmp_path / "log.csv"
-        trainer.fit(xt, yt, xv, yv, epochs=3, callbacks=[CSVLogger(path)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss,val_loss"
-        assert len(lines) == 4
-
-    def test_lambda_callback(self, rng, problem):
-        xt, yt, _, _ = problem
-        trainer = make_trainer(rng)
-        seen = []
-        cb = LambdaCallback(on_epoch_end=lambda e, logs, m: seen.append(e))
-        trainer.fit(xt, yt, epochs=3, callbacks=[cb])
-        assert seen == [0, 1, 2]
