@@ -47,6 +47,10 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, float)
     if values.ndim != 2:
         raise ValueError(f"expected (T, k) matrix, got shape {values.shape}")
+    # as in pearson: a unit largest magnitude per column keeps the sums of
+    # squares of a tiny column from underflowing
+    scale = np.abs(values).max(axis=0, initial=0.0)
+    values = values / np.where(scale == 0.0, 1.0, scale)
     centered = values - values.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     safe = np.where(norms == 0.0, 1.0, norms)

@@ -17,14 +17,6 @@ from .tensor import Tensor
 __all__ = ["Parameter", "Module"]
 
 
-def _npz_path(path):
-    """Mirror ``np.savez``'s extension rule so save/load agree on the name."""
-    from pathlib import Path
-
-    p = Path(path)
-    return p if p.name.endswith(".npz") else p.with_name(p.name + ".npz")
-
-
 class Parameter(Tensor):
     """A Tensor that is a learnable leaf of a module tree."""
 
@@ -133,34 +125,6 @@ class Module:
                     f"shape mismatch for {name}: have {p.data.shape}, got {value.shape}"
                 )
             p.data[...] = value
-
-    def save(self, path) -> None:
-        """Persist parameters with ``np.savez`` (keys are dotted names).
-
-        The archive is staged in a temp file and published with
-        ``os.replace``, so a crash mid-write can never leave a truncated
-        ``.npz`` where the previous good weights used to be.
-        """
-        from ..ioutil import atomic_output
-
-        final = _npz_path(path)
-        with atomic_output(final, suffix=".npz") as tmp:
-            np.savez(tmp, **{k: v for k, v in self.state_dict().items()})
-
-    def load(self, path) -> None:
-        import zipfile
-
-        final = _npz_path(path)
-        try:
-            with np.load(final) as data:
-                state = {k: data[k] for k in data.files}
-        except FileNotFoundError:
-            raise
-        except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError) as exc:
-            raise ValueError(
-                f"failed to load weights from {final}: file is corrupt or truncated ({exc})"
-            ) from exc
-        self.load_state_dict(state)
 
     # -- call protocol ------------------------------------------------------------
 

@@ -258,11 +258,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, or None."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     @property
     def last(self) -> Span | None:
         """Most recently finished root span."""

@@ -53,13 +53,7 @@ from .shard import (
     ShardedFleetPredictor,
     shard_boundaries,
 )
-from .shm import (
-    ShmArraySpec,
-    ShmBlock,
-    SlottedShmBlock,
-    ring_specs,
-    slotted_specs,
-)
+from .shm import ShmArraySpec, ShmBlock
 
 __all__ = [
     "RollingBuffer",
@@ -74,10 +68,7 @@ __all__ = [
     "AllShardsFailedError",
     "shard_boundaries",
     "ShmBlock",
-    "SlottedShmBlock",
     "ShmArraySpec",
-    "ring_specs",
-    "slotted_specs",
     "FleetGate",
     "FleetGateResult",
     "PageHinkley",

@@ -176,51 +176,9 @@ class MatrixRingBuffer:
         self.features = features
         self.window = window
         self._pad = window - 1
-        self._bind(
-            np.empty((streams, capacity + self._pad, features)),
-            np.zeros(streams, dtype=np.int64),  # next write position
-            np.zeros(streams, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        data: np.ndarray,
-        head: np.ndarray,
-        size: np.ndarray,
-        *,
-        capacity: int,
-        window: int,
-    ) -> "MatrixRingBuffer":
-        """Build a ring over caller-owned storage (e.g. a shard's shm row-slice).
-
-        ``data`` must be ``(streams, capacity + window - 1, features)``,
-        as :func:`~repro.streaming.shm.ring_specs` lays it out; ``head``
-        and ``size`` are the matching ``(streams,)`` int64 cursors.
-        Every mutation is an in-place write, so processes mapping the
-        same storage observe the same ring. The ring takes no lock: the
-        sharded fleet's tick protocol lets workers write only while the
-        coordinator waits for their tick token. The caller owns the
-        storage's lifetime, and must drop the ring before unmapping it
-        (:meth:`ShmBlock.close <repro.streaming.shm.ShmBlock.close>`
-        refuses while the ring is alive).
-        """
-        streams, width, features = data.shape
-        ring = cls(streams, capacity, features, window)
-        if width != capacity + window - 1:
-            raise ValueError(
-                f"storage shape {data.shape} does not match ring "
-                f"{(streams, capacity + window - 1, features)} "
-                f"(capacity {capacity}, window {window})"
-            )
-        ring._bind(data, np.asarray(head), np.asarray(size))
-        return ring
-
-    def _bind(self, data: np.ndarray, head: np.ndarray, size: np.ndarray) -> None:
-        """Point the ring at ``data``/``head``/``size`` storage."""
-        self._data = data
-        self._head = head
-        self._size = size
+        self._data = np.empty((streams, capacity + self._pad, features))
+        self._head = np.zeros(streams, dtype=np.int64)  # next write position
+        self._size = np.zeros(streams, dtype=np.int64)
         #: gather width -> (streams, starts, width, features) view of ``_data``
         self._windows: dict[int, np.ndarray] = {}
 

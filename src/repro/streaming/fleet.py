@@ -80,7 +80,7 @@ from .resilience import (
     SupervisorPolicy,
 )
 
-__all__ = ["FleetPredictor", "FleetTick", "TickColumns"]
+__all__ = ["FleetPredictor", "FleetTick"]
 
 #: health-gauge level -> HealthStatus (inverse of online._HEALTH_LEVEL)
 _HEALTH_BY_LEVEL = {level: status for status, level in _HEALTH_LEVEL.items()}
@@ -143,77 +143,6 @@ class FleetTick:
 
     def records(self) -> list[PredictionRecord]:
         return [self.record(i) for i in range(self.n_streams)]
-
-
-@dataclass
-class TickColumns:
-    """Mutable columnar staging area for composing one :class:`FleetTick`.
-
-    The sharded coordinator harvests live rows out of a shared-memory
-    bank, then overlays the rows of shards that could not serve —
-    quarantined shards go NaN, recovering shards hold their last served
-    prediction — and finishes into an immutable :class:`FleetTick`. The
-    overlay arithmetic lives here so the barrier and pipelined fan-in
-    paths compose ticks through literally the same code.
-    """
-
-    predictions: np.ndarray
-    actuals: np.ndarray
-    errors: np.ndarray
-    drift: np.ndarray
-    health: np.ndarray
-    gated: np.ndarray
-
-    @classmethod
-    def harvest(
-        cls,
-        predictions: np.ndarray,
-        actuals: np.ndarray,
-        errors: np.ndarray,
-        drift: np.ndarray,
-        health: np.ndarray,
-        gated: np.ndarray,
-    ) -> "TickColumns":
-        """Copy the six columnar outputs out of (possibly shared) storage."""
-        return cls(
-            predictions=np.array(predictions),
-            actuals=np.array(actuals),
-            errors=np.array(errors),
-            drift=np.array(drift),
-            health=np.array(health),
-            gated=np.array(gated),
-        )
-
-    def quarantine_rows(self, sl: slice, raw_target: np.ndarray) -> None:
-        """Rows of a durably-dead shard: NaN predictions, raw actuals."""
-        self.predictions[sl] = np.nan
-        self.errors[sl] = np.nan
-        self.actuals[sl] = raw_target
-        self.drift[sl] = False
-        self.health[sl] = _HEALTH_LEVEL[HealthStatus.FALLBACK]
-        self.gated[sl] = GATE_QUARANTINE
-
-    def hold_rows(self, sl: slice, raw_target: np.ndarray, held: np.ndarray) -> None:
-        """Rows of a recovering shard: serve the held last prediction."""
-        self.predictions[sl] = held
-        self.actuals[sl] = raw_target
-        self.errors[sl] = np.abs(held - raw_target)
-        self.drift[sl] = False
-        self.health[sl] = _HEALTH_LEVEL[HealthStatus.RECOVERING]
-        self.gated[sl] = GATE_QUARANTINE
-
-    def finish(self, step: int, refit: bool, model_version: int) -> FleetTick:
-        return FleetTick(
-            step=step,
-            predictions=self.predictions,
-            actuals=self.actuals,
-            errors=self.errors,
-            refit=refit,
-            drift=self.drift,
-            health=self.health,
-            gated=self.gated,
-            model_version=model_version,
-        )
 
 
 class _FleetPageHinkley:

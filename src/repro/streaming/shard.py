@@ -1,4 +1,4 @@
-"""Sharded multi-process fleet serving over shared-memory ring buffers.
+"""Sharded multi-process fleet serving over shared-memory tick banks.
 
 :class:`~repro.streaming.fleet.FleetPredictor` vectorizes a whole fleet
 into one process; on a multi-core host that one process is the ceiling.
@@ -12,21 +12,20 @@ next is sent, the default) or through a two-deep pipeline
 before tick *t* is collected, so at most two ticks are in flight:
 
 * the coordinator writes the ``(N, F)`` tick into its bank of a
-  shared-memory block (:class:`~repro.streaming.shm.SlottedShmBlock`,
-  one bank per in-flight tick) and sends each worker a
-  constant-size control token — per-tick traffic over the pipes is
-  O(shards), never O(N), and no record is ever pickled on the hot path;
+  shared-memory block (one :class:`~repro.streaming.shm.ShmBlock` whose
+  seven per-tick arrays each carry a leading bank axis, one bank per
+  in-flight tick) and sends each worker a constant-size control token —
+  per-tick traffic over the pipes is O(shards), never O(N), and no
+  record is ever pickled on the hot path;
 * each worker reads its contiguous row-slice of the tick, runs its
   shard's ``process_tick``, and writes the columnar
   :class:`~repro.streaming.fleet.FleetTick` mirror (predictions,
   actuals, errors, drift, health, gate actions) back into the same
   bank;
-* worker stream histories live in a fleet-wide
-  :class:`~repro.streaming.buffer.MatrixRingBuffer` over shared memory
-  (each worker's ring is its row-slice of the same arrays), so the
-  coordinator can read any stream's recent records zero-copy
-  (:meth:`ShardedFleetPredictor.stream_history`) without interrupting a
-  worker;
+* each worker keeps its streams' histories in its own
+  :class:`FleetPredictor`'s private ring; the coordinator reads one on
+  the rare path (:meth:`ShardedFleetPredictor.stream_history`, a control
+  command to the owning worker);
 * the whole fleet checkpoints as **one** artifact: the coordinator
   collects every shard's ``state_dict`` (rare path — the pipe is fine
   there) and composes them with the fleet config; restore rejects
@@ -50,10 +49,10 @@ predictor, one level up.
 OOM-kill, ``SIGKILL``, deadlock) takes only its own streams down, and
 only until the supervisor brings it back. Every coordinator↔worker
 exchange observes a deadline (``tick_timeout`` on the hot path,
-``control_timeout`` on stats/save/load/metrics), so a *hung* worker is
+``control_timeout`` on the rare-path commands), so a *hung* worker is
 detected as surely as a dead one; a failed worker is escalated
 ``terminate → kill`` so the old process can never race its replacement
-on the shm slice. The supervision loop then closes detect → respawn →
+on the shm rows. The supervision loop then closes detect → respawn →
 restore:
 
 * workers snapshot their shard to disk **in the background** every
@@ -101,7 +100,6 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from ..obs.trace import Span
-from .buffer import MatrixRingBuffer
 from .checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -109,8 +107,10 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .faults import ChaosSchedule, ProcessFault
-from .fleet import _RETIRED_OPTIONS, FleetPredictor, FleetTick, TickColumns
-from .shm import ShmArraySpec, SlottedShmBlock, ring_specs
+from .fleet import _RETIRED_OPTIONS, FleetPredictor, FleetTick
+from .online import _HEALTH_LEVEL
+from .resilience import GATE_QUARANTINE, HealthStatus
+from .shm import ShmArraySpec, ShmBlock
 
 __all__ = [
     "ShardedFleetPredictor",
@@ -189,19 +189,20 @@ _TICK_OUT_FIELDS = ("predictions", "actuals", "errors", "drift", "health", "gate
 def _tick_specs(n_streams: int, features: int) -> tuple[ShmArraySpec, ...]:
     """The per-tick fan-out/fan-in arrays (columnar FleetTick mirror).
 
-    These are slotted into :data:`_TICK_BANKS` banks by the coordinator;
-    the per-shard ``refit`` flag and ``model_version`` travel in the tick
-    ack token instead (so swap adoption is event-driven, not a barrier
-    read).
+    Each has a leading :data:`_TICK_BANKS` axis: step ``t`` uses bank
+    ``block[name][t % _TICK_BANKS]``. The per-shard ``refit`` flag and
+    ``model_version`` travel in the tick ack token instead (so swap
+    adoption is event-driven, not a barrier read).
     """
+    rows = (_TICK_BANKS, n_streams)
     return (
-        ShmArraySpec("ticks_in", (n_streams, features), "<f8"),
-        ShmArraySpec("predictions", (n_streams,), "<f8"),
-        ShmArraySpec("actuals", (n_streams,), "<f8"),
-        ShmArraySpec("errors", (n_streams,), "<f8"),
-        ShmArraySpec("drift", (n_streams,), "|b1"),
-        ShmArraySpec("health", (n_streams,), "|u1"),
-        ShmArraySpec("gated", (n_streams,), "|i1"),
+        ShmArraySpec("ticks_in", (*rows, features), "<f8"),
+        ShmArraySpec("predictions", rows, "<f8"),
+        ShmArraySpec("actuals", rows, "<f8"),
+        ShmArraySpec("errors", rows, "<f8"),
+        ShmArraySpec("drift", rows, "|b1"),
+        ShmArraySpec("health", rows, "|u1"),
+        ShmArraySpec("gated", rows, "|i1"),
     )
 
 
@@ -209,7 +210,6 @@ def _shard_worker(
     conn: Any,
     shm_name: str,
     specs: tuple[ShmArraySpec, ...],
-    shared_specs: tuple[ShmArraySpec, ...],
     shard_index: int,
     lo: int,
     hi: int,
@@ -232,30 +232,15 @@ def _shard_worker(
 
     ``restore_path`` (set on supervised respawn) is a best-effort
     background checkpoint: intact → resume from it; missing/corrupt →
-    cold start with cleared ring cursors (the shm slice still holds the
-    dead predecessor's head/size, which must not leak into a fresh
-    predictor). ``chaos`` maps exact fleet steps to scheduled process
-    faults; the step counter in each tick token keys the lookup, so a
-    respawned worker never re-fires a fault the fleet already absorbed.
+    cold start with a fresh predictor. ``chaos`` maps exact fleet steps
+    to scheduled process faults; the step counter in each tick token
+    keys the lookup, so a respawned worker never re-fires a fault the
+    fleet already absorbed.
     """
 
-    def _fresh_predictor() -> FleetPredictor:
-        predictor = FleetPredictor(hi - lo, **fleet_kwargs)
-        # swap the private history ring for this shard's row-slice of the
-        # fleet-wide shared ring: same semantics, zero-copy parent reads
-        private = predictor.buffer
-        predictor.buffer = MatrixRingBuffer.from_arrays(
-            block["ring_data"][lo:hi],
-            block["ring_head"][lo:hi],
-            block["ring_size"][lo:hi],
-            capacity=private.capacity,
-            window=private.window,
-        )
-        return predictor
-
     try:
-        block = SlottedShmBlock.attach(specs, _TICK_BANKS, shm_name, shared=shared_specs)
-        predictor = _fresh_predictor()
+        block = ShmBlock.attach(specs, shm_name)
+        predictor = FleetPredictor(hi - lo, **fleet_kwargs)
         restored_step: int | None = None
         if restore_path is not None:
             artifact = try_read_checkpoint(restore_path)
@@ -269,12 +254,8 @@ def _shard_worker(
                     predictor.load_state_dict(artifact["state"])
                     restored_step = int(artifact["step"])
                 except Exception:  # noqa: BLE001 — damaged snapshot degrades to cold start
-                    predictor = _fresh_predictor()
+                    predictor = FleetPredictor(hi - lo, **fleet_kwargs)
                     restored_step = None
-        if restored_step is None:
-            # cold start: the shm slice may hold a dead predecessor's ring
-            # cursors — reset them so history starts empty
-            predictor.buffer.clear()
         conn.send(("ready", lo, hi, restored_step))
     except Exception as exc:  # noqa: BLE001 — startup failure must reach the parent
         try:
@@ -304,7 +285,7 @@ def _shard_worker(
         cmd = msg[0]
         try:
             if cmd == "tick":
-                step = int(msg[1]) if len(msg) > 1 else -1
+                step = msg[1]
                 fault = chaos.get(step) if chaos else None
                 if fault is not None:
                     if fault.kind == "kill":
@@ -320,15 +301,10 @@ def _shard_worker(
                         continue
                     if fault.kind == "slow":
                         time.sleep(fault.duration)
-                bank = block.bank(step)
-                tick = np.array(bank["ticks_in"][lo:hi])
-                result = predictor.process_tick(tick)
-                bank["predictions"][lo:hi] = result.predictions
-                bank["actuals"][lo:hi] = result.actuals
-                bank["errors"][lo:hi] = result.errors
-                bank["drift"][lo:hi] = result.drift
-                bank["health"][lo:hi] = result.health
-                bank["gated"][lo:hi] = result.gated
+                bank = step % _TICK_BANKS
+                result = predictor.process_tick(np.array(block["ticks_in"][bank, lo:hi]))
+                for field in _TICK_OUT_FIELDS:
+                    block[field][bank, lo:hi] = getattr(result, field)
                 # the ack is the event that publishes this shard's refit flag
                 # and model version — the coordinator adopts them on receipt
                 conn.send(("ok", step, int(result.refit), int(result.model_version)))
@@ -351,13 +327,15 @@ def _shard_worker(
                                 # which double-buffer bank this step served
                                 # from — restore tooling can tell whether a
                                 # snapshot raced an in-flight pipeline step
-                                "bank": step % _TICK_BANKS,
+                                "bank": bank,
                                 "state": predictor.state_dict(),
                             },
                         )
                         c_ckpt.inc()
                     except Exception:  # noqa: BLE001 — checkpoint failure must not kill serving
                         c_ckpt_fail.inc()
+            elif cmd == "history":
+                conn.send(("history", predictor.buffer.view(msg[1])))
             elif cmd == "state":
                 conn.send(("state", predictor.state_dict()))
             elif cmd == "load":
@@ -447,10 +425,6 @@ class _ShardHandle:
         #: step of the checkpoint the current worker restored from (None = cold)
         self.restored_step: int | None = None
 
-    @property
-    def alive(self) -> bool:
-        return self.state == "live"
-
 
 class _InFlightTick:
     """One dispatched-but-not-yet-composed tick of the pipeline.
@@ -504,7 +478,7 @@ class ShardedFleetPredictor:
         the fleet).
     control_timeout:
         Deadline for the rare-path commands (``stats``/``save``/
-        ``load``/``metrics``); a worker that misses it is marked failed
+        ``load``/``metrics``/``stream_history``); a worker that misses it is marked failed
         the same way a tick timeout does.
     respawn:
         :class:`RespawnPolicy` for supervised recovery, or ``None`` to
@@ -653,21 +627,8 @@ class ShardedFleetPredictor:
         self._last_compose_t: float | None = None
 
         self._specs = _tick_specs(n_streams, self.features)
-        self._shared_specs = ring_specs(
-            n_streams, self.buffer_capacity, self.features, window=self.window
-        )
-        self._block = SlottedShmBlock.create(
-            self._specs, _TICK_BANKS, shared=self._shared_specs
-        )
-        for slot in range(_TICK_BANKS):
-            self._block["ticks_in", slot][...] = np.nan
-        self._ring: MatrixRingBuffer | None = MatrixRingBuffer.from_arrays(
-            self._block["ring_data"],
-            self._block["ring_head"],
-            self._block["ring_size"],
-            capacity=self.buffer_capacity,
-            window=self.window,
-        )
+        self._block = ShmBlock.create(self._specs)
+        self._block["ticks_in"][...] = np.nan
 
         self._ctx = get_context("spawn")
         self._handles: list[_ShardHandle] = []
@@ -683,12 +644,12 @@ class ShardedFleetPredictor:
                         f"{_STARTUP_TIMEOUT}s"
                     )
                 reply = h.conn.recv()
-                if not (isinstance(reply, tuple) and reply and reply[0] == "ready"):
+                if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ready"):
                     detail = ""
                     if isinstance(reply, tuple) and len(reply) >= 3:
                         detail = f": {reply[1]}\n{reply[2]}"
                     raise RuntimeError(f"shard {h.index} failed to start{detail}")
-                h.restored_step = reply[3] if len(reply) > 3 else None
+                h.restored_step = reply[3]
         except Exception:
             self.close(collect_metrics=False)
             raise
@@ -730,7 +691,6 @@ class ShardedFleetPredictor:
                 child_conn,
                 self._block.name,
                 self._specs,
-                self._shared_specs,
                 index,
                 lo,
                 hi,
@@ -840,7 +800,7 @@ class ShardedFleetPredictor:
                 except (EOFError, OSError) as exc:
                     self._mark_failed(h, f"pipe closed during respawn ({exc})")
                     continue
-                if not (isinstance(reply, tuple) and reply and reply[0] == "ready"):
+                if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ready"):
                     detail = (
                         reply[1]
                         if isinstance(reply, tuple) and len(reply) > 1
@@ -848,7 +808,7 @@ class ShardedFleetPredictor:
                     )
                     self._mark_failed(h, f"respawn startup failed: {detail}")
                     continue
-                h.restored_step = reply[3] if len(reply) > 3 else None
+                h.restored_step = reply[3]
                 # recovery accounting is pure bookkeeping; only the histogram
                 # observation is conditional on obs — a disabled registry must
                 # never change supervision state or recovery-tick arithmetic
@@ -912,7 +872,7 @@ class ShardedFleetPredictor:
             )
         step = self._submitted
         entry = _InFlightTick(step, arr, time.perf_counter())
-        self._block.bank(step)["ticks_in"][...] = arr
+        self._block["ticks_in"][step % _TICK_BANKS] = arr
         for h in live:
             try:
                 h.conn.send(("tick", step))
@@ -963,7 +923,7 @@ class ShardedFleetPredictor:
                 h = pending.pop(conn)
                 try:
                     reply = conn.recv()
-                    if not (isinstance(reply, tuple) and reply and reply[0] == "ok"):
+                    if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ok"):
                         if (
                             isinstance(reply, tuple)
                             and len(reply) > 1
@@ -971,16 +931,15 @@ class ShardedFleetPredictor:
                         ):
                             raise RuntimeError(f"tick errored in worker: {reply[1]}")
                         raise RuntimeError(f"corrupt tick reply: {reply!r}")
-                    if len(reply) > 1 and reply[1] != entry.step:
+                    _, step, refit, version = reply
+                    if step != entry.step:
                         raise RuntimeError(
-                            f"tick ack for step {reply[1]!r}, expected {entry.step}"
+                            f"tick ack for step {step!r}, expected {entry.step}"
                         )
                 except (EOFError, OSError, RuntimeError) as exc:
                     self._mark_failed(h, str(exc))
                     continue
-                refit = bool(reply[2]) if len(reply) > 2 else False
-                version = int(reply[3]) if len(reply) > 3 else 0
-                entry.acks[h.index] = (refit, version)
+                entry.acks[h.index] = (bool(refit), int(version))
                 # event-driven swap adoption: the shard's live model version
                 # lands the moment its ack does, not at the next barrier
                 self._shard_versions[h.index] = version
@@ -1001,8 +960,10 @@ class ShardedFleetPredictor:
         entry = self._inflight.popleft()
         self._fan_in(entry)
 
-        bank = self._block.bank(entry.step)
-        cols = TickColumns.harvest(*(bank[f] for f in _TICK_OUT_FIELDS))
+        bank = entry.step % _TICK_BANKS
+        predictions, actuals, errors, drift, health, gated = (
+            self._block[field][bank].copy() for field in _TICK_OUT_FIELDS
+        )
         served_mask = np.zeros(self.n_streams, dtype=bool)
         refit = False
         staleness = 0
@@ -1017,16 +978,22 @@ class ShardedFleetPredictor:
                 served_mask[sl] = True
                 refit = refit or ack[0]
                 acked_versions.append(ack[1])
-            elif h.state == "quarantined":
-                cols.quarantine_rows(sl, entry.arr[sl, self.target_col])
-            else:  # down / respawning / freshly-respawned — hold the last prediction
-                cols.hold_rows(
-                    sl, entry.arr[sl, self.target_col], self._last_predictions[sl]
-                )
-                if h.failed_step is not None:
+            else:
+                # a quarantined shard's rows go NaN; a recovering (down /
+                # respawning / freshly-respawned) shard's hold the last prediction
+                quarantined = h.state == "quarantined"
+                predictions[sl] = np.nan if quarantined else self._last_predictions[sl]
+                actuals[sl] = entry.arr[sl, self.target_col]
+                errors[sl] = np.abs(predictions[sl] - actuals[sl])
+                drift[sl] = False
+                health[sl] = _HEALTH_LEVEL[
+                    HealthStatus.FALLBACK if quarantined else HealthStatus.RECOVERING
+                ]
+                gated[sl] = GATE_QUARANTINE
+                if not quarantined and h.failed_step is not None:
                     staleness = max(staleness, entry.step - h.failed_step + 1)
-        upd = served_mask & np.isfinite(cols.predictions)
-        self._last_predictions[upd] = cols.predictions[upd]
+        upd = served_mask & np.isfinite(predictions)
+        self._last_predictions[upd] = predictions[upd]
 
         # serving bookkeeping runs unconditionally — only the instrument
         # writes below are gated on obs, so a disabled registry can never
@@ -1044,9 +1011,15 @@ class ShardedFleetPredictor:
             self._g_staleness.set(float(staleness))
             if gap > 0:
                 self._g_throughput.set(self.n_streams / gap)
-        return cols.finish(
+        return FleetTick(
             step=entry.step,
+            predictions=predictions,
+            actuals=actuals,
+            errors=errors,
             refit=refit,
+            drift=drift,
+            health=health,
+            gated=gated,
             model_version=min(acked_versions) if acked_versions else 0,
         )
 
@@ -1111,17 +1084,18 @@ class ShardedFleetPredictor:
                     self._mark_failed(h, "pipe closed while draining the pipeline")
 
     def stream_history(self, stream: int) -> np.ndarray:
-        """One stream's buffered records, oldest first — zero-IPC shm read.
+        """One stream's buffered records, oldest first (a copy).
 
-        Safe between ticks (the coordinator and the workers alternate on
-        the tick protocol, so no worker is writing while this reads).
+        A rare-path control command to the worker that owns the stream,
+        not a zero-copy read: like :meth:`stats` and :meth:`save` it
+        needs an idle tick pipeline and a live owning shard.
         """
-        if self._ring is None:
+        if self._closed:
             raise RuntimeError("ShardedFleetPredictor is closed")
-        self._assert_no_inflight("stream_history")
         if not 0 <= stream < self.n_streams:
             raise IndexError(f"stream must be in [0, {self.n_streams}), got {stream}")
-        return self._ring.view(stream)
+        h = next(h for h in self._handles if stream < h.hi)
+        return self._request(h, ("history", stream - h.lo), "history")
 
     # -- introspection -----------------------------------------------------------
 
@@ -1411,7 +1385,6 @@ class ShardedFleetPredictor:
             if h.proc.is_alive():  # pragma: no cover — worker ignoring SIGTERM
                 h.proc.kill()
                 h.proc.join(timeout=5.0)
-        self._ring = None  # drop shm views before the owning block unmaps
         if getattr(self, "_block", None) is not None:
             self._block.close()
             self._block = None

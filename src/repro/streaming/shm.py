@@ -9,30 +9,14 @@ writes the ``(N, F)`` tick in, workers write the columnar
 :class:`~repro.streaming.fleet.FleetTick` mirror out). Only tiny
 constant-size control tokens cross the pipe per tick.
 
-Three building blocks live here:
-
-* :class:`ShmBlock` — one shared segment carved into named, dtype-typed
-  numpy arrays from a declarative list of :class:`ShmArraySpec`. The
-  creating process owns the segment (and unlinks it); attaching
-  processes get views over the same pages.
-* :class:`SlottedShmBlock` — an :class:`ShmBlock` whose per-tick arrays
-  exist in ``slots`` independent banks keyed by ``step % slots``, so a
-  tick pipeline can write tick *t+1* into one bank while readers still
-  consume tick *t* from the other. Bank arrays never alias (each bank
-  copy is its own aligned extent in the segment layout — property-tested
-  in ``tests/streaming/test_shm_buffer.py``); ``shared`` specs opt out
-  of slotting for state that must be one copy (e.g. the history ring).
-* :func:`ring_specs` — the three arrays (data + per-stream heads and
-  sizes) that hold a :class:`~repro.streaming.buffer.MatrixRingBuffer`
-  in a block. :meth:`MatrixRingBuffer.from_arrays
-  <repro.streaming.buffer.MatrixRingBuffer.from_arrays>` builds the ring
-  over them (or over any row-slice of them), so a worker's stream
-  histories are readable zero-copy from the coordinator while the ring
-  stays element-for-element identical in behaviour to a private one
-  (property-tested in ``tests/streaming/test_shm_buffer.py``). The data
-  array is ``(streams, capacity + window - 1, features)`` to hold the
-  wrap pad, so capacity cannot be read off its shape: both are named
-  explicitly.
+:class:`ShmBlock` is one shared segment carved into named, dtype-typed
+numpy arrays from a declarative list of :class:`ShmArraySpec`. The
+creating process owns the segment (and unlinks it); attaching processes
+get views over the same pages. A tick pipeline banks its per-tick arrays
+by giving each a leading bank axis: bank ``t`` of array ``name`` is
+``block[name][t % banks]``, so the banks of one array are distinct
+indices of one axis and cannot alias (property-tested in
+``tests/streaming/test_shm_buffer.py``).
 
 Ownership protocol: exactly one process *creates* a block (and its
 ``close()`` also unlinks the segment); every other process *attaches*
@@ -40,13 +24,9 @@ and only ever drops its own mapping. Attachers must be spawned children
 of the creator so that they share its resource-tracker process — then a
 dying (even ``SIGKILL``\\ ed) worker cannot destroy a segment the rest
 of the fleet is still using. The segment therefore outlives any worker:
-a *respawned* shard worker simply re-attaches to the same block by name
-and inherits its predecessor's row-slice, including the ring cursors —
-which is why a cold-started replacement must
-:meth:`~repro.streaming.buffer.MatrixRingBuffer.clear` its slice before
-serving, while a checkpoint-restored one overwrites it in place (ring,
-cursors and the wrap pad, which ``load_state_dict`` rebuilds from the
-logical ring).
+a *respawned* shard worker simply re-attaches to the same block by name.
+The block holds only per-tick data, which every tick overwrites, so a
+replacement inherits no state from its predecessor.
 """
 
 from __future__ import annotations
@@ -58,13 +38,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = [
-    "ShmArraySpec",
-    "ShmBlock",
-    "SlottedShmBlock",
-    "ring_specs",
-    "slotted_specs",
-]
+__all__ = ["ShmArraySpec", "ShmBlock"]
 
 #: every array in a block starts on a 64-byte boundary (cache-line size)
 _ALIGN = 64
@@ -153,10 +127,6 @@ class ShmBlock:
         """The OS-level segment name attachers need."""
         return self._shm.name
 
-    @property
-    def owner(self) -> bool:
-        return self._owner
-
     def __getitem__(self, field: str) -> np.ndarray:
         return self._arrays[field]
 
@@ -167,10 +137,10 @@ class ShmBlock:
         """Drop this process's mapping; the owner also destroys the segment.
 
         Refuses with ``BufferError`` while any view of the block's arrays
-        is still alive (a ring built over them, a bank slice, a kept
-        reference): NumPy views of the segment do not pin the mapping,
-        so unmapping under them would make their next access crash the
-        interpreter. Drop them and call ``close`` again.
+        is still alive (a bank slice, a kept reference): NumPy views of
+        the segment do not pin the mapping, so unmapping under them would
+        make their next access crash the interpreter. Drop them and call
+        ``close`` again.
         """
         if self._closed:
             return
@@ -183,7 +153,7 @@ class ShmBlock:
         if pinned:
             raise BufferError(
                 f"shared block {self.name!r} still has live views of {', '.join(pinned)}; "
-                "drop every array and ring built over it before close()"
+                "drop every view of its arrays before close()"
             )
         self._closed = True
         self._arrays.clear()
@@ -239,156 +209,3 @@ def _release(shm: shared_memory.SharedMemory, owner: bool) -> None:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover — already gone
             pass
-
-
-def slotted_specs(
-    specs: tuple[ShmArraySpec, ...] | list[ShmArraySpec], slots: int
-) -> tuple[ShmArraySpec, ...]:
-    """``slots`` independent copies of every spec; bank ``k`` is ``name@k``.
-
-    The copies are distinct entries in the block layout, so every bank
-    occupies its own aligned extent — banks can never alias.
-    """
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
-    return tuple(
-        ShmArraySpec(f"{spec.name}@{slot}", spec.shape, spec.dtype)
-        for slot in range(slots)
-        for spec in specs
-    )
-
-
-class _ShmBank:
-    """Read/write view of one bank of a :class:`SlottedShmBlock`."""
-
-    __slots__ = ("_block", "_slot")
-
-    def __init__(self, block: "SlottedShmBlock", slot: int) -> None:
-        self._block = block
-        self._slot = slot
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    def __getitem__(self, field: str) -> np.ndarray:
-        return self._block.array(field, self._slot)
-
-    def __contains__(self, field: str) -> bool:
-        return (field, self._slot) in self._block
-
-
-class SlottedShmBlock:
-    """A shared block whose per-tick arrays exist in ``slots`` banks.
-
-    A two-deep tick pipeline writes tick *t+1* into ``bank(t + 1)``
-    while workers still compute (and readers still harvest) tick *t*
-    from ``bank(t)`` — with ``slots=2`` consecutive steps land in
-    disjoint banks by construction. ``shared`` specs are carved into the
-    same segment *unslotted* for state that must be a single copy (the
-    fleet history ring); address those through :meth:`__getitem__` with
-    a bare name.
-
-    Ownership follows :class:`ShmBlock`: one creator (who unlinks on
-    close), any number of spawned attachers.
-    """
-
-    def __init__(
-        self,
-        specs: tuple[ShmArraySpec, ...],
-        shared: tuple[ShmArraySpec, ...],
-        slots: int,
-        block: ShmBlock,
-    ) -> None:
-        self.specs = tuple(specs)
-        self.shared = tuple(shared)
-        self.slots = int(slots)
-        self._block = block
-
-    @staticmethod
-    def _layout_specs(
-        specs: tuple[ShmArraySpec, ...] | list[ShmArraySpec],
-        shared: tuple[ShmArraySpec, ...] | list[ShmArraySpec],
-        slots: int,
-    ) -> tuple[ShmArraySpec, ...]:
-        return slotted_specs(specs, slots) + tuple(shared)
-
-    @classmethod
-    def create(
-        cls,
-        specs: tuple[ShmArraySpec, ...] | list[ShmArraySpec],
-        slots: int = 2,
-        shared: tuple[ShmArraySpec, ...] | list[ShmArraySpec] = (),
-    ) -> "SlottedShmBlock":
-        """Allocate one owning segment holding every bank plus ``shared``."""
-        block = ShmBlock.create(cls._layout_specs(specs, shared, slots))
-        return cls(tuple(specs), tuple(shared), slots, block)
-
-    @classmethod
-    def attach(
-        cls,
-        specs: tuple[ShmArraySpec, ...] | list[ShmArraySpec],
-        slots: int,
-        name: str,
-        shared: tuple[ShmArraySpec, ...] | list[ShmArraySpec] = (),
-    ) -> "SlottedShmBlock":
-        """Map a creator's slotted segment by name (non-owning)."""
-        block = ShmBlock.attach(cls._layout_specs(specs, shared, slots), name)
-        return cls(tuple(specs), tuple(shared), slots, block)
-
-    @property
-    def name(self) -> str:
-        return self._block.name
-
-    @property
-    def owner(self) -> bool:
-        return self._block.owner
-
-    def bank(self, step: int) -> _ShmBank:
-        """The bank serving fleet step ``step`` (keyed by ``step % slots``)."""
-        return _ShmBank(self, step % self.slots)
-
-    def array(self, field: str, slot: int) -> np.ndarray:
-        """One slotted array by base name and bank index."""
-        if not 0 <= slot < self.slots:
-            raise IndexError(f"slot must be in [0, {self.slots}), got {slot}")
-        return self._block[f"{field}@{slot}"]
-
-    def __getitem__(self, key: str | tuple[str, int]) -> np.ndarray:
-        """``block[name]`` for shared arrays, ``block[name, slot]`` for banks."""
-        if isinstance(key, tuple):
-            return self.array(*key)
-        return self._block[key]
-
-    def __contains__(self, key: str | tuple[str, int]) -> bool:
-        if isinstance(key, tuple):
-            field, slot = key
-            return 0 <= slot < self.slots and f"{field}@{slot}" in self._block
-        return key in self._block
-
-    def close(self) -> None:
-        self._block.close()
-
-    def __del__(self) -> None:  # pragma: no cover — GC safety net
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
-
-
-def ring_specs(
-    streams: int, capacity: int, features: int, *, window: int = 1
-) -> tuple[ShmArraySpec, ShmArraySpec, ShmArraySpec]:
-    """The three arrays a shared :class:`~repro.streaming.buffer.MatrixRingBuffer` needs.
-
-    ``ring_data`` is ``(streams, capacity + window - 1, features)``: the
-    logical ring plus the wrap pad of a ring that gathers ``window``-wide
-    batches. ``ring_head`` and ``ring_size`` are its ``(streams,)``
-    int64 cursors — the arguments of
-    :meth:`~repro.streaming.buffer.MatrixRingBuffer.from_arrays`.
-    """
-    return (
-        ShmArraySpec("ring_data", (streams, capacity + window - 1, features), "<f8"),
-        ShmArraySpec("ring_head", (streams,), "<i8"),
-        ShmArraySpec("ring_size", (streams,), "<i8"),
-    )

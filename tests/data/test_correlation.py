@@ -91,6 +91,14 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(np.zeros(5))
 
+    def test_tiny_column_is_not_read_as_constant(self):
+        """Centered sums of squares below ~1e-308 must not zero a column's row."""
+        x = np.zeros((7, 2))
+        x[0] = [1e-170, 1.0]
+        m = correlation_matrix(x)
+        assert pearson(x[:, 0], x[:, 1]) == 1.0
+        np.testing.assert_allclose([m[0, 1], m[1, 0]], 1.0, rtol=0, atol=1e-12)
+
 
 class TestScreening:
     def _data(self, rng, t=400):

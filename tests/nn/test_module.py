@@ -1,4 +1,4 @@
-"""Module registration, traversal, mode switching and serialization."""
+"""Module registration, traversal, mode switching and state dicts."""
 
 import numpy as np
 import pytest
@@ -86,30 +86,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="shape mismatch"):
             m.load_state_dict(state)
 
-    def test_save_load_file(self, rng, tmp_path):
-        m1, m2 = Tiny(rng), Tiny(np.random.default_rng(999))
-        path = tmp_path / "weights.npz"
-        m1.save(path)
-        m2.load(path)
-        x = rng.random((1, 3))
-        np.testing.assert_array_equal(m1(Tensor(x)).data, m2(Tensor(x)).data)
-
-    def test_save_load_extensionless_path(self, rng, tmp_path):
-        m1, m2 = Tiny(rng), Tiny(np.random.default_rng(999))
-        m1.save(tmp_path / "weights")  # np.savez appends .npz; load must agree
-        assert (tmp_path / "weights.npz").exists()
-        m2.load(tmp_path / "weights")
-        np.testing.assert_array_equal(m1.scale.data, m2.scale.data)
-
-    def test_save_load_float32_dtype_policy(self, rng, tmp_path):
+    def test_state_dict_roundtrip_keeps_float32(self, rng):
         from repro.nn.tensor import dtype_policy
 
         with dtype_policy(np.float32):
             m1 = Tiny(np.random.default_rng(7)).to_dtype(np.float32)
-            path = tmp_path / "f32.npz"
-            m1.save(path)
             m2 = Tiny(np.random.default_rng(999)).to_dtype(np.float32)
-            m2.load(path)
+            m2.load_state_dict(m1.state_dict())
             for (_, a), (__, b) in zip(m1.named_parameters(), m2.named_parameters()):
                 assert b.data.dtype == np.float32
                 np.testing.assert_array_equal(a.data, b.data)
@@ -117,33 +100,6 @@ class TestSerialization:
             out = m2(Tensor(x))
             assert out.data.dtype == np.float32
             np.testing.assert_array_equal(m1(Tensor(x)).data, out.data)
-
-    def test_load_missing_file_raises_filenotfound(self, rng, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            Tiny(rng).load(tmp_path / "absent.npz")
-
-    def test_load_corrupt_file_raises_clear_error(self, rng, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(ValueError, match="corrupt or truncated"):
-            Tiny(rng).load(path)
-
-    def test_load_truncated_file_raises_clear_error(self, rng, tmp_path):
-        path = tmp_path / "weights.npz"
-        m = Tiny(rng)
-        m.save(path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError, match="corrupt or truncated"):
-            Tiny(rng).load(path)
-
-    def test_save_failure_leaves_no_temp_files(self, rng, tmp_path):
-        m = Tiny(rng)
-        path = tmp_path / "weights.npz"
-        m.save(path)
-        before = sorted(p.name for p in tmp_path.iterdir())
-        m.save(path)  # overwrite goes through a temp file + os.replace
-        assert sorted(p.name for p in tmp_path.iterdir()) == before == ["weights.npz"]
 
 
 class TestLosses:

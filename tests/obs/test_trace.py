@@ -57,7 +57,7 @@ class TestSpanTree:
         assert inner.status == "error"
         # both spans were closed: end times are set and the stack is empty
         assert inner.t_end >= inner.t_start
-        assert tracer.current() is None
+        assert tracer._stack() == []
 
     def test_span_closed_even_on_exception_midway(self):
         tracer = Tracer()
@@ -68,7 +68,7 @@ class TestSpanTree:
             pass
         # a new root span works fine afterwards (no orphaned stack entries)
         with tracer.span("b"):
-            assert tracer.current().name == "b"
+            assert tracer._stack()[-1].name == "b"
         assert [s.name for s in tracer.finished] == ["a", "b"]
 
     def test_walk_and_find(self):
@@ -123,13 +123,13 @@ class TestTracerBehaviour:
 
         def worker(name):
             with tracer.span(name):
-                seen[name] = tracer.current().name
+                seen[name] = tracer._stack()[-1].name
 
         with tracer.span("main"):
             t = threading.Thread(target=worker, args=("worker",))
             t.start()
             t.join()
-            assert tracer.current().name == "main"
+            assert tracer._stack()[-1].name == "main"
         assert seen["worker"] == "worker"
         # worker's span is its own root, not a child of "main"
         names = sorted(s.name for s in tracer.finished)

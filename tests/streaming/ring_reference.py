@@ -1,7 +1,7 @@
 """Per-stream :class:`RollingBuffer` oracle for the fleet ring's property tests.
 
-The wrap-padded :class:`~repro.streaming.buffer.MatrixRingBuffer` (also
-over shared-memory storage) must behave exactly like ``streams``
+The wrap-padded :class:`~repro.streaming.buffer.MatrixRingBuffer` must
+behave exactly like ``streams``
 independent rolling buffers under any sequence of masked ticks,
 ``clear()`` calls and checkpoint round trips. :func:`ring_ops` draws
 such sequences, :func:`apply_op` drives a ring and its references
@@ -37,8 +37,8 @@ def fresh_references(streams: int, capacity: int, features: int) -> list[Rolling
 def roundtrip_in_place(ring) -> None:
     """``state_dict`` → scribble over every slot and the pad → ``load_state_dict``.
 
-    The scribble stands in for a dead worker's leftovers in a shared
-    slice: the restore must rebuild the pad, not trust it.
+    The scribble stands in for whatever the ring held before the load:
+    the restore must rebuild the pad, not trust it.
     """
     state = ring.state_dict()
     garbage = np.full((ring.streams, ring.features), 1e9)

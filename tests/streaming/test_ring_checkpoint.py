@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricRegistry
-from repro.streaming.shm import ring_specs
 from repro.streaming import (
     CheckpointError,
     AsyncRefitEngine,
@@ -296,7 +295,6 @@ class TestRetiredOptions:
             (OnlinePredictor, (), "serve_dtype", np.float64),
             (OnlinePredictor, (), "span_sample", 8),
             (AsyncRefitEngine, (), "backend", "thread"),
-            (ring_specs, (2, 5, 1), "prefix", "ring"),
         ]
         for build, args, option, value in cases:
             with pytest.raises(TypeError, match=option):
