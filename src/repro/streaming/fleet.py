@@ -56,27 +56,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from ..models.base import Forecaster, create_forecaster
 from ..obs import trace
 from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
-from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
+from ..obs.registry import MetricRegistry, is_enabled, log_buckets
 from .buffer import MatrixRingBuffer
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
-from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord
-from .refit import AsyncRefitEngine, RefitTask, fit_task
+from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord, _ServingPredictor
+from .refit import AsyncRefitEngine, RefitTask
 from .resilience import (
     GATE_QUARANTINE,
     GatePolicy,
     HealthStatus,
     FleetGate,
-    Supervisor,
     SupervisorPolicy,
 )
 
@@ -86,8 +82,6 @@ __all__ = ["FleetPredictor", "FleetTick"]
 _HEALTH_BY_LEVEL = {level: status for status, level in _HEALTH_LEVEL.items()}
 #: gate action code -> the ``gated`` field of :class:`PredictionRecord`
 _GATED_BY_ACTION = (None, "imputed", "quarantined")
-#: constructor options older checkpoints may still carry; restore drops them
-_RETIRED_OPTIONS = ("error_history", "refit_backend", "serve_dtype", "span_sample")
 
 
 @dataclass(frozen=True)
@@ -243,11 +237,11 @@ class _FleetStats:
         self.n_refit_failures = 0
         #: async mode: refit triggers that found a background fit in flight
         self.n_refits_deferred = 0
-        #: running fleet totals mirrored at the mutation sites so the
-        #: per-tick obs wrapper reads O(1) ints instead of summing the
-        #: per-stream arrays (4 O(N) scans/tick — the N=1 bench killer)
-        self.total_fallback_predictions = 0
-        self.total_clamped_predictions = 0
+
+    @property
+    def total_fallback_predictions(self) -> int:
+        """Predictions the fallback served, over all streams."""
+        return int(self.n_fallback_predictions.sum())
 
     @property
     def mae(self) -> np.ndarray:
@@ -281,15 +275,15 @@ class _FleetStats:
         self.n_refits = int(state["n_refits"])
         self.n_refit_failures = int(state["n_refit_failures"])
         self.n_refits_deferred = int(state.get("n_refits_deferred", 0))
-        self.total_fallback_predictions = int(self.n_fallback_predictions.sum())
-        self.total_clamped_predictions = int(self.n_clamped_predictions.sum())
 
 
-class FleetPredictor:
+class FleetPredictor(_ServingPredictor):
     """Serve one-step-ahead predictions for N streams per shared forward.
 
-    Parameters mirror :class:`~repro.streaming.online.OnlinePredictor`
-    (so a fleet of one is a drop-in, bit-identical replacement), plus:
+    Takes the parameters documented on
+    :class:`~repro.streaming.online._ServingPredictor`, which it shares
+    with :class:`~repro.streaming.online.OnlinePredictor` (so a fleet of
+    one is a drop-in, bit-identical replacement), plus:
 
     n_streams:
         Number of multiplexed streams; each tick carries one record per
@@ -329,7 +323,21 @@ class FleetPredictor:
     warm_epochs:
         Epoch budget for warm-started resumes (``None`` = the model's
         default, a quarter of its cold budget).
+
+    Per-tick latency lands in the ``serving_fleet_tick_seconds``
+    histogram, and every eighth tick runs inside a
+    ``serving.fleet_tick`` trace span.
     """
+
+    _CHECKPOINT_KIND = "fleet_predictor"
+    _METRIC_PREFIX = "serving_fleet"
+    _IDENTITY = ("n_streams", *_ServingPredictor._IDENTITY)
+    _COUNTERS = (
+        *_ServingPredictor._COUNTERS,
+        ("records", "records offered to the fleet"),
+        ("async_swaps", "background fits adopted by atomic weight swap"),
+        ("refits_deferred", "refit triggers deferred: a background fit was in flight"),
+    )
 
     def __init__(
         self,
@@ -357,12 +365,6 @@ class FleetPredictor:
     ) -> None:
         if n_streams < 1:
             raise ValueError(f"n_streams must be >= 1, got {n_streams}")
-        if buffer_capacity < window + 2:
-            raise ValueError(
-                f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
-            )
-        if refit_interval < 1:
-            raise ValueError(f"refit_interval must be >= 1, got {refit_interval}")
         if refit_streams < 1 or max_fit_windows < 1:
             raise ValueError("refit_streams and max_fit_windows must be >= 1")
         if refit_mode not in ("sync", "async"):
@@ -375,14 +377,12 @@ class FleetPredictor:
                 f"got {type(detector).__name__} (use OnlinePredictor for "
                 "custom detectors)"
             )
+        super().__init__(
+            forecaster_name, forecaster_kwargs, window, buffer_capacity, refit_interval,
+            min_fit_size, target_col, supervisor_policy, fallback_forecaster,
+            fallback_kwargs, refit_fault_hook, registry,
+        )  # fmt: skip
         self.n_streams = n_streams
-        self.forecaster_name = forecaster_name
-        self.forecaster_kwargs = dict(forecaster_kwargs or {})
-        self.forecaster_kwargs.setdefault("target_col", target_col)
-        self.window = window
-        self.refit_interval = refit_interval
-        self.min_fit_size = min_fit_size if min_fit_size is not None else 3 * window
-        self.target_col = target_col
         self.refit_streams = refit_streams
         self.max_fit_windows = max_fit_windows
         self.buffer = MatrixRingBuffer(n_streams, buffer_capacity, features, window=window)
@@ -393,21 +393,8 @@ class FleetPredictor:
             "min_instances": proto.min_instances,
         }
         self.detector = _FleetPageHinkley.from_prototype(proto, n_streams)
-        obs_registry = get_registry(registry)
-        self.gate = FleetGate(n_streams, features, gate_policy, registry=obs_registry)
-        self.refit_supervisor = Supervisor(supervisor_policy, duty="refit", registry=obs_registry)
-        # predictions: same budget envelope, but no retries (see OnlinePredictor)
-        predict_policy = supervisor_policy or SupervisorPolicy()
-        self.predict_supervisor = Supervisor(
-            SupervisorPolicy(
-                max_retries=0,
-                backoff_base=0.0,
-                time_budget=predict_policy.time_budget,
-                fallback_after=predict_policy.fallback_after,
-            ),
-            duty="predict",
-            registry=obs_registry,
-        )
+        self.gate = FleetGate(n_streams, features, gate_policy, registry=self._registry)
+        self.stats = _FleetStats(n_streams)
         # fleet telemetry: tick latency, forward batch size, throughput
         self._h_latency = MetricHistogram(
             "serving_fleet_tick_seconds",
@@ -422,23 +409,6 @@ class FleetPredictor:
         self._g_throughput = MetricGauge(
             "serving_fleet_records_per_sec", "instantaneous fleet serving throughput"
         )
-        self._g_health = MetricGauge(
-            "serving_fleet_health_state", "0=healthy 1=degraded 2=fallback"
-        )
-        self._obs_counters = {
-            name: obs_registry.counter(f"serving_fleet_{name}_total", help)
-            for name, help in (
-                ("records", "records offered to the fleet"),
-                ("predictions", "predictions served"),
-                ("refits", "successful shared-model refits"),
-                ("refit_failures", "terminally failed shared-model refits"),
-                ("drift_events", "per-stream drift detector firings"),
-                ("fallback_predictions", "predictions served by the fallback"),
-                ("clamped_predictions", "predictions clamped into the plausibility band"),
-                ("async_swaps", "background fits adopted by atomic weight swap"),
-                ("refits_deferred", "refit triggers deferred: a background fit was in flight"),
-            )
-        }
         # async-refit telemetry: live version, staleness, submit->swap lag,
         # off-path fit cost (these make the swap protocol observable)
         self._g_version = MetricGauge(
@@ -462,37 +432,20 @@ class FleetPredictor:
             self._h_latency,
             self._h_batch,
             self._g_throughput,
-            self._g_health,
             self._g_version,
             self._g_staleness,
             self._h_refit_lag,
             self._h_fit_seconds,
         ):
-            obs_registry.register(inst)
-        self._last_health_level: int | None = None
-        self._span_tick = 0
-        self.fallback_forecaster = fallback_forecaster
-        self.fallback_kwargs = dict(fallback_kwargs or {})
-        self.fallback_kwargs.setdefault("target_col", target_col)
-        self.refit_fault_hook = refit_fault_hook
-        self.model: Forecaster | None = None
-        self.fallback_model: Forecaster | None = None
-        self.on_fallback = False
-        self.stats = _FleetStats(n_streams)
+            self._registry.register(inst)
         self.refit_mode = refit_mode
         self.warm_start = bool(warm_start)
         self.warm_epochs = warm_epochs
-        #: bumps on every adopted primary model (in-line refit or async swap)
-        self.model_version = 0
-        #: fleet step whose pooled windows trained the live model (-1 = none)
-        self._model_step = -1
         # the engine spawns its worker lazily on first submit, so sync-mode
         # fleets (and async ones that never refit) pay nothing here
         self.refit_engine: AsyncRefitEngine | None = (
             AsyncRefitEngine() if refit_mode == "async" else None
         )
-        self._step = 0
-        self._since_refit = 0
         self._refit_cursor = 0
         # preallocated (n_streams, window, features) inference batch —
         # each tick's due windows gather into its leading rows in place
@@ -500,25 +453,10 @@ class FleetPredictor:
         # scratch of the masked squared-error pass (rows read only under its mask)
         self._sq_error = np.zeros(n_streams)
         self._last_batch_size = 0
-        self._last_n_served = 0
-
-    # -- health ---------------------------------------------------------------
-
-    @property
-    def health(self) -> HealthStatus:
-        """Current fleet-wide serving health (per-stream fallback overrides)."""
-        if self.on_fallback:
-            return HealthStatus.FALLBACK
-        if (
-            self.refit_supervisor.consecutive_failures > 0
-            or self.predict_supervisor.consecutive_failures > 0
-        ):
-            return HealthStatus.DEGRADED
-        return HealthStatus.HEALTHY
 
     # -- internals -------------------------------------------------------------
 
-    def _fit_pool(self) -> tuple[np.ndarray, np.ndarray]:
+    def _training_windows(self) -> tuple[np.ndarray, np.ndarray]:
         """Training windows pooled from a staggered sample of stream buffers.
 
         Round-robin over the streams with enough history: each refit
@@ -558,44 +496,6 @@ class FleetPredictor:
             return xs[0], ys[0]
         return np.concatenate(xs), np.concatenate(ys)
 
-    def _fit_fallback(self) -> None:
-        """Fit the fallback forecaster on the pool (guarded, never raises)."""
-        try:
-            x, y = self._fit_pool()
-            model = create_forecaster(self.fallback_forecaster, **self.fallback_kwargs)
-            model.fit(x, y)
-            self.fallback_model = model
-        except Exception:  # noqa: BLE001 — last line of defence stays up
-            pass
-
-    def _refit_task(self) -> RefitTask:
-        """One refit attempt's fit request (both modes build it the same way).
-
-        Runs the fault hook, pools the training windows and, with
-        ``warm_start``, ships the live model's weights so the fit resumes
-        through :meth:`Forecaster.warm_fit`. Raises whatever the hook or
-        the pooling raises — the caller counts it as a failed attempt.
-        """
-        if self.refit_fault_hook is not None:
-            self.refit_fault_hook()
-        x, y = self._fit_pool()
-        warm = None
-        if (
-            self.warm_start
-            and self.model is not None
-            and getattr(self.model, "supports_warm_fit", False)
-        ):
-            warm = self.model.to_bytes()
-        return RefitTask(
-            self.forecaster_name,
-            dict(self.forecaster_kwargs),
-            x,
-            y,
-            warm_state=warm,
-            warm_epochs=self.warm_epochs,
-            step=self._step,
-        )
-
     def _start_refit(self) -> bool:
         """Refit trigger; ``True`` iff an attempt *started*.
 
@@ -609,20 +509,15 @@ class FleetPredictor:
         ``max(refit_interval, fit_time)``.
         """
         engine = self.refit_engine
-        if engine is not None and engine.busy:
-            self.stats.n_refits_deferred += 1
-            self._obs_counters["refits_deferred"].inc()
-            return False
-        # the clock resets when the attempt *starts*, not after it returns:
-        # anything escaping the supervisor (it only catches Exception, so a
-        # BaseException from the fit propagates) must not leave the
-        # ``scheduled`` trigger armed, or every subsequent tick re-fires a
-        # refit
-        self._since_refit = 0
         if engine is None:
-            _, model = self.refit_supervisor.run(lambda: fit_task(self._refit_task()))
-            self._finish_refit(model, self._step)
+            self._refit()
             return True
+        if engine.busy:
+            self.stats.n_refits_deferred += 1
+            self._counters["refits_deferred"].inc()
+            return False
+        # reset at the attempt's start, as the in-line refit does
+        self._since_refit = 0
         try:
             task = self._refit_task()
         except Exception as exc:  # noqa: BLE001 — a failed attempt, as in sync mode
@@ -632,31 +527,6 @@ class FleetPredictor:
         # ``busy`` covers an unpolled outcome too, so this cannot be rejected
         engine.submit(task)
         return True
-
-    def _finish_refit(self, model: Forecaster | None, step: int) -> bool:
-        """Adopt a fitted model, or degrade on a failed attempt.
-
-        The one place a refit changes the serving model or the refit
-        counters. ``step`` is the fleet step whose pooled windows trained
-        ``model`` (the staleness anchor). Adoption is one reference
-        assignment of a fully fitted model, so readers see the old model
-        or the new one, never a torn mix. Returns ``True`` iff adopted.
-        """
-        if model is not None:
-            self.model = model
-            self.model_version += 1
-            self._model_step = step
-            self.on_fallback = False
-            self.stats.n_refits += 1
-            self._obs_counters["refits"].inc()
-            return True
-        self.stats.n_refit_failures += 1
-        self._obs_counters["refit_failures"].inc()
-        if self.model is None or self.refit_supervisor.should_fall_back:
-            self._fit_fallback()
-            if self.fallback_model is not None:
-                self.on_fallback = True
-        return False
 
     def _sanitize(self, predictions: np.ndarray, served: np.ndarray) -> None:
         """Vectorized output guard over the streams that were just served.
@@ -678,7 +548,7 @@ class FleetPredictor:
         wild = armed & np.isfinite(vals) & ((vals < lo_t) | (vals > hi_t))
         if wild.any():
             self.stats.n_clamped_predictions[served[wild]] += 1
-            self.stats.total_clamped_predictions += int(np.count_nonzero(wild))
+            self._counters["clamped_predictions"].inc(int(np.count_nonzero(wild)))
             predictions[served[wild]] = np.clip(
                 vals[wild], lo_t[wild], hi_t[wild]
             )
@@ -697,9 +567,6 @@ class FleetPredictor:
         """
         if not is_enabled():
             return self._process_tick_inner(tick)
-        st = self.stats
-        b_fallback = st.total_fallback_predictions
-        b_clamped = st.total_clamped_predictions
         t0 = time.perf_counter()
         self._span_tick += 1
         if self._span_tick >= _SPAN_SAMPLE:
@@ -714,28 +581,12 @@ class FleetPredictor:
         self._h_batch.observe(self._last_batch_size)
         if elapsed > 0:
             self._g_throughput.set(self.n_streams / elapsed)
-        counters = self._obs_counters
-        counters["records"].inc(self.n_streams)
-        n_served = self._last_n_served
-        if n_served:
-            counters["predictions"].inc(n_served)
-        level = _HEALTH_LEVEL[self.health]
-        if level != self._last_health_level:
-            self._last_health_level = level
-            self._g_health.set(level)
+        self._counters["records"].inc(self.n_streams)
+        self._observe_health(self.health)
         self._g_version.set(float(self.model_version))
         self._g_staleness.set(
             float(self._step - self._model_step) if self.model is not None else 0.0
         )
-        n_drift = int(result.drift.sum())
-        if n_drift:
-            counters["drift_events"].inc(n_drift)
-        fallback = st.total_fallback_predictions - b_fallback
-        if fallback:
-            counters["fallback_predictions"].inc(fallback)
-        clamped = st.total_clamped_predictions - b_clamped
-        if clamped:
-            counters["clamped_predictions"].inc(clamped)
         return result
 
     def _process_tick_inner(self, tick: np.ndarray) -> FleetTick:
@@ -748,6 +599,7 @@ class FleetPredictor:
                 f"got {arr.shape}"
             )
         st = self.stats
+        counters = self._counters
         # async mode: adopt a finished background fit *before* predicting, so
         # the freshest completed model serves this tick — with a fit that
         # lands within one tick gap this is exactly the sync schedule (model
@@ -758,7 +610,7 @@ class FleetPredictor:
         if engine is not None and (outcome := engine.poll()) is not None:
             self.refit_supervisor.record(outcome.ok, outcome.error)
             if self._finish_refit(outcome.model, outcome.task.step):
-                self._obs_counters["async_swaps"].inc()
+                counters["async_swaps"].inc()
                 self._h_refit_lag.observe(float(self._step - outcome.task.step))
                 self._h_fit_seconds.observe(outcome.fit_seconds)
         gated = self.gate.check_tick(arr)
@@ -777,56 +629,43 @@ class FleetPredictor:
             idx = np.flatnonzero(due)
             self._last_batch_size = int(idx.size)
             batch = self.buffer.last_windows(idx, self.window, out=self._batch[: idx.size])
-
-            def attempt() -> np.ndarray:
-                return np.asarray(serving.predict(batch), float)[:, 0].copy()
-
-            ok, values = self.predict_supervisor.run(attempt)
-            fresh: np.ndarray | None = None
-            if ok:
-                predictions[idx] = values
-                used_fallback[idx] = self.on_fallback
-                fresh = idx
-            else:
+            values, used, failures = self._forward(serving, batch)
+            if failures:
                 st.n_predict_failures[idx] += 1
-                # primary forward blew up: serve the tick from the fallback
-                if not self.on_fallback:
-                    if self.fallback_model is None:
-                        self._fit_fallback()
-                    if self.fallback_model is not None:
-                        try:
-                            values = np.asarray(
-                                self.fallback_model.predict(batch), float
-                            )[:, 0].copy()
-                            predictions[idx] = values
-                            used_fallback[idx] = True
-                            fresh = idx
-                        except Exception:  # noqa: BLE001 — the tick is lost, but counted
-                            st.n_fallback_predict_failures[idx] += 1
-            if fresh is not None:
-                self._sanitize(predictions, fresh)
-        if used_fallback.any():
+                if failures == 2:
+                    st.n_fallback_predict_failures[idx] += 1
+                    counters["fallback_predict_failures"].inc(idx.size)
+            if values is not None:
+                predictions[idx] = values
+                used_fallback[idx] = used
+                self._sanitize(predictions, idx)
+        n_fallback = int(np.count_nonzero(used_fallback))
+        if n_fallback:
             st.n_fallback_predictions[used_fallback] += 1
-            st.total_fallback_predictions += int(np.count_nonzero(used_fallback))
+            counters["fallback_predictions"].inc(n_fallback)
 
         # -- score + drift (only streams that actually got a prediction)
         have = np.isfinite(predictions)
-        self._last_n_served = int(np.count_nonzero(have))
+        n_served = int(np.count_nonzero(have))
         errors = np.full(self.n_streams, np.nan)
-        if self._last_n_served:
+        if n_served:
             # masked passes: unserved rows keep their NaN error and their sums.
             # With every stream served the mask is ``True``: a bool-array
             # ``where=`` more than doubles a ufunc call's fixed cost, which is
             # most of each call in a small fleet
-            served = True if self._last_n_served == self.n_streams else have
+            served = True if n_served == self.n_streams else have
             np.subtract(predictions, actuals, out=errors, where=served)
             np.abs(errors, out=errors, where=served)
             np.add(st.n_predictions, 1, out=st.n_predictions, where=served)
+            counters["predictions"].inc(n_served)
             np.add(st.sum_abs_error, errors, out=st.sum_abs_error, where=served)
             sq = np.multiply(errors, errors, out=self._sq_error, where=served)
             np.add(st.sum_sq_error, sq, out=st.sum_sq_error, where=served)
             fired = self.detector.update(errors, served)
-            np.add(st.n_drifts, 1, out=st.n_drifts, where=fired)
+            n_drift = int(np.count_nonzero(fired))
+            if n_drift:
+                np.add(st.n_drifts, 1, out=st.n_drifts, where=fired)
+                counters["drift_events"].inc(n_drift)
         else:
             fired = np.zeros(self.n_streams, dtype=bool)
 
@@ -878,101 +717,35 @@ class FleetPredictor:
 
     # -- checkpoint / restore ----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Full fleet serving state: enough to resume every stream bit-for-bit."""
+    def _config(self) -> dict:
         return {
-            "config": {
-                "n_streams": self.n_streams,
-                "forecaster_name": self.forecaster_name,
-                "forecaster_kwargs": dict(self.forecaster_kwargs),
-                "window": self.window,
-                "buffer_capacity": self.buffer.capacity,
-                "refit_interval": self.refit_interval,
-                "min_fit_size": self.min_fit_size,
-                "target_col": self.target_col,
-                "features": self.buffer.features,
-                "detector_params": dict(self._detector_params),
-                "gate_policy": self.gate.policy,
-                "supervisor_policy": self.refit_supervisor.policy,
-                "fallback_forecaster": self.fallback_forecaster,
-                "fallback_kwargs": dict(self.fallback_kwargs),
-                "refit_streams": self.refit_streams,
-                "max_fit_windows": self.max_fit_windows,
-                "refit_mode": self.refit_mode,
-                "warm_start": self.warm_start,
-                "warm_epochs": self.warm_epochs,
-            },
-            "step": self._step,
-            "since_refit": self._since_refit,
-            "refit_cursor": self._refit_cursor,
-            "model_version": self.model_version,
-            "model_step": self._model_step,
-            # an in-flight (or finished-but-unadopted) background fit is
-            # persisted as its *task*: restore resubmits it, so the fit it
-            # would have produced still lands — restore-then-replay equals
-            # the uninterrupted run (fits are seeded and deterministic)
-            "pending_refit": (
-                None
-                if self.refit_engine is None
-                or (task := self.refit_engine.pending_task()) is None
-                else task.state_dict()
-            ),
-            "on_fallback": self.on_fallback,
-            "buffer": self.buffer.state_dict(),
-            "detector": self.detector.state_dict(),
-            "gate": self.gate.state_dict(),
-            "refit_supervisor": self.refit_supervisor.state_dict(),
-            "predict_supervisor": self.predict_supervisor.state_dict(),
-            "stats": self.stats.state_dict(),
-            "model": None if self.model is None else self.model.to_bytes(),
-            "fallback_model": (
-                None if self.fallback_model is None else self.fallback_model.to_bytes()
-            ),
+            "n_streams": self.n_streams,
+            **super()._config(),
+            "detector_params": dict(self._detector_params),
+            "refit_streams": self.refit_streams,
+            "max_fit_windows": self.max_fit_windows,
+            "refit_mode": self.refit_mode,
+            "warm_start": self.warm_start,
+            "warm_epochs": self.warm_epochs,
         }
 
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["refit_cursor"] = self._refit_cursor
+        # an in-flight (or finished-but-unadopted) background fit is
+        # persisted as its *task*: restore resubmits it, so the fit it
+        # would have produced still lands — restore-then-replay equals
+        # the uninterrupted run (fits are seeded and deterministic)
+        engine = self.refit_engine
+        task = None if engine is None else engine.pending_task()
+        state["pending_refit"] = None if task is None else task.state_dict()
+        state["detector"] = self.detector.state_dict()
+        return state
+
     def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; the predictor must match its config."""
-        cfg = state["config"]
-        if (
-            cfg["n_streams"] != self.n_streams
-            or cfg["window"] != self.window
-            or cfg["features"] != self.buffer.features
-            or cfg["buffer_capacity"] != self.buffer.capacity
-            or cfg["forecaster_name"] != self.forecaster_name
-        ):
-            raise CheckpointError(
-                "checkpoint config mismatch: "
-                f"saved (streams={cfg['n_streams']}, forecaster={cfg['forecaster_name']}, "
-                f"window={cfg['window']}, features={cfg['features']}, "
-                f"capacity={cfg['buffer_capacity']}) vs live "
-                f"(streams={self.n_streams}, forecaster={self.forecaster_name}, "
-                f"window={self.window}, features={self.buffer.features}, "
-                f"capacity={self.buffer.capacity})"
-            )
-        # reject a bad ring before any field changes: a half-restored
-        # predictor is worse than a refused checkpoint
-        try:
-            self.buffer.validate_state(state["buffer"])
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
-        self._step = int(state["step"])
-        self._since_refit = int(state["since_refit"])
+        super().load_state_dict(state)
         self._refit_cursor = int(state["refit_cursor"])
-        self.model_version = int(state.get("model_version", 0))
-        self._model_step = int(state.get("model_step", -1))
-        self.on_fallback = bool(state["on_fallback"])
-        self.buffer.load_state_dict(state["buffer"])
         self.detector.load_state_dict(state["detector"])
-        self.gate.load_state_dict(state["gate"])
-        self.refit_supervisor.load_state_dict(state["refit_supervisor"])
-        self.predict_supervisor.load_state_dict(state["predict_supervisor"])
-        self.stats.load_state_dict(state["stats"])
-        self.model = None if state["model"] is None else Forecaster.from_bytes(state["model"])
-        self.fallback_model = (
-            None
-            if state["fallback_model"] is None
-            else Forecaster.from_bytes(state["fallback_model"])
-        )
         pending = state.get("pending_refit")
         if pending is not None and self.refit_engine is not None:
             # deterministic resume: re-run the interrupted fit on the same
@@ -989,22 +762,3 @@ class FleetPredictor:
         """
         if self.refit_engine is not None:
             self.refit_engine.close()
-
-    def save(self, path: str | Path) -> None:
-        """Checkpoint the full fleet state atomically (crash-safe)."""
-        write_checkpoint(path, {"kind": "fleet_predictor", "state": self.state_dict()})
-
-    @classmethod
-    def restore(cls, path: str | Path, **overrides: Any) -> "FleetPredictor":
-        """Rebuild a fleet from a checkpoint and resume every stream."""
-        artifact = read_checkpoint(path)
-        if not isinstance(artifact, dict) or artifact.get("kind") != "fleet_predictor":
-            raise CheckpointError(f"{path} does not hold a FleetPredictor checkpoint")
-        state = artifact["state"]
-        cfg = {k: v for k, v in state["config"].items() if k not in _RETIRED_OPTIONS}
-        params = cfg.pop("detector_params")
-        cfg["detector"] = PageHinkley(**params)
-        cfg.update(overrides)
-        predictor = cls(**cfg)
-        predictor.load_state_dict(state)
-        return predictor

@@ -21,15 +21,20 @@ due to network anomalies, system interruption etc."):
 * the full serving state checkpoints to a single crash-safe artifact
   (:meth:`OnlinePredictor.save` / :meth:`OnlinePredictor.restore`), so a
   restarted process resumes mid-stream bit-for-bit.
+
+The model lifecycle — refit adoption, fallback, health, serving counters
+and the checkpoint envelope — lives in :class:`_ServingPredictor`, which
+:class:`~repro.streaming.fleet.FleetPredictor` shares; each predictor
+keeps only its own hot path (gate, buffer, stats, sanitizer, record
+assembly).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import RollingBuffer
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
+from .refit import RefitTask, fit_task
 from .resilience import GatePolicy, HealthStatus, InputGate, Supervisor, SupervisorPolicy
 
 #: numeric encoding of :class:`HealthStatus` for the health gauge
@@ -53,8 +59,12 @@ _HEALTH_LEVEL = {
 #: one serving step (record or fleet tick) in this many opens a trace
 #: span; the latency histogram still sees every step
 _SPAN_SAMPLE = 8
+#: constructor options older checkpoints may still carry; restore drops them
+_RETIRED_OPTIONS = ("error_history", "refit_backend", "serve_dtype", "span_sample")
 
 __all__ = ["PredictionRecord", "OnlinePredictor"]
+
+_P = TypeVar("_P", bound="_ServingPredictor")
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,6 @@ class _OnlineStats:
     n_fallback_predictions: int = 0
     n_fallback_predict_failures: int = 0
     n_clamped_predictions: int = 0
-    #: recent per-step errors; bounded by default (see ``error_history``)
-    errors: deque[float] = field(default_factory=lambda: deque(maxlen=512))
 
     @property
     def mae(self) -> float:
@@ -96,20 +104,7 @@ class _OnlineStats:
         return self.sum_sq_error / max(self.n_predictions, 1)
 
     def state_dict(self) -> dict:
-        return {
-            "n_predictions": self.n_predictions,
-            "sum_abs_error": self.sum_abs_error,
-            "sum_sq_error": self.sum_sq_error,
-            "n_refits": self.n_refits,
-            "n_drifts": self.n_drifts,
-            "n_refit_failures": self.n_refit_failures,
-            "n_predict_failures": self.n_predict_failures,
-            "n_fallback_predictions": self.n_fallback_predictions,
-            "n_fallback_predict_failures": self.n_fallback_predict_failures,
-            "n_clamped_predictions": self.n_clamped_predictions,
-            "errors": list(self.errors),
-            "errors_maxlen": self.errors.maxlen,
-        }
+        return dict(vars(self))
 
     def load_state_dict(self, state: dict) -> None:
         self.n_predictions = int(state["n_predictions"])
@@ -123,26 +118,41 @@ class _OnlineStats:
         # key absent in pre-fleet checkpoints; the count started at 0 there
         self.n_fallback_predict_failures = int(state.get("n_fallback_predict_failures", 0))
         self.n_clamped_predictions = int(state["n_clamped_predictions"])
-        self.errors = deque(state["errors"], maxlen=state["errors_maxlen"])
 
 
-class OnlinePredictor:
-    """Serve one-step-ahead predictions over a live indicator stream.
+class _ServingPredictor:
+    """The serving-model lifecycle both predictors share.
+
+    :class:`OnlinePredictor` serves one stream record by record and
+    :class:`~repro.streaming.fleet.FleetPredictor` serves N streams tick
+    by tick; what differs between them is only the hot path (gate,
+    history buffer, stats arrays, output sanitizer, record assembly).
+    The model they serve is managed here once: refit adoption
+    (:meth:`_finish_refit`), the fallback (:meth:`_fit_fallback`,
+    :meth:`_forward`), :attr:`health`, the serving counters and the
+    checkpoint envelope (:meth:`state_dict`, :meth:`save`,
+    :meth:`restore`).
 
     Parameters
     ----------
     forecaster_name, forecaster_kwargs:
-        Registered forecaster refitted on the buffer contents. Cheap
+        Registered forecaster refitted on the buffered history. Cheap
         refittable models (``xgboost``, ``holt``, ``arima``) suit the
         online setting; deep models work but pay seconds per refit.
     window:
         Input window length fed to the forecaster.
     buffer_capacity:
-        History kept for refits.
+        History kept for refits (per stream).
     refit_interval:
-        Scheduled refit period (in records); drift can trigger earlier.
+        Scheduled refit period (in records, or fleet ticks); drift can
+        trigger earlier.
+    min_fit_size:
+        History a stream needs before drift may trigger a refit, and
+        before the first fit (default ``3 * window``).
     target_col:
         Which feature column is the prediction target.
+    features:
+        Feature columns per record.
     detector:
         Page-Hinkley drift detector over absolute errors (default
         parameters when ``None``).
@@ -159,25 +169,339 @@ class OnlinePredictor:
         (never fitted, or ``fallback_after`` consecutive refit
         failures). Must be cheap and hard to break: ``"persistence"``
         (default), ``"mean"`` or ``"holt"``.
-    error_history:
-        How many recent per-step errors ``stats.errors`` retains
-        (ring-buffer semantics). Pass ``None`` to keep the full stream —
-        opt-in, because an unbounded list in a long-running server is a
-        slow memory leak.
     refit_fault_hook:
         Test/chaos hook invoked at the start of every refit attempt;
         raising from it simulates a refit crash (see
         :class:`~repro.streaming.faults.FaultInjector.refit_fault`).
     registry:
         :class:`~repro.obs.MetricRegistry` receiving the serving metrics
-        (per-record latency histogram, health gauge, refit/drift/fallback
-        counters, plus the gate and supervisor instruments). ``None``
-        uses the process-global registry. Optional telemetry respects
-        :func:`repro.obs.set_enabled`; the gate/supervisor counts are
-        serving state and always record. Every eighth record runs
-        inside a ``serving.process`` trace span; the latency histogram
-        still sees every record.
+        (step latency histogram, health gauge, the event counters, plus
+        the gate and supervisor instruments). ``None`` uses the
+        process-global registry. The event counters move where the event
+        happens, so like the gate/supervisor counts they record whether
+        or not :func:`repro.obs.set_enabled` is on; the latency
+        histogram, the gauges and the trace spans (every eighth step)
+        respect it.
     """
+
+    #: ``kind`` tag of the artifacts :meth:`save` writes and :meth:`restore` reads
+    _CHECKPOINT_KIND = ""
+    #: metric names are ``{prefix}_{counter}_total`` and ``{prefix}_health_state``
+    _METRIC_PREFIX = "serving"
+    #: checkpoint config entries that must equal the live predictor's
+    _IDENTITY = ("forecaster_name", "window", "features", "buffer_capacity")
+    _COUNTERS = (
+        ("predictions", "predictions served"),
+        ("refits", "successful refits"),
+        ("refit_failures", "terminally failed refits"),
+        ("drift_events", "drift detector firings"),
+        ("fallback_predictions", "predictions served by the fallback"),
+        ("fallback_predict_failures", "fallback forwards that also failed"),
+        ("clamped_predictions", "predictions clamped into the plausibility band"),
+    )
+    #: warm-started refits are a fleet option; the scalar predictor fits cold
+    warm_start = False
+    warm_epochs: int | None = None
+
+    def __init__(
+        self,
+        forecaster_name: str,
+        forecaster_kwargs: dict[str, Any] | None,
+        window: int,
+        buffer_capacity: int,
+        refit_interval: int,
+        min_fit_size: int | None,
+        target_col: int,
+        supervisor_policy: SupervisorPolicy | None,
+        fallback_forecaster: str,
+        fallback_kwargs: dict[str, Any] | None,
+        refit_fault_hook: Callable[[], None] | None,
+        registry: MetricRegistry | None,
+    ) -> None:
+        if buffer_capacity < window + 2:
+            raise ValueError(
+                f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
+            )
+        if refit_interval < 1:
+            raise ValueError(f"refit_interval must be >= 1, got {refit_interval}")
+        self.forecaster_name = forecaster_name
+        self.forecaster_kwargs = dict(forecaster_kwargs or {})
+        self.forecaster_kwargs.setdefault("target_col", target_col)
+        self.window = window
+        self.refit_interval = refit_interval
+        self.min_fit_size = min_fit_size if min_fit_size is not None else 3 * window
+        self.target_col = target_col
+        self.fallback_forecaster = fallback_forecaster
+        self.fallback_kwargs = dict(fallback_kwargs or {})
+        self.fallback_kwargs.setdefault("target_col", target_col)
+        self.refit_fault_hook = refit_fault_hook
+        self._registry = registry = get_registry(registry)
+        self.refit_supervisor = Supervisor(supervisor_policy, duty="refit", registry=registry)
+        # predictions: same budget envelope, but no retries
+        predict_policy = supervisor_policy or SupervisorPolicy()
+        self.predict_supervisor = Supervisor(
+            SupervisorPolicy(
+                max_retries=0,
+                backoff_base=0.0,
+                time_budget=predict_policy.time_budget,
+                fallback_after=predict_policy.fallback_after,
+            ),
+            duty="predict",
+            registry=registry,
+        )
+        prefix = self._METRIC_PREFIX
+        self._counters = {
+            name: registry.counter(f"{prefix}_{name}_total", help)
+            for name, help in self._COUNTERS
+        }
+        self._g_health = registry.register(
+            MetricGauge(f"{prefix}_health_state", "0=healthy 1=degraded 2=fallback")
+        )
+        # the gauge is written only when the level changes
+        self._last_health_level: int | None = None
+        self._span_tick = 0
+        self.model: Forecaster | None = None
+        self.fallback_model: Forecaster | None = None
+        self.on_fallback = False
+        #: bumps on every adopted primary model (0 = no model yet)
+        self.model_version = 0
+        #: step whose training windows fitted the live model (-1 = none)
+        self._model_step = -1
+        self._step = 0
+        self._since_refit = 0
+
+    # -- health ---------------------------------------------------------------
+
+    @property
+    def health(self) -> HealthStatus:
+        """Current serving health (a record served by the fallback says so itself)."""
+        if self.on_fallback:
+            return HealthStatus.FALLBACK
+        if (
+            self.refit_supervisor.consecutive_failures > 0
+            or self.predict_supervisor.consecutive_failures > 0
+        ):
+            return HealthStatus.DEGRADED
+        return HealthStatus.HEALTHY
+
+    def _observe_health(self, status: HealthStatus) -> None:
+        level = _HEALTH_LEVEL[status]
+        if level != self._last_health_level:
+            self._last_health_level = level
+            self._g_health.set(level)
+
+    # -- model lifecycle ------------------------------------------------------------
+
+    def _training_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` training windows for a refit or the fallback fit."""
+        raise NotImplementedError
+
+    def _fit_fallback(self) -> None:
+        """Fit the fallback forecaster on the training windows (never raises)."""
+        try:
+            x, y = self._training_windows()
+            model = create_forecaster(self.fallback_forecaster, **self.fallback_kwargs)
+            model.fit(x, y)
+            self.fallback_model = model
+        except Exception:  # noqa: BLE001 — last line of defence stays up
+            pass
+
+    def _refit_task(self) -> RefitTask:
+        """One refit attempt's fit request (in-line and background fits alike).
+
+        Runs the fault hook, draws the training windows and, with
+        ``warm_start``, ships the live model's weights so the fit resumes
+        through :meth:`Forecaster.warm_fit`. Raises whatever the hook or
+        the windowing raises — the caller counts it as a failed attempt.
+        """
+        if self.refit_fault_hook is not None:
+            self.refit_fault_hook()
+        x, y = self._training_windows()
+        warm = None
+        if (
+            self.warm_start
+            and self.model is not None
+            and getattr(self.model, "supports_warm_fit", False)
+        ):
+            warm = self.model.to_bytes()
+        return RefitTask(
+            self.forecaster_name,
+            dict(self.forecaster_kwargs),
+            x,
+            y,
+            warm_state=warm,
+            warm_epochs=self.warm_epochs,
+            step=self._step,
+        )
+
+    def _refit(self) -> bool:
+        """In-line supervised refit; ``True`` iff a new model was adopted."""
+        # the clock resets when the attempt *starts*, not after it returns:
+        # anything escaping the supervisor (it only catches Exception, so a
+        # BaseException from the fit propagates) must not leave the
+        # scheduled trigger armed, or every later step re-fires a refit
+        self._since_refit = 0
+        _, model = self.refit_supervisor.run(lambda: fit_task(self._refit_task()))
+        return self._finish_refit(model, self._step)
+
+    def _finish_refit(self, model: Forecaster | None, step: int) -> bool:
+        """Adopt a fitted model, or degrade on a failed attempt.
+
+        The one place a refit changes the serving model or the refit
+        counters. ``step`` is the step whose training windows fitted
+        ``model`` (the staleness anchor). Adoption is one reference
+        assignment of a fully fitted model, so readers see the old model
+        or the new one, never a torn mix. Returns ``True`` iff adopted.
+        """
+        if model is not None:
+            self.model = model
+            self.model_version += 1
+            self._model_step = step
+            self.on_fallback = False
+            self.stats.n_refits += 1
+            self._counters["refits"].inc()
+            return True
+        self.stats.n_refit_failures += 1
+        self._counters["refit_failures"].inc()
+        if self.model is None or self.refit_supervisor.should_fall_back:
+            self._fit_fallback()
+            if self.fallback_model is not None:
+                self.on_fallback = True
+        return False
+
+    def _forward(self, serving: Forecaster, x: np.ndarray) -> tuple[np.ndarray | None, bool, int]:
+        """Forecast column 0 for the windows ``x``, falling back on failure.
+
+        Runs ``serving`` under the predict supervisor. If that forward
+        fails and the primary was serving, fits the fallback when there
+        is none yet and tries it. Returns ``(values, used_fallback,
+        failures)``: ``values`` is ``None`` when nothing could serve, and
+        ``failures`` counts the forwards that failed — 0, 1 (the serving
+        model) or 2 (the fallback too). The caller counts them, per
+        record or per row.
+        """
+        ok, values = self.predict_supervisor.run(lambda: serving.predict(x)[:, 0])
+        if ok:
+            return values, self.on_fallback, 0
+        if self.on_fallback:
+            return None, False, 1
+        if self.fallback_model is None:
+            self._fit_fallback()
+        if self.fallback_model is None:
+            return None, False, 1
+        try:
+            return self.fallback_model.predict(x)[:, 0], True, 1
+        except Exception:  # noqa: BLE001 — the step is lost, but counted
+            return None, False, 2
+
+    # -- checkpoint / restore ----------------------------------------------------
+
+    def _config(self) -> dict:
+        """The constructor arguments :meth:`restore` rebuilds the predictor from."""
+        return {
+            "forecaster_name": self.forecaster_name,
+            "forecaster_kwargs": dict(self.forecaster_kwargs),
+            "window": self.window,
+            "buffer_capacity": self.buffer.capacity,
+            "refit_interval": self.refit_interval,
+            "min_fit_size": self.min_fit_size,
+            "target_col": self.target_col,
+            "features": self.buffer.features,
+            "gate_policy": self.gate.policy,
+            "supervisor_policy": self.refit_supervisor.policy,
+            "fallback_forecaster": self.fallback_forecaster,
+            "fallback_kwargs": dict(self.fallback_kwargs),
+        }
+
+    def state_dict(self) -> dict:
+        """Full serving state: enough to resume bit-for-bit."""
+        return {
+            "config": self._config(),
+            "step": self._step,
+            "since_refit": self._since_refit,
+            "model_version": self.model_version,
+            "model_step": self._model_step,
+            "on_fallback": self.on_fallback,
+            "buffer": self.buffer.state_dict(),
+            "gate": self.gate.state_dict(),
+            "refit_supervisor": self.refit_supervisor.state_dict(),
+            "predict_supervisor": self.predict_supervisor.state_dict(),
+            "stats": self.stats.state_dict(),
+            "model": None if self.model is None else self.model.to_bytes(),
+            "fallback_model": (
+                None if self.fallback_model is None else self.fallback_model.to_bytes()
+            ),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt a :meth:`state_dict`; the predictor must match its config.
+
+        A refused checkpoint (config mismatch, corrupt ring) leaves the
+        predictor exactly as it was.
+        """
+        cfg, config = state["config"], self._config()
+        saved = {key: cfg[key] for key in self._IDENTITY}
+        live = {key: config[key] for key in self._IDENTITY}
+        if saved != live:
+            raise CheckpointError(f"checkpoint config mismatch: saved {saved} vs live {live}")
+        # the ring validates before it writes, so it goes first
+        try:
+            self.buffer.load_state_dict(state["buffer"])
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
+        self._step = int(state["step"])
+        self._since_refit = int(state["since_refit"])
+        self.model_version = int(state.get("model_version", 0))
+        self._model_step = int(state.get("model_step", -1))
+        self.on_fallback = bool(state["on_fallback"])
+        self.gate.load_state_dict(state["gate"])
+        self.refit_supervisor.load_state_dict(state["refit_supervisor"])
+        self.predict_supervisor.load_state_dict(state["predict_supervisor"])
+        self.stats.load_state_dict(state["stats"])
+        self.model = None if state["model"] is None else Forecaster.from_bytes(state["model"])
+        self.fallback_model = (
+            None
+            if state["fallback_model"] is None
+            else Forecaster.from_bytes(state["fallback_model"])
+        )
+
+    def save(self, path: str | Path) -> None:
+        """Checkpoint the full serving state atomically (crash-safe)."""
+        write_checkpoint(path, {"kind": self._CHECKPOINT_KIND, "state": self.state_dict()})
+
+    @classmethod
+    def restore(cls: type[_P], path: str | Path, **overrides: Any) -> _P:
+        """Rebuild a predictor from a checkpoint and resume mid-stream.
+
+        ``overrides`` patch constructor arguments that are process-local
+        and deliberately not persisted (``refit_fault_hook``, a live
+        ``detector`` replacement, ...). Options the constructor no longer
+        takes are dropped from older checkpoints.
+        """
+        artifact = read_checkpoint(path)
+        if not isinstance(artifact, dict) or artifact.get("kind") != cls._CHECKPOINT_KIND:
+            raise CheckpointError(f"{path} does not hold a checkpoint of {cls.__name__}")
+        state = artifact["state"]
+        cfg = {k: v for k, v in state["config"].items() if k not in _RETIRED_OPTIONS}
+        if "detector_params" in cfg:  # a fleet persists its detector prototype's parameters
+            cfg["detector"] = PageHinkley(**cfg.pop("detector_params"))
+        predictor = cls(**{**cfg, **overrides})
+        predictor.load_state_dict(state)
+        return predictor
+
+
+class OnlinePredictor(_ServingPredictor):
+    """Serve one-step-ahead predictions over a live indicator stream.
+
+    Takes the parameters documented on :class:`_ServingPredictor`, which
+    it shares with :class:`~repro.streaming.fleet.FleetPredictor`; its
+    ``detector`` may be any object with PageHinkley's ``update`` /
+    ``reset`` interface. Per-record latency lands in the
+    ``serving_process_seconds`` histogram, and every eighth record runs
+    inside a ``serving.process`` trace span.
+    """
+
+    _CHECKPOINT_KIND = "online_predictor"
 
     def __init__(
         self,
@@ -194,143 +518,38 @@ class OnlinePredictor:
         supervisor_policy: SupervisorPolicy | None = None,
         fallback_forecaster: str = "persistence",
         fallback_kwargs: dict[str, Any] | None = None,
-        error_history: int | None = 512,
         refit_fault_hook: Callable[[], None] | None = None,
         registry: MetricRegistry | None = None,
     ) -> None:
-        if buffer_capacity < window + 2:
-            raise ValueError(
-                f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
-            )
-        if refit_interval < 1:
-            raise ValueError(f"refit_interval must be >= 1, got {refit_interval}")
-        self.forecaster_name = forecaster_name
-        self.forecaster_kwargs = dict(forecaster_kwargs or {})
-        self.forecaster_kwargs.setdefault("target_col", target_col)
-        self.window = window
-        self.refit_interval = refit_interval
-        self.min_fit_size = min_fit_size if min_fit_size is not None else 3 * window
-        self.target_col = target_col
+        super().__init__(
+            forecaster_name, forecaster_kwargs, window, buffer_capacity, refit_interval,
+            min_fit_size, target_col, supervisor_policy, fallback_forecaster,
+            fallback_kwargs, refit_fault_hook, registry,
+        )  # fmt: skip
         self.buffer = RollingBuffer(buffer_capacity, features)
         self.detector = detector if detector is not None else PageHinkley()
-        obs_registry = get_registry(registry)
-        self.gate = InputGate(features, gate_policy, registry=obs_registry)
-        self.refit_supervisor = Supervisor(supervisor_policy, duty="refit", registry=obs_registry)
-        # predictions: same budget envelope, but no retries
-        predict_policy = supervisor_policy or SupervisorPolicy()
-        self.predict_supervisor = Supervisor(
-            SupervisorPolicy(
-                max_retries=0,
-                backoff_base=0.0,
-                time_budget=predict_policy.time_budget,
-                fallback_after=predict_policy.fallback_after,
-            ),
-            duty="predict",
-            registry=obs_registry,
-        )
-        # serving telemetry: per-record latency, health level, event mirrors
-        self._h_latency = MetricHistogram(
-            "serving_process_seconds",
-            "per-record prequential step latency",
-            buckets=log_buckets(1e-6, 10.0),
-        )
-        self._g_health = MetricGauge(
-            "serving_health_state", "0=healthy 1=degraded 2=fallback"
-        )
-        self._obs_counters = {
-            name: obs_registry.counter(f"serving_{name}_total", help)
-            for name, help in (
-                ("predictions", "predictions served"),
-                ("refits", "successful refits"),
-                ("refit_failures", "terminally failed refits"),
-                ("drift_events", "drift detector firings"),
-                ("fallback_predictions", "predictions served by the fallback"),
-                ("fallback_predict_failures", "fallback forwards that also failed"),
-                ("clamped_predictions", "predictions clamped into the plausibility band"),
+        self.gate = InputGate(features, gate_policy, registry=self._registry)
+        self.stats = _OnlineStats()
+        self._h_latency = self._registry.register(
+            MetricHistogram(
+                "serving_process_seconds",
+                "per-record prequential step latency",
+                buckets=log_buckets(1e-6, 10.0),
             )
-        }
-        for inst in (self._h_latency, self._g_health):
-            obs_registry.register(inst)
-        # hot-path aliases: process() runs per record, so spare it the dict
-        # lookups and only touch the health gauge when the level changes
-        self._c_predictions = self._obs_counters["predictions"]
-        self._last_health_level: int | None = None
-        self._span_tick = 0
-        self.fallback_forecaster = fallback_forecaster
-        self.fallback_kwargs = dict(fallback_kwargs or {})
-        self.fallback_kwargs.setdefault("target_col", target_col)
-        self.refit_fault_hook = refit_fault_hook
-        self.model: Forecaster | None = None
-        self.fallback_model: Forecaster | None = None
-        self.on_fallback = False
-        self.error_history = error_history
-        self.stats = _OnlineStats(errors=deque(maxlen=error_history))
-        self._step = 0
-        self._since_refit = 0
+        )
+        # hot-path alias: process() runs per record
+        self._c_predictions = self._counters["predictions"]
         # preallocated (1, window, features) inference input — refilled in
         # place each step instead of re-materializing the buffer tail
         self._hist = np.empty((1, window, features))
 
-    # -- health ---------------------------------------------------------------
-
-    @property
-    def health(self) -> HealthStatus:
-        """Current serving health (also stamped on every record)."""
-        if self.on_fallback:
-            return HealthStatus.FALLBACK
-        if (
-            self.refit_supervisor.consecutive_failures > 0
-            or self.predict_supervisor.consecutive_failures > 0
-        ):
-            return HealthStatus.DEGRADED
-        return HealthStatus.HEALTHY
-
     # -- internals -------------------------------------------------------------
 
-    def _windows_from_buffer(self) -> tuple[np.ndarray, np.ndarray]:
+    def _training_windows(self) -> tuple[np.ndarray, np.ndarray]:
         from ..data.windowing import make_windows
 
         data = self.buffer.view()
         return make_windows(data, data[:, self.target_col], self.window, horizon=1)
-
-    def _fit_fallback(self) -> None:
-        """Fit the fallback forecaster on the buffer (guarded, never raises)."""
-        try:
-            x, y = self._windows_from_buffer()
-            model = create_forecaster(self.fallback_forecaster, **self.fallback_kwargs)
-            model.fit(x, y)
-            self.fallback_model = model
-        except Exception:  # noqa: BLE001 — last line of defence stays up
-            pass
-
-    def _refit(self) -> bool:
-        """Supervised refit; on terminal failure degrade instead of raising."""
-
-        def attempt() -> Forecaster:
-            if self.refit_fault_hook is not None:
-                self.refit_fault_hook()
-            x, y = self._windows_from_buffer()
-            model = create_forecaster(self.forecaster_name, **self.forecaster_kwargs)
-            model.fit(x, y)
-            return model
-
-        # reset the clock when the attempt *starts*: the supervisor only
-        # catches Exception, so a BaseException escaping the fit must not
-        # leave the scheduled trigger armed (it would re-fire a refit every
-        # subsequent tick) — same semantics as the fleet, sync and async
-        self._since_refit = 0
-        ok, model = self.refit_supervisor.run(attempt)
-        if ok:
-            self.model = model
-            self.on_fallback = False
-            self.stats.n_refits += 1
-            return True
-        self.stats.n_refit_failures += 1
-        if self.model is None or self.refit_supervisor.should_fall_back:
-            self._fit_fallback()
-            if self.fallback_model is not None:
-                self.on_fallback = True
-        return False
 
     def _predict_next(self) -> tuple[float | None, bool]:
         """Return ``(prediction, used_fallback)`` for the next step."""
@@ -340,25 +559,15 @@ class OnlinePredictor:
         if serving is None:
             return None, False
         self.buffer.last_into(self._hist[0])
-
-        def attempt() -> float:
-            return float(serving.predict(self._hist)[0, 0])
-
-        ok, value = self.predict_supervisor.run(attempt)
-        if ok:
-            return self._sanitize_prediction(value), self.on_fallback
-        self.stats.n_predict_failures += 1
-        # primary forward pass blew up: serve from the fallback instead
-        if not self.on_fallback:
-            if self.fallback_model is None:
-                self._fit_fallback()
-            if self.fallback_model is not None:
-                try:
-                    value = float(self.fallback_model.predict(self._hist)[0, 0])
-                    return self._sanitize_prediction(value), True
-                except Exception:  # noqa: BLE001 — the step is lost, but counted
-                    self.stats.n_fallback_predict_failures += 1
-        return None, False
+        values, used_fallback, failures = self._forward(serving, self._hist)
+        if failures:
+            self.stats.n_predict_failures += 1
+            if failures == 2:
+                self.stats.n_fallback_predict_failures += 1
+                self._counters["fallback_predict_failures"].inc()
+        if values is None:
+            return None, False
+        return self._sanitize_prediction(float(values[0])), used_fallback
 
     def _sanitize_prediction(self, value: float) -> float | None:
         """Output guard: reject non-finite, clamp into the plausibility band."""
@@ -374,6 +583,7 @@ class OnlinePredictor:
         lo, hi = band[0][self.target_col], band[1][self.target_col]
         if value < lo or value > hi:
             self.stats.n_clamped_predictions += 1
+            self._counters["clamped_predictions"].inc()
             return float(np.clip(value, lo, hi))
         return value
 
@@ -382,21 +592,13 @@ class OnlinePredictor:
     def process(self, record: np.ndarray) -> PredictionRecord:
         """Prequential step: gate ``record``, predict its target, absorb it.
 
-        When observability is enabled every step's latency lands in the
+        When observability is enabled the step's latency lands in the
         ``serving_process_seconds`` histogram, the health gauge tracks
-        the stamped :class:`HealthStatus`, refit/drift/fallback events
-        mirror into registry counters, and every eighth step runs inside
-        a ``serving.process`` trace span.
+        the stamped :class:`HealthStatus`, and every eighth step runs
+        inside a ``serving.process`` trace span.
         """
         if not is_enabled():
             return self._process_inner(record)
-        st = self.stats
-        b_refits = st.n_refits
-        b_refit_failures = st.n_refit_failures
-        b_drifts = st.n_drifts
-        b_fallback = st.n_fallback_predictions
-        b_fb_fail = st.n_fallback_predict_failures
-        b_clamped = st.n_clamped_predictions
         t0 = time.perf_counter()
         self._span_tick += 1
         if self._span_tick >= _SPAN_SAMPLE:
@@ -406,27 +608,7 @@ class OnlinePredictor:
         else:
             result = self._process_inner(record)
         self._h_latency.observe(time.perf_counter() - t0)
-        level = _HEALTH_LEVEL[result.health]
-        if level != self._last_health_level:
-            self._last_health_level = level
-            self._g_health.set(level)
-        if result.prediction is not None:
-            self._c_predictions.inc()
-        counters = self._obs_counters
-        if st.n_refits != b_refits:
-            counters["refits"].inc(st.n_refits - b_refits)
-        if st.n_refit_failures != b_refit_failures:
-            counters["refit_failures"].inc(st.n_refit_failures - b_refit_failures)
-        if st.n_drifts != b_drifts:
-            counters["drift_events"].inc(st.n_drifts - b_drifts)
-        if st.n_fallback_predictions != b_fallback:
-            counters["fallback_predictions"].inc(st.n_fallback_predictions - b_fallback)
-        if st.n_fallback_predict_failures != b_fb_fail:
-            counters["fallback_predict_failures"].inc(
-                st.n_fallback_predict_failures - b_fb_fail
-            )
-        if st.n_clamped_predictions != b_clamped:
-            counters["clamped_predictions"].inc(st.n_clamped_predictions - b_clamped)
+        self._observe_health(result.health)
         return result
 
     def _process_inner(self, record: np.ndarray) -> PredictionRecord:
@@ -459,19 +641,22 @@ class OnlinePredictor:
         actual = float(clean[self.target_col])
 
         prediction, used_fallback = self._predict_next()
+        st = self.stats
         if used_fallback:
-            self.stats.n_fallback_predictions += 1
+            st.n_fallback_predictions += 1
+            self._counters["fallback_predictions"].inc()
         error = None
         drift = False
         if prediction is not None:
             error = abs(prediction - actual)
-            self.stats.n_predictions += 1
-            self.stats.sum_abs_error += error
-            self.stats.sum_sq_error += error**2
-            self.stats.errors.append(error)
+            st.n_predictions += 1
+            self._c_predictions.inc()
+            st.sum_abs_error += error
+            st.sum_sq_error += error**2
             drift = self.detector.update(error)
             if drift:
-                self.stats.n_drifts += 1
+                st.n_drifts += 1
+                self._counters["drift_events"].inc()
 
         self.buffer.append(clean)
         self._step += 1
@@ -516,89 +701,10 @@ class OnlinePredictor:
     # -- checkpoint / restore ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Full serving state: enough to resume the stream bit-for-bit."""
-        return {
-            "config": {
-                "forecaster_name": self.forecaster_name,
-                "forecaster_kwargs": dict(self.forecaster_kwargs),
-                "window": self.window,
-                "buffer_capacity": self.buffer.capacity,
-                "refit_interval": self.refit_interval,
-                "min_fit_size": self.min_fit_size,
-                "target_col": self.target_col,
-                "features": self.buffer.features,
-                "gate_policy": self.gate.policy,
-                "supervisor_policy": self.refit_supervisor.policy,
-                "fallback_forecaster": self.fallback_forecaster,
-                "fallback_kwargs": dict(self.fallback_kwargs),
-                "error_history": self.error_history,
-            },
-            "step": self._step,
-            "since_refit": self._since_refit,
-            "on_fallback": self.on_fallback,
-            "buffer": self.buffer.state_dict(),
-            "detector": self.detector,  # pickled whole
-            "gate": self.gate.state_dict(),
-            "refit_supervisor": self.refit_supervisor.state_dict(),
-            "predict_supervisor": self.predict_supervisor.state_dict(),
-            "stats": self.stats.state_dict(),
-            "model": None if self.model is None else self.model.to_bytes(),
-            "fallback_model": (
-                None if self.fallback_model is None else self.fallback_model.to_bytes()
-            ),
-        }
+        state = super().state_dict()
+        state["detector"] = self.detector  # pickled whole
+        return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; the predictor must match its config."""
-        cfg = state["config"]
-        if (
-            cfg["window"] != self.window
-            or cfg["features"] != self.buffer.features
-            or cfg["buffer_capacity"] != self.buffer.capacity
-            or cfg["forecaster_name"] != self.forecaster_name
-        ):
-            raise CheckpointError(
-                "checkpoint config mismatch: "
-                f"saved (forecaster={cfg['forecaster_name']}, window={cfg['window']}, "
-                f"features={cfg['features']}, capacity={cfg['buffer_capacity']}) vs "
-                f"live (forecaster={self.forecaster_name}, window={self.window}, "
-                f"features={self.buffer.features}, capacity={self.buffer.capacity})"
-            )
-        self._step = int(state["step"])
-        self._since_refit = int(state["since_refit"])
-        self.on_fallback = bool(state["on_fallback"])
-        self.buffer.load_state_dict(state["buffer"])
+        super().load_state_dict(state)
         self.detector = state["detector"]
-        self.gate.load_state_dict(state["gate"])
-        self.refit_supervisor.load_state_dict(state["refit_supervisor"])
-        self.predict_supervisor.load_state_dict(state["predict_supervisor"])
-        self.stats.load_state_dict(state["stats"])
-        self.model = None if state["model"] is None else Forecaster.from_bytes(state["model"])
-        self.fallback_model = (
-            None
-            if state["fallback_model"] is None
-            else Forecaster.from_bytes(state["fallback_model"])
-        )
-
-    def save(self, path: str | Path) -> None:
-        """Checkpoint the full serving state atomically (crash-safe)."""
-        write_checkpoint(path, {"kind": "online_predictor", "state": self.state_dict()})
-
-    @classmethod
-    def restore(cls, path: str | Path, **overrides: Any) -> "OnlinePredictor":
-        """Rebuild a predictor from a checkpoint and resume mid-stream.
-
-        ``overrides`` patch constructor arguments that are process-local
-        and deliberately not persisted (``refit_fault_hook``, a live
-        ``detector`` replacement, ...).
-        """
-        artifact = read_checkpoint(path)
-        if not isinstance(artifact, dict) or artifact.get("kind") != "online_predictor":
-            raise CheckpointError(f"{path} does not hold an OnlinePredictor checkpoint")
-        state = artifact["state"]
-        cfg = dict(state["config"])
-        cfg.pop("serve_dtype", None)  # a retired option older checkpoints carry
-        cfg.update(overrides)
-        predictor = cls(**cfg)
-        predictor.load_state_dict(state)
-        return predictor

@@ -81,6 +81,7 @@ themselves at exact tick indices.
 
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import time
@@ -107,8 +108,8 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .faults import ChaosSchedule, ProcessFault
-from .fleet import _RETIRED_OPTIONS, FleetPredictor, FleetTick
-from .online import _HEALTH_LEVEL
+from .fleet import FleetPredictor, FleetTick
+from .online import _HEALTH_LEVEL, _RETIRED_OPTIONS
 from .resilience import GATE_QUARANTINE, HealthStatus
 from .shm import ShmArraySpec, ShmBlock
 
@@ -122,16 +123,6 @@ __all__ = [
 #: seconds the coordinator waits for the initial ready handshake — start-up
 #: pays interpreter spawn + imports, so it gets a deadline of its own
 _STARTUP_TIMEOUT = 120.0
-
-#: FleetPredictor constructor defaults the coordinator must mirror when a
-#: kwarg is left unset (config snapshots and shm sizing depend on them)
-_FLEET_DEFAULTS = {
-    "forecaster_name": "xgboost",
-    "window": 12,
-    "buffer_capacity": 600,
-    "features": 1,
-    "target_col": 0,
-}
 
 
 class AllShardsFailedError(RuntimeError):
@@ -184,6 +175,21 @@ _TICK_BANKS = 2
 
 #: the six columnar FleetTick output fields mirrored through shared memory
 _TICK_OUT_FIELDS = ("predictions", "actuals", "errors", "drift", "health", "gated")
+
+
+def _ready_step(index: int, reply: Any) -> int | None:
+    """The ``restored_step`` of worker ``index``'s ``("ready", restored_step)`` reply.
+
+    Anything else — the worker's ``("error", message, traceback)`` report
+    or a malformed reply — raises :class:`RuntimeError`.
+    """
+    if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "ready":
+        return reply[1]
+    if isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "error":
+        detail = f"{reply[1]}\n{reply[2]}"
+    else:
+        detail = f"unexpected reply {reply!r}"
+    raise RuntimeError(f"shard {index} failed to start: {detail}")
 
 
 def _tick_specs(n_streams: int, features: int) -> tuple[ShmArraySpec, ...]:
@@ -256,7 +262,7 @@ def _shard_worker(
                 except Exception:  # noqa: BLE001 — damaged snapshot degrades to cold start
                     predictor = FleetPredictor(hi - lo, **fleet_kwargs)
                     restored_step = None
-        conn.send(("ready", lo, hi, restored_step))
+        conn.send(("ready", restored_step))
     except Exception as exc:  # noqa: BLE001 — startup failure must reach the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}", _traceback.format_exc()))
@@ -559,7 +565,10 @@ class ShardedFleetPredictor:
             self.checkpoint_dir = None
             self.checkpoint_interval = None
         self.fleet_kwargs = dict(fleet_kwargs)
-        cfg = {**_FLEET_DEFAULTS, **self.fleet_kwargs}
+        # a kwarg left unset takes the FleetPredictor default (config
+        # snapshots and shm sizing depend on it)
+        params = inspect.signature(FleetPredictor).parameters
+        cfg = {**{name: p.default for name, p in params.items()}, **self.fleet_kwargs}
         self.features = int(cfg["features"])
         self.target_col = int(cfg["target_col"])
         self.window = int(cfg["window"])
@@ -643,13 +652,7 @@ class ShardedFleetPredictor:
                         f"shard {h.index} did not report ready within "
                         f"{_STARTUP_TIMEOUT}s"
                     )
-                reply = h.conn.recv()
-                if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ready"):
-                    detail = ""
-                    if isinstance(reply, tuple) and len(reply) >= 3:
-                        detail = f": {reply[1]}\n{reply[2]}"
-                    raise RuntimeError(f"shard {h.index} failed to start{detail}")
-                h.restored_step = reply[3]
+                h.restored_step = _ready_step(h.index, h.conn.recv())
         except Exception:
             self.close(collect_metrics=False)
             raise
@@ -796,19 +799,13 @@ class ShardedFleetPredictor:
                         if not h.proc.is_alive():
                             self._mark_failed(h, "worker died before reporting ready")
                         continue
-                    reply = h.conn.recv()
+                    h.restored_step = _ready_step(h.index, h.conn.recv())
                 except (EOFError, OSError) as exc:
                     self._mark_failed(h, f"pipe closed during respawn ({exc})")
                     continue
-                if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ready"):
-                    detail = (
-                        reply[1]
-                        if isinstance(reply, tuple) and len(reply) > 1
-                        else repr(reply)
-                    )
-                    self._mark_failed(h, f"respawn startup failed: {detail}")
+                except RuntimeError as exc:
+                    self._mark_failed(h, str(exc))
                     continue
-                h.restored_step = reply[3]
                 # recovery accounting is pure bookkeeping; only the histogram
                 # observation is conditional on obs — a disabled registry must
                 # never change supervision state or recovery-tick arithmetic

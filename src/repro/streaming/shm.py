@@ -130,9 +130,6 @@ class ShmBlock:
     def __getitem__(self, field: str) -> np.ndarray:
         return self._arrays[field]
 
-    def __contains__(self, field: str) -> bool:
-        return field in self._arrays
-
     def close(self) -> None:
         """Drop this process's mapping; the owner also destroys the segment.
 

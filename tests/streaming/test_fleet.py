@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.models.base import Forecaster
+from repro.obs.registry import MetricRegistry, set_enabled
 from repro.streaming import (
     FleetPredictor,
     MatrixRingBuffer,
@@ -25,6 +26,7 @@ from repro.streaming.resilience import (
     FleetGate,
     GatePolicy,
     InputGate,
+    SupervisorPolicy,
 )
 
 
@@ -114,6 +116,63 @@ class TestSingleStreamBitParity:
                 scalar = OnlinePredictor.restore(tmp_path / "scalar.ckpt")
                 fleet = FleetPredictor.restore(tmp_path / "fleet.ckpt")
         _assert_records_equal(srecs, fticks)
+
+
+def _failing_attempts(fail: set[int]):
+    """Refit fault hook: attempt ``k`` (counted from 0) raises iff ``k in fail``."""
+    attempts = iter(range(1 << 30))
+
+    def hook():
+        if next(attempts) in fail:
+            raise RuntimeError("injected refit fault")
+
+    return hook
+
+
+class TestServingCounterParity:
+    """Both predictors bump one set of event counters where the event happens."""
+
+    PAIRS = (
+        ("refits", "n_refits"),
+        ("refit_failures", "n_refit_failures"),
+        ("drift_events", "n_drifts"),
+        ("fallback_predictions", "n_fallback_predictions"),
+        ("clamped_predictions", "n_clamped_predictions"),
+    )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_counters_equal_the_scalar_stats(self, enabled):
+        x = _corrupt_stream(7)  # NaN records, outliers, a regime shift
+        kw = dict(
+            gate_policy=GatePolicy(prediction_sigma=1.0),
+            detector=PageHinkley(threshold=5.0, min_instances=10),
+            supervisor_policy=SupervisorPolicy(max_retries=0, backoff_base=0.0),
+            **_COMMON,
+        )
+        scalar_reg, fleet_reg = MetricRegistry(), MetricRegistry()
+        # refit attempts 0, 1 and 4 fail: the fallback serves until attempt 2 lands
+        scalar = OnlinePredictor(
+            "holt", refit_fault_hook=_failing_attempts({0, 1, 4}), registry=scalar_reg, **kw
+        )
+        fleet = FleetPredictor(
+            1, "holt", refit_fault_hook=_failing_attempts({0, 1, 4}), registry=fleet_reg, **kw
+        )
+        prev = set_enabled(enabled)
+        try:
+            for v in x:
+                scalar.process(np.array([v]))
+                fleet.process_tick(np.array([[v]]))
+        finally:
+            set_enabled(prev)
+        got = {s["name"]: s["value"] for s in scalar_reg.collect() if s["kind"] == "counter"}
+        got.update(
+            {s["name"]: s["value"] for s in fleet_reg.collect() if s["kind"] == "counter"}
+        )
+        for counter, field in self.PAIRS:
+            want = getattr(scalar.stats, field)
+            assert want > 0, field
+            assert got[f"serving_{counter}_total"] == want, counter
+            assert got[f"serving_fleet_{counter}_total"] == want, counter
 
 
 class TestMultiStream:

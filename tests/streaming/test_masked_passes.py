@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.registry import MetricRegistry
 from repro.streaming import FleetPredictor
 from repro.streaming.drift import PageHinkley
 from repro.streaming.fleet import _FleetPageHinkley
@@ -239,6 +240,7 @@ class TestSanitizeReadsOnlyTheServedBand:
             features=features,
             target_col=target,
             gate_policy=GatePolicy(min_history=min_history, prediction_sigma=sigma),
+            registry=(registry := MetricRegistry()),
         )
         # a random gate state: streams that have seen different record counts
         for _ in range(ticks):
@@ -254,7 +256,8 @@ class TestSanitizeReadsOnlyTheServedBand:
         fleet._sanitize(got, served)
         assert got.tobytes() == want.tobytes()
         assert fleet.stats.n_clamped_predictions.tolist() == clamped.tolist()
-        assert fleet.stats.total_clamped_predictions == int(clamped.sum())
+        counted = registry.counter("serving_fleet_clamped_predictions_total").value
+        assert counted == int(clamped.sum())
         assert fleet.stats.n_predict_failures.tolist() == failed.tolist()
 
 

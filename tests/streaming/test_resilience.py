@@ -283,27 +283,8 @@ class TestFallbackAndHealth:
             0.5 + rng.normal(0, 0.01, 100),
             [0.52, 5.0, 9.0],  # a runaway ramp holt will extrapolate
         ])
-        pred.run(stream)
+        records = pred.run(stream)
         # whatever the model wanted to emit, served values stayed in-band
-        errors_ok = all(e < 20 for e in pred.stats.errors)
+        errors_ok = all(r.error < 20 for r in records if r.error is not None)
         assert errors_ok
         assert pred.stats.n_clamped_predictions >= 1
-
-
-class TestBoundedErrorHistory:
-    def test_errors_bounded_by_default(self):
-        pred = OnlinePredictor(
-            "holt", window=6, buffer_capacity=150, refit_interval=60, min_fit_size=20,
-            error_history=64,
-        )
-        pred.run(_stream(400))
-        assert len(pred.stats.errors) == 64
-        assert pred.stats.n_predictions > 300  # aggregate stats keep counting
-
-    def test_full_retention_opt_in(self):
-        pred = OnlinePredictor(
-            "holt", window=6, buffer_capacity=150, refit_interval=60, min_fit_size=20,
-            error_history=None,
-        )
-        pred.run(_stream(300))
-        assert len(pred.stats.errors) == pred.stats.n_predictions

@@ -294,6 +294,7 @@ class TestRetiredOptions:
             (FleetPredictor, (2,), "span_sample", 8),
             (OnlinePredictor, (), "serve_dtype", np.float64),
             (OnlinePredictor, (), "span_sample", 8),
+            (OnlinePredictor, (), "error_history", 64),
             (AsyncRefitEngine, (), "backend", "thread"),
         ]
         for build, args, option, value in cases:

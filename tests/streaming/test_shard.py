@@ -274,6 +274,21 @@ class TestConstructionAndLifecycle:
                 2, shards=1, refit_fault_hook=lambda: None, **FLEET_KW
             )
 
+    def test_unset_fleet_kwargs_take_the_fleet_defaults(self):
+        """The coordinator reads FleetPredictor's own defaults, not a copy."""
+        fleet = FleetPredictor(2, registry=MetricRegistry())
+        with ShardedFleetPredictor(2, shards=1, registry=MetricRegistry()) as sharded:
+            got = (sharded.window, sharded.buffer_capacity, sharded.forecaster_name)
+            want = (fleet.window, fleet.buffer.capacity, fleet.forecaster_name)
+            assert got == want
+            assert sharded.stream_history(0).shape[1] == fleet.buffer.features
+
+    def test_worker_startup_failure_names_the_shard_and_the_cause(self):
+        with pytest.raises(RuntimeError, match="shard 0 failed to start: ValueError: buffer_cap"):
+            ShardedFleetPredictor(
+                2, shards=1, registry=MetricRegistry(), window=8, buffer_capacity=4
+            )
+
     def test_close_is_idempotent_and_final(self):
         sharded = ShardedFleetPredictor(2, shards=1, registry=MetricRegistry(),
                                         **FLEET_KW)

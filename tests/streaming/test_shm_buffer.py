@@ -96,7 +96,9 @@ class TestShmBlock:
             assert block["a"].dtype == np.float64 and block["a"].shape == (3, 2)
             assert block["b"].dtype == np.uint8
             assert not block["a"].any() and not block["b"].any()
-            assert "a" in block and "missing" not in block
+            assert block["a"] is not None
+            with pytest.raises(KeyError):
+                block["missing"]
         finally:
             block.close()
 

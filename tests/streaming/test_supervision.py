@@ -143,10 +143,10 @@ class TestSupervisedRecovery:
         """Restore-then-replay stays bit-identical after the ring wrapped.
 
         Capacity 10, window 8, checkpoints every 8 ticks, kill at tick
-        31: the replacement restores the step-23 checkpoint (head 4) into
-        the dead worker's shm slice, which had already wrapped past slot
-        0, so the first windows it gathers read pad slots the dead worker
-        overwrote. The restore must rebuild the pad from the checkpoint.
+        31: the replacement restores the step-23 checkpoint (head 4), a
+        ring that had already wrapped past slot 0, into a fresh private
+        ring of its own. The first windows it gathers read the pad
+        slots, so the restore must build the pad from the checkpoint.
         """
         kw = dict(FLEET_KW, buffer_capacity=10, min_fit_size=10)
         n, shards, kill_tick = 4, 2, 31
