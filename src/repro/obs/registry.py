@@ -306,10 +306,12 @@ class MetricRegistry:
 
     ``counter``/``gauge``/``histogram`` get-or-create instruments shared
     by everyone asking for the same ``(name, labels)``; ``register``
-    attaches a component-owned instrument weakly. ``collect`` runs any
-    registered collector callbacks (e.g. the nn plan-cache mirror), then
-    returns every live series with same-key series merged: counters and
-    histograms sum, gauges keep the most recently registered writer.
+    attaches a component-owned instrument and keeps a strong reference
+    to it for the registry's lifetime (adopted worker series have no
+    other owner). ``collect`` runs any registered collector callbacks
+    (e.g. the nn plan-cache mirror), then returns every live series with
+    same-key series merged: counters and histograms sum, gauges keep the
+    most recently registered writer.
     """
 
     def __init__(self) -> None:
@@ -361,7 +363,7 @@ class MetricRegistry:
     # -- component-owned instruments -------------------------------------------
 
     def register(self, instrument: _Instrument) -> _Instrument:
-        """Attach an externally owned instrument (merged by key at collect)."""
+        """Attach an instrument, held strongly (merged by key at collect)."""
         with self._lock:
             self._owned.append(instrument)
         return instrument

@@ -129,14 +129,32 @@ class RollingBuffer:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if state["capacity"] != self.capacity or state["features"] != self.features:
+        """Adopt a :meth:`state_dict`; a ``ValueError`` leaves the ring untouched.
+
+        Checks shapes and cursors before writing, as
+        :meth:`MatrixRingBuffer.validate_state` does: ``0 <= size <=
+        capacity``, ``0 <= head < capacity``, and ``head == size`` while
+        the ring has not wrapped.
+        """
+        shape = (self.capacity, self.features)
+        if (state["capacity"], state["features"]) != shape:
             raise ValueError(
-                f"buffer shape mismatch: have ({self.capacity}, {self.features}), "
+                f"buffer shape mismatch: have {shape}, "
                 f"checkpoint holds ({state['capacity']}, {state['features']})"
             )
-        self._data[...] = state["data"]
-        self._head = int(state["head"])
-        self._size = int(state["size"])
+        data = np.asarray(state["data"])
+        if data.shape != shape:
+            raise ValueError(f"ring data shape mismatch: expected {shape}, got {data.shape}")
+        head, size = int(state["head"]), int(state["size"])
+        if not 0 <= size <= self.capacity:
+            raise ValueError(f"ring size must be in [0, {self.capacity}], got {size}")
+        if not 0 <= head < self.capacity:
+            raise ValueError(f"ring head must be in [0, {self.capacity}), got {head}")
+        if size < self.capacity and head != size:
+            raise ValueError(f"an unwrapped ring must have head == size, got {head} != {size}")
+        self._data[...] = data
+        self._head = head
+        self._size = size
 
 
 class MatrixRingBuffer:

@@ -35,6 +35,15 @@ before tick *t* is collected, so at most two ticks are in flight:
   uses — per-shard tick-latency histograms are adopted both fleet-wide
   (same-name series sum) and under a ``shard`` label.
 
+**Control plane:** each worker's pipe carries one request/reply shape.
+The coordinator sends ``(command, arg)``; the worker answers
+``(command, payload)``, or ``("error", (message, traceback))`` if the
+command raised, and stays alive. Its start-up report is the reply to an
+implicit ``ready`` command. :func:`_payload` validates every reply, and
+one exchange (send → deadline → receive → validate) serves start-up,
+the control commands, the metrics harvest and ``stop``; the tick fan-in
+multiplexes the same receive over all pending pipes under one deadline.
+
 **Exactness contract:** with ``shards=1`` every
 :class:`~repro.streaming.fleet.FleetTick` is bit-identical to a
 single-process :class:`FleetPredictor` fed the same ticks, including
@@ -81,12 +90,14 @@ themselves at exact tick indices.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import os
 import signal
 import time
 import traceback as _traceback
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
@@ -99,7 +110,7 @@ from ..obs import trace as obs_trace
 from ..obs.registry import Counter as MetricCounter
 from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
-from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
+from ..obs.registry import MetricRegistry, default_registry, get_registry, is_enabled, log_buckets
 from ..obs.trace import Span
 from .checkpoint import (
     CheckpointError,
@@ -177,19 +188,26 @@ _TICK_BANKS = 2
 _TICK_OUT_FIELDS = ("predictions", "actuals", "errors", "drift", "health", "gated")
 
 
-def _ready_step(index: int, reply: Any) -> int | None:
-    """The ``restored_step`` of worker ``index``'s ``("ready", restored_step)`` reply.
+def _payload(index: int, command: str, reply: Any) -> Any:
+    """The payload of worker ``index``'s ``(command, payload)`` reply to ``command``.
 
-    Anything else — the worker's ``("error", message, traceback)`` report
-    or a malformed reply — raises :class:`RuntimeError`.
+    Anything else — the worker's ``("error", (message, traceback))``
+    report, a reply to another command, a reply of another shape —
+    raises :class:`RuntimeError` naming the shard and the command.
     """
-    if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "ready":
+    pair = isinstance(reply, tuple) and len(reply) == 2
+    if pair and reply[0] == command:
         return reply[1]
-    if isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "error":
-        detail = f"{reply[1]}\n{reply[2]}"
+    if pair and reply[0] == "error" and isinstance(reply[1], tuple) and len(reply[1]) == 2:
+        cause = "\n".join(map(str, reply[1]))  # the worker's message and traceback
     else:
-        detail = f"unexpected reply {reply!r}"
-    raise RuntimeError(f"shard {index} failed to start: {detail}")
+        cause = f"corrupt {command} reply {reply!r}"
+    doing = "to start" if command == "ready" else repr(command)
+    raise RuntimeError(f"shard {index} failed {doing}: {cause}")
+
+
+class _NoReply(RuntimeError):
+    """A worker missed its reply deadline or its pipe closed: it is lost."""
 
 
 def _tick_specs(n_streams: int, features: int) -> tuple[ShmArraySpec, ...]:
@@ -210,6 +228,17 @@ def _tick_specs(n_streams: int, features: int) -> tuple[ShmArraySpec, ...]:
         ShmArraySpec("health", rows, "|u1"),
         ShmArraySpec("gated", rows, "|i1"),
     )
+
+
+def _commands(conn: Any) -> Iterator[tuple[str, Any]]:
+    """A worker's commands: the implicit ``ready``, then each one received."""
+    yield "ready", None
+    while True:
+        try:
+            command = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        yield command
 
 
 def _shard_worker(
@@ -236,42 +265,17 @@ def _shard_worker(
     shard's ``refit`` flag and live ``model_version`` so the coordinator
     adopts async-refit swaps on the ack itself, not at a barrier read.
 
-    ``restore_path`` (set on supervised respawn) is a best-effort
-    background checkpoint: intact → resume from it; missing/corrupt →
-    cold start with a fresh predictor. ``chaos`` maps exact fleet steps
-    to scheduled process faults; the step counter in each tick token
-    keys the lookup, so a respawned worker never re-fires a fault the
-    fleet already absorbed.
+    Every command is answered from one of two sites: ``(command,
+    payload)`` on success, ``("error", (message, traceback))`` when it
+    raised. The first command is an implicit ``ready``; a worker that
+    fails it reports the error and exits. ``restore_path`` (set on
+    supervised respawn) is a best-effort background checkpoint: intact
+    → resume from it, and the ready payload is its step; missing or
+    corrupt → cold start, payload ``None``. ``chaos`` maps exact fleet
+    steps to scheduled process faults; the step in each tick token keys
+    the lookup, so a respawned worker never re-fires a fault the fleet
+    already absorbed.
     """
-
-    try:
-        block = ShmBlock.attach(specs, shm_name)
-        predictor = FleetPredictor(hi - lo, **fleet_kwargs)
-        restored_step: int | None = None
-        if restore_path is not None:
-            artifact = try_read_checkpoint(restore_path)
-            if (
-                isinstance(artifact, dict)
-                and artifact.get("kind") == "fleet_shard"
-                and artifact.get("lo") == lo
-                and artifact.get("hi") == hi
-            ):
-                try:
-                    predictor.load_state_dict(artifact["state"])
-                    restored_step = int(artifact["step"])
-                except Exception:  # noqa: BLE001 — damaged snapshot degrades to cold start
-                    predictor = FleetPredictor(hi - lo, **fleet_kwargs)
-                    restored_step = None
-        conn.send(("ready", restored_step))
-    except Exception as exc:  # noqa: BLE001 — startup failure must reach the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", _traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-
-    from ..obs.registry import default_registry
-
     c_ckpt = c_ckpt_fail = None
     if checkpoint_path is not None and checkpoint_interval:
         reg = default_registry()
@@ -283,16 +287,25 @@ def _shard_worker(
             "background shard checkpoint writes that failed",
         )
 
-    while True:
+    predictor: FleetPredictor | None = None
+    for command, arg in _commands(conn):
         try:
-            msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        cmd = msg[0]
-        try:
-            if cmd == "tick":
-                step = msg[1]
-                fault = chaos.get(step) if chaos else None
+            if command == "ready":
+                block = ShmBlock.attach(specs, shm_name)
+                predictor = FleetPredictor(hi - lo, **fleet_kwargs)
+                payload = None  # the step of the checkpoint resumed; None = cold
+                saved = try_read_checkpoint(restore_path) if restore_path else None
+                if isinstance(saved, dict) and (
+                    saved.get("kind"), saved.get("lo"), saved.get("hi")
+                ) == ("fleet_shard", lo, hi):
+                    try:
+                        payload = int(saved["step"])
+                        predictor.load_state_dict(saved["state"])
+                    except Exception:  # noqa: BLE001 — damaged snapshot degrades to cold start
+                        predictor = FleetPredictor(hi - lo, **fleet_kwargs)
+                        payload = None
+            elif command == "tick":
+                fault = chaos.get(arg) if chaos else None
                 if fault is not None:
                     if fault.kind == "kill":
                         # abrupt death, no cleanup — the hardest failure mode
@@ -303,91 +316,85 @@ def _shard_worker(
                         time.sleep(3600.0)
                         continue
                     if fault.kind == "corrupt":
-                        conn.send(("garbage", step, "chaos: corrupted tick reply"))
+                        conn.send(("garbage", arg, "chaos: corrupted tick reply"))
                         continue
                     if fault.kind == "slow":
                         time.sleep(fault.duration)
-                bank = step % _TICK_BANKS
+                bank = arg % _TICK_BANKS
                 result = predictor.process_tick(np.array(block["ticks_in"][bank, lo:hi]))
                 for field in _TICK_OUT_FIELDS:
                     block[field][bank, lo:hi] = getattr(result, field)
                 # the ack is the event that publishes this shard's refit flag
                 # and model version — the coordinator adopts them on receipt
-                conn.send(("ok", step, int(result.refit), int(result.model_version)))
-                # background checkpoint AFTER the ack: the tick barrier never
-                # waits on serialization or disk
-                if (
-                    checkpoint_path is not None
-                    and checkpoint_interval
-                    and (step + 1) % checkpoint_interval == 0
-                ):
-                    try:
-                        write_checkpoint(
-                            checkpoint_path,
-                            {
-                                "kind": "fleet_shard",
-                                "shard": shard_index,
-                                "lo": lo,
-                                "hi": hi,
-                                "step": step,
-                                # which double-buffer bank this step served
-                                # from — restore tooling can tell whether a
-                                # snapshot raced an in-flight pipeline step
-                                "bank": bank,
-                                "state": predictor.state_dict(),
-                            },
-                        )
-                        c_ckpt.inc()
-                    except Exception:  # noqa: BLE001 — checkpoint failure must not kill serving
-                        c_ckpt_fail.inc()
-            elif cmd == "history":
-                conn.send(("history", predictor.buffer.view(msg[1])))
-            elif cmd == "state":
-                conn.send(("state", predictor.state_dict()))
-            elif cmd == "load":
-                predictor.load_state_dict(msg[1])
-                conn.send(("ok",))
-            elif cmd == "stats":
+                payload = (arg, int(result.refit), int(result.model_version))
+            elif command == "history":
+                payload = predictor.buffer.view(arg)
+            elif command == "state":
+                payload = predictor.state_dict()
+            elif command == "load":
+                predictor.load_state_dict(arg)
+                payload = None
+            elif command == "stats":
                 st = predictor.stats
-                conn.send(
-                    (
-                        "stats",
-                        {
-                            "streams": hi - lo,
-                            "n_predictions": int(st.n_predictions.sum()),
-                            "sum_abs_error": float(st.sum_abs_error.sum()),
-                            "n_refits": int(st.n_refits),
-                            "n_refit_failures": int(st.n_refit_failures),
-                            "n_drifts": int(st.n_drifts.sum()),
-                            "n_quarantined": int(predictor.gate.n_quarantined.sum()),
-                            "health": predictor.health.name,
-                        },
-                    )
-                )
-            elif cmd == "metrics":
+                payload = {
+                    "streams": hi - lo,
+                    "n_predictions": int(st.n_predictions.sum()),
+                    "sum_abs_error": float(st.sum_abs_error.sum()),
+                    "n_refits": int(st.n_refits),
+                    "n_refit_failures": int(st.n_refit_failures),
+                    "n_drifts": int(st.n_drifts.sum()),
+                    "n_quarantined": int(predictor.gate.n_quarantined.sum()),
+                    "health": predictor.health.name,
+                }
+            elif command == "metrics":
                 tracer = obs_trace.default_tracer()
-                conn.send(
-                    (
-                        "metrics",
-                        default_registry().snapshot()["series"],
-                        [s.to_dict() for s in tracer.finished],
-                    )
+                payload = (
+                    default_registry().snapshot()["series"],
+                    [s.to_dict() for s in tracer.finished],
                 )
                 tracer.clear()
-            elif cmd == "stop":
-                conn.send(("ok",))
-                break
+            elif command == "stop":
+                payload = None
             else:
-                conn.send(("error", f"unknown command {cmd!r}", ""))
-        except Exception as exc:  # noqa: BLE001 — report, stay alive; parent decides
+                raise ValueError(f"unknown command {command!r}")
+            conn.send((command, payload))
+        except Exception as exc:  # noqa: BLE001 — report, stay alive; the coordinator decides
             try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}", _traceback.format_exc()))
+                conn.send(("error", (f"{type(exc).__name__}: {exc}", _traceback.format_exc())))
             except (BrokenPipeError, OSError):
                 break
-    try:
-        predictor.close()  # release a per-shard async refit worker, if any
-    except Exception:  # noqa: BLE001 — shutdown best effort
-        pass
+            if predictor is None:
+                break  # failed to start: nothing to serve
+            continue
+        if command == "stop":
+            break
+        # background checkpoint AFTER the ack: the tick barrier never
+        # waits on serialization or disk
+        if command == "tick" and c_ckpt is not None and (arg + 1) % checkpoint_interval == 0:
+            try:
+                write_checkpoint(
+                    checkpoint_path,
+                    {
+                        "kind": "fleet_shard",
+                        "shard": shard_index,
+                        "lo": lo,
+                        "hi": hi,
+                        "step": arg,
+                        # which double-buffer bank this step served from —
+                        # restore tooling can tell whether a snapshot raced
+                        # an in-flight pipeline step
+                        "bank": bank,
+                        "state": predictor.state_dict(),
+                    },
+                )
+                c_ckpt.inc()
+            except Exception:  # noqa: BLE001 — checkpoint failure must not kill serving
+                c_ckpt_fail.inc()
+    if predictor is not None:
+        try:
+            predictor.close()  # release a per-shard async refit worker, if any
+        except Exception:  # noqa: BLE001 — shutdown best effort
+            pass
     conn.close()
 
 
@@ -430,6 +437,68 @@ class _ShardHandle:
         self.next_respawn_step = 0
         #: step of the checkpoint the current worker restored from (None = cold)
         self.restored_step: int | None = None
+
+
+def _no_reply(handle: _ShardHandle, command: str, timeout: float | None) -> str:
+    """Why ``handle``'s worker missed a deadline: hung (alive) or dead."""
+    kind = "hung" if handle.proc.is_alive() else "dead"
+    return f"shard {handle.index}: no {command!r} reply within {timeout}s ({kind} worker)"
+
+
+def _receive(handle: _ShardHandle, command: str) -> Any:
+    """Read ``handle``'s reply to ``command`` and return its validated payload."""
+    try:
+        reply = handle.conn.recv()
+    except (EOFError, OSError) as exc:
+        raise _NoReply(
+            f"shard {handle.index}: pipe closed awaiting {command!r} ({exc!r})"
+        ) from exc
+    return _payload(handle.index, command, reply)
+
+
+def _exchange(
+    handle: _ShardHandle, command: str, arg: Any = None, *, timeout: float | None
+) -> Any:
+    """Send ``(command, arg)`` to ``handle``'s worker; return the reply's payload.
+
+    ``ready`` is never sent — a worker reports it unasked when it has
+    started. ``timeout`` seconds bound the wait for the reply (``None``
+    waits for ever). Raises :class:`_NoReply` when the worker missed the
+    deadline or its pipe closed, and :class:`RuntimeError` on a reply
+    :func:`_payload` rejects; what either means is the caller's call.
+    """
+    try:
+        if command != "ready":
+            handle.conn.send((command, arg))
+        ready = timeout is None or handle.conn.poll(timeout)
+    except OSError as exc:
+        raise _NoReply(
+            f"shard {handle.index}: pipe closed sending {command!r} ({exc!r})"
+        ) from exc
+    if not ready:
+        raise _NoReply(_no_reply(handle, command, timeout))
+    return _receive(handle, command)
+
+
+def _stop_process(handle: _ShardHandle, grace: float = 0.0) -> None:
+    """Close ``handle``'s pipe; after ``grace`` seconds escalate terminate → kill.
+
+    A hung (stopped or deadlocked) worker ignores SIGTERM, and a
+    half-dead worker left attached to the shm slice could race its
+    replacement.
+    """
+    try:
+        handle.conn.close()
+    except OSError:  # pragma: no cover
+        pass
+    proc = handle.proc
+    proc.join(timeout=grace)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=2.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=5.0)
 
 
 class _InFlightTick:
@@ -552,9 +621,6 @@ class ShardedFleetPredictor:
                 f"fleet has {shards}"
             )
         self.chaos = chaos
-        self._chaos_by_shard: list[dict[int, ProcessFault] | None] | None = None
-        if chaos is not None and len(chaos):
-            self._chaos_by_shard = [chaos.for_shard(i) or None for i in range(shards)]
         if checkpoint_dir is not None:
             self.checkpoint_dir: Path | None = Path(checkpoint_dir)
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -630,9 +696,6 @@ class ShardedFleetPredictor:
         self._last_predictions = np.full(n_streams, np.nan)
         #: ticks from the most recent shard failure to its restored worker
         self.last_recovery_ticks: int | None = None
-        #: per-shard model version as carried by the latest tick ack —
-        #: async-refit swaps are adopted event-driven, on the ack itself
-        self._shard_versions = np.zeros(shards, dtype=np.int64)
         self._last_compose_t: float | None = None
 
         self._specs = _tick_specs(n_streams, self.features)
@@ -647,12 +710,7 @@ class ShardedFleetPredictor:
                 proc, conn = self._spawn_worker(i, lo, hi, restore=False)
                 self._handles.append(_ShardHandle(i, lo, hi, proc, conn))
             for h in self._handles:
-                if not h.conn.poll(_STARTUP_TIMEOUT):
-                    raise RuntimeError(
-                        f"shard {h.index} did not report ready within "
-                        f"{_STARTUP_TIMEOUT}s"
-                    )
-                h.restored_step = _ready_step(h.index, h.conn.recv())
+                h.restored_step = _exchange(h, "ready", timeout=_STARTUP_TIMEOUT)
         except Exception:
             self.close(collect_metrics=False)
             raise
@@ -684,9 +742,7 @@ class ShardedFleetPredictor:
         restore_path = None
         if restore and ckpt is not None and ckpt.exists():
             restore_path = str(ckpt)
-        chaos = None
-        if self._chaos_by_shard is not None:
-            chaos = self._chaos_by_shard[index]
+        chaos = (self.chaos.for_shard(index) or None) if self.chaos is not None else None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_shard_worker,
@@ -739,19 +795,7 @@ class ShardedFleetPredictor:
         self.errors.append(msg)
         if len(self.errors) > 64:
             del self.errors[:-64]
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        # escalate terminate → kill: a hung (e.g. stopped or deadlocked)
-        # worker ignores SIGTERM, and a half-dead worker left attached to
-        # the shm slice could race its replacement
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-            handle.proc.join(timeout=2.0)
-        if handle.proc.is_alive():
-            handle.proc.kill()
-            handle.proc.join(timeout=5.0)
+        _stop_process(handle)
         if handle.failed_step is None:
             handle.failed_step = self._step
         handle.failure_steps.append(self._step)
@@ -794,15 +838,10 @@ class ShardedFleetPredictor:
                     self._mark_failed(h, f"respawn failed: {exc}")
                     continue
             if h.state == "respawning":
+                if not h.conn.poll(0) and h.proc.is_alive():
+                    continue  # still starting: its rows stay held another tick
                 try:
-                    if not h.conn.poll(0):
-                        if not h.proc.is_alive():
-                            self._mark_failed(h, "worker died before reporting ready")
-                        continue
-                    h.restored_step = _ready_step(h.index, h.conn.recv())
-                except (EOFError, OSError) as exc:
-                    self._mark_failed(h, f"pipe closed during respawn ({exc})")
-                    continue
+                    h.restored_step = _exchange(h, "ready", timeout=0)
                 except RuntimeError as exc:
                     self._mark_failed(h, str(exc))
                     continue
@@ -874,8 +913,8 @@ class ShardedFleetPredictor:
             try:
                 h.conn.send(("tick", step))
                 entry.pending[h.conn] = h
-            except (BrokenPipeError, OSError) as exc:
-                self._mark_failed(h, f"pipe closed on dispatch ({exc})")
+            except OSError as exc:
+                self._mark_failed(h, f"pipe closed on dispatch ({exc!r})")
         self._inflight.append(entry)
         self._submitted += 1
         return step
@@ -900,46 +939,23 @@ class ShardedFleetPredictor:
             None if self.tick_timeout is None else entry.t0 + self.tick_timeout
         )
         while pending:
-            if deadline is None:
-                ready = _conn_wait(list(pending))
-            else:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    for h in pending.values():
-                        kind = "hung" if h.proc.is_alive() else "dead"
-                        self._mark_failed(
-                            h,
-                            f"no tick reply within {self.tick_timeout}s "
-                            f"({kind} worker)",
-                        )
-                    return
-                ready = _conn_wait(list(pending), remaining)
-                if not ready:
-                    continue
-            for conn in ready:
+            remaining = None if deadline is None else deadline - time.perf_counter()
+            if remaining is not None and remaining <= 0:
+                for h in pending.values():
+                    self._mark_failed(h, _no_reply(h, "tick", self.tick_timeout))
+                return
+            for conn in _conn_wait(list(pending), remaining):
                 h = pending.pop(conn)
                 try:
-                    reply = conn.recv()
-                    if not (isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "ok"):
-                        if (
-                            isinstance(reply, tuple)
-                            and len(reply) > 1
-                            and reply[0] == "error"
-                        ):
-                            raise RuntimeError(f"tick errored in worker: {reply[1]}")
-                        raise RuntimeError(f"corrupt tick reply: {reply!r}")
-                    _, step, refit, version = reply
+                    step, refit, version = _receive(h, "tick")
                     if step != entry.step:
-                        raise RuntimeError(
-                            f"tick ack for step {step!r}, expected {entry.step}"
-                        )
-                except (EOFError, OSError, RuntimeError) as exc:
+                        raise RuntimeError(f"tick ack for step {step!r}, expected {entry.step}")
+                except (RuntimeError, TypeError, ValueError) as exc:  # lost, or a bad ack
                     self._mark_failed(h, str(exc))
                     continue
+                # the shard's live model version lands with its ack — async
+                # refit swaps are adopted event-driven, not at a barrier read
                 entry.acks[h.index] = (bool(refit), int(version))
-                # event-driven swap adoption: the shard's live model version
-                # lands the moment its ack does, not at the next barrier
-                self._shard_versions[h.index] = version
 
     def collect_tick(self) -> FleetTick:
         """Harvest and compose the oldest in-flight tick.
@@ -1063,22 +1079,16 @@ class ShardedFleetPredictor:
         return out
 
     def _drain_inflight(self) -> None:
-        """Best-effort absorb outstanding tick acks (error paths + close).
+        """Harvest and discard every outstanding tick ack (error paths + close).
 
-        The results are discarded — this only clears the pipes so later
-        control traffic (metrics harvest, stop tokens) cannot mistake a
+        Each in-flight tick goes through the same fan-in as
+        :meth:`collect_tick`, so a worker that misses its tick deadline
+        is marked failed; what stays live has an empty pipe, and later
+        control traffic (metrics harvest, ``stop``) cannot mistake a
         stale tick ack for its reply.
         """
         while self._inflight:
-            entry = self._inflight.popleft()
-            for conn, h in entry.pending.items():
-                if h.state != "live" or h.conn is not conn:
-                    continue
-                try:
-                    if conn.poll(min(self.tick_timeout or 5.0, 5.0)):
-                        conn.recv()
-                except (EOFError, OSError):
-                    self._mark_failed(h, "pipe closed while draining the pipeline")
+            self._fan_in(self._inflight.popleft())
 
     def stream_history(self, stream: int) -> np.ndarray:
         """One stream's buffered records, oldest first (a copy).
@@ -1092,58 +1102,32 @@ class ShardedFleetPredictor:
         if not 0 <= stream < self.n_streams:
             raise IndexError(f"stream must be in [0, {self.n_streams}), got {stream}")
         h = next(h for h in self._handles if stream < h.hi)
-        return self._request(h, ("history", stream - h.lo), "history")
+        return self._request(h, "history", stream - h.lo)
 
     # -- introspection -----------------------------------------------------------
 
-    def _request(self, handle: _ShardHandle, command: tuple, expect: str) -> Any:
-        """Send one control command and return its payload.
+    def _request(self, handle: _ShardHandle, command: str, arg: Any = None) -> Any:
+        """Run one control command on a live worker and return its payload.
 
         Every control exchange observes ``control_timeout``: a worker
-        that misses the deadline is classified hung/dead, escalated and
-        marked failed exactly like a tick timeout — no control path can
-        wedge the coordinator.
+        that misses the deadline (or whose pipe closed) is classified
+        hung/dead, escalated and marked failed exactly like a tick
+        timeout — no control path can wedge the coordinator. A command
+        the worker reports as failed raises and leaves it live.
         """
         # a control recv while a tick is in flight would swallow the tick
         # ack (both travel the same pipe) — the pipeline must be idle
-        self._assert_no_inflight(f"control command {command[0]!r}")
+        self._assert_no_inflight(f"control command {command!r}")
         if handle.state != "live":
             raise RuntimeError(
                 f"shard {handle.index} is {handle.state}; "
-                f"control command {command[0]!r} needs a live worker"
+                f"control command {command!r} needs a live worker"
             )
         try:
-            handle.conn.send(command)
-            if self.control_timeout is not None and not handle.conn.poll(
-                self.control_timeout
-            ):
-                kind = "hung" if handle.proc.is_alive() else "dead"
-                self._mark_failed(
-                    handle,
-                    f"no {command[0]!r} reply within {self.control_timeout}s "
-                    f"({kind} worker)",
-                )
-                raise RuntimeError(
-                    f"shard {handle.index} did not reply to {command[0]!r} "
-                    f"within {self.control_timeout}s ({kind} worker)"
-                )
-            reply = handle.conn.recv()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            self._mark_failed(handle, f"pipe closed during {command[0]!r} ({exc})")
-            raise RuntimeError(
-                f"shard {handle.index} died during {command[0]!r}"
-            ) from exc
-        if not isinstance(reply, tuple) or not reply:
-            raise RuntimeError(
-                f"shard {handle.index} sent corrupt reply to {command[0]!r}: {reply!r}"
-            )
-        if reply[0] == "error":
-            raise RuntimeError(f"shard {handle.index} {command[0]!r} failed: {reply[1]}")
-        if reply[0] != expect:
-            raise RuntimeError(
-                f"shard {handle.index} replied {reply[0]!r} to {command[0]!r}"
-            )
-        return reply[1] if len(reply) > 1 else None
+            return _exchange(handle, command, arg, timeout=self.control_timeout)
+        except _NoReply as exc:
+            self._mark_failed(handle, str(exc))
+            raise
 
     def stats(self) -> dict[str, Any]:
         """Fleet-wide serving statistics plus per-shard detail and failures."""
@@ -1152,28 +1136,18 @@ class ShardedFleetPredictor:
         totals = {"n_predictions": 0, "sum_abs_error": 0.0, "n_refits": 0,
                   "n_refit_failures": 0, "n_drifts": 0, "n_quarantined": 0}
         for h in self._handles:
-            if h.state != "live":
+            payload = None
+            if h.state == "live":
+                with contextlib.suppress(RuntimeError):
+                    payload = self._request(h, "stats")
+            if payload is None:
                 per_shard.append(
                     {"shard": h.index, "streams": h.hi - h.lo, "ok": False,
                      "state": h.state}
                 )
                 continue
-            try:
-                payload = self._request(h, ("stats",), "stats")
-            except RuntimeError:
-                per_shard.append(
-                    {"shard": h.index, "streams": h.hi - h.lo, "ok": False,
-                     "state": h.state}
-                )
-                continue
-            payload = {
-                "shard": h.index,
-                "ok": True,
-                "state": "live",
-                "restored_step": h.restored_step,
-                **payload,
-            }
-            per_shard.append(payload)
+            per_shard.append({"shard": h.index, "ok": True, "state": "live",
+                              "restored_step": h.restored_step, **payload})
             for key in totals:
                 totals[key] += payload[key]
         fleet_mae = totals["sum_abs_error"] / max(totals["n_predictions"], 1)
@@ -1193,6 +1167,10 @@ class ShardedFleetPredictor:
         }
 
     # -- checkpoint / restore ----------------------------------------------------
+
+    #: the config a snapshot must match to load
+    _IDENTITY = ("n_streams", "shards", "boundaries", "features", "window",
+                 "buffer_capacity", "forecaster_name")
 
     def _config_dict(self) -> dict[str, Any]:
         return {
@@ -1225,7 +1203,7 @@ class ShardedFleetPredictor:
             raise RuntimeError(
                 f"cannot checkpoint with failed shards {list(self.failed_shards)}"
             )
-        shard_states = [self._request(h, ("state",), "state") for h in self._live()]
+        shard_states = [self._request(h, "state") for h in self._live()]
         write_checkpoint(
             path,
             {
@@ -1240,24 +1218,12 @@ class ShardedFleetPredictor:
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Adopt a composed snapshot; every shard must match its saved config."""
-        cfg = state["config"]
-        if (
-            cfg["n_streams"] != self.n_streams
-            or cfg["shards"] != self.shards
-            or list(cfg["boundaries"]) != list(self.boundaries)
-            or cfg["features"] != self.features
-            or cfg["window"] != self.window
-            or cfg["buffer_capacity"] != self.buffer_capacity
-            or cfg["forecaster_name"] != self.forecaster_name
-        ):
+        cfg, config = state["config"], self._config_dict()
+        saved = {key: cfg[key] for key in self._IDENTITY}
+        live = {key: config[key] for key in self._IDENTITY}
+        if saved != live:
             raise CheckpointError(
-                "sharded checkpoint config mismatch: saved "
-                f"(streams={cfg['n_streams']}, shards={cfg['shards']}, "
-                f"forecaster={cfg['forecaster_name']}, window={cfg['window']}, "
-                f"features={cfg['features']}, capacity={cfg['buffer_capacity']}) vs live "
-                f"(streams={self.n_streams}, shards={self.shards}, "
-                f"forecaster={self.forecaster_name}, window={self.window}, "
-                f"features={self.features}, capacity={self.buffer_capacity})"
+                f"sharded checkpoint config mismatch: saved {saved} vs live {live}"
             )
         if self.failed_shards:
             raise CheckpointError(
@@ -1271,7 +1237,7 @@ class ShardedFleetPredictor:
             )
         for h, shard_state in zip(self._live(), shard_states):
             try:
-                self._request(h, ("load", shard_state), "ok")
+                self._request(h, "load", shard_state)
             except RuntimeError as exc:
                 raise CheckpointError(str(exc)) from exc
         self._step = int(state["step"])
@@ -1314,18 +1280,12 @@ class ShardedFleetPredictor:
     # -- observability merge / shutdown ------------------------------------------
 
     def _harvest_metrics(self, handle: _ShardHandle) -> None:
-        """Adopt one worker's metric series and revive its spans (once)."""
+        """Adopt one worker's metric series and revive its spans (best effort)."""
+        timeout = 30.0 if self.control_timeout is None else self.control_timeout
         try:
-            handle.conn.send(("metrics",))
-            timeout = 30.0 if self.control_timeout is None else self.control_timeout
-            if not handle.conn.poll(timeout):
-                return
-            reply = handle.conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
+            series, spans = _exchange(handle, "metrics", timeout=timeout)
+        except RuntimeError:
             return
-        if not (isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "metrics"):
-            return
-        _, series, spans = reply
         self._registry.adopt_series(series)
         labeled = []
         for entry in series:
@@ -1346,7 +1306,7 @@ class ShardedFleetPredictor:
         """Stop every worker, merge their metrics, release the shm segment.
 
         Live workers get a graceful stop (metrics harvest + ``stop``
-        token + bounded join); anything else — down, respawning,
+        handshake + bounded join); anything else — down, respawning,
         quarantined — is escalated terminate → kill so close never
         blocks on a worker that cannot answer.
         """
@@ -1363,25 +1323,10 @@ class ShardedFleetPredictor:
             if graceful:
                 if collect_metrics:
                     self._harvest_metrics(h)
-                try:
-                    h.conn.send(("stop",))
-                    if h.conn.poll(5.0):
-                        h.conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
+                with contextlib.suppress(RuntimeError):
+                    _exchange(h, "stop", timeout=5.0)
             h.state = "closed"
-            try:
-                h.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            if graceful:
-                h.proc.join(timeout=5.0)
-            if h.proc.is_alive():
-                h.proc.terminate()
-                h.proc.join(timeout=2.0)
-            if h.proc.is_alive():  # pragma: no cover — worker ignoring SIGTERM
-                h.proc.kill()
-                h.proc.join(timeout=5.0)
+            _stop_process(h, grace=5.0 if graceful else 0.0)
         if getattr(self, "_block", None) is not None:
             self._block.close()
             self._block = None

@@ -11,7 +11,6 @@ paper reports about the real trace — see ``DESIGN.md`` §2.
 from .corruption import CorruptionConfig, corrupt_trace
 from .generator import ClusterTraceGenerator, TraceConfig, generate_cluster_cached
 from .io import read_trace_csv, write_trace_csv
-from .presets import PRESETS
 from .schema import (
     CONTAINER_COLUMNS,
     INDICATORS,
@@ -51,5 +50,4 @@ __all__ = [
     "ramp_load",
     "spiky_batch_load",
     "mutation_load",
-    "PRESETS",
 ]

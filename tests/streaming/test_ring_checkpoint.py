@@ -4,8 +4,9 @@ The ring is wrap-padded in memory but checkpoints only the logical
 ``(streams, capacity, features)`` ring. These tests pin down that
 
 * a checkpoint with bad ring cursors is refused before anything is
-  written — by the ring itself and by :class:`FleetPredictor`, whose
-  state must be exactly as it was after the refusal;
+  written — by the ring itself and by :class:`FleetPredictor` and
+  :class:`OnlinePredictor`, whose state must be exactly as it was after
+  the refusal;
 * fleet, sharded and scalar checkpoints written by older code (before
   the ring was padded, while the fleet still kept an error ring, while
   the predictors still took options that are now retired) still restore
@@ -169,6 +170,57 @@ class TestFleetRefusesBadRing:
         for row in rest:
             got, want = fleet.process_tick(row), twin.process_tick(row)
             assert got.predictions.tobytes() == want.predictions.tobytes()
+
+
+def _scalar_ring(state, case):
+    """A copy of a scalar ring state with one rule broken (the others hold)."""
+    cap = state["capacity"]
+    if case == "size above capacity":
+        return {**state, "size": cap + 4, "head": cap - 3}
+    if case == "negative head":
+        return {**state, "size": cap, "head": -1}
+    if case == "head at capacity":
+        return {**state, "size": cap, "head": cap}
+    if case == "unwrapped head off size":
+        return {**state, "size": 3, "head": 4}
+    if case == "broadcasting data":
+        return {**state, "data": np.zeros((1, state["features"]))}
+    raise AssertionError(case)  # pragma: no cover
+
+
+class TestScalarRefusesBadRing:
+    def _served(self):
+        pred = OnlinePredictor(
+            detector=PageHinkley(threshold=0.25, min_instances=30),
+            **dict(ONLINE_KW, buffer_capacity=CAPACITY, min_fit_size=8, refit_interval=8),
+        )
+        ticks = _ticks(40, 1)[:, 0]
+        pred.run(ticks[:30])
+        return pred, ticks[30:]
+
+    @pytest.mark.parametrize(
+        "case",
+        (
+            "size above capacity",
+            "negative head",
+            "head at capacity",
+            "unwrapped head off size",
+            "broadcasting data",
+        ),
+    )
+    def test_bad_ring_raises_and_leaves_predictor_unchanged(self, case):
+        pred, rest = self._served()
+        twin, _ = self._served()
+        before = pred.state_dict()
+        bad = pred.state_dict()
+        bad.update(step=999, since_refit=7, on_fallback=True)
+        bad["buffer"] = _scalar_ring(bad["buffer"], case)
+        with pytest.raises(CheckpointError, match="ring"):
+            pred.load_state_dict(bad)
+        _assert_same_state(pred.state_dict(), before)
+        for record in rest:
+            got, want = pred.process(np.array([record])), twin.process(np.array([record]))
+            assert np.array_equal(got.prediction, want.prediction, equal_nan=True)
 
 
 class TestCheckpointCompatibility:

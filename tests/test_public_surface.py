@@ -35,7 +35,6 @@ ALLOWED_UNREFERENCED = {
     "data.pearson": "paper eq. (2); the oracle of correlation_matrix",
     "obs.use_registry": "test seam: substitutes a registry for a block",
     "obs.use_clock": "test seam: substitutes a deterministic clock for a block",
-    "traces.PRESETS": "calibrated TraceConfig starting points, indexed by name",
 }
 
 
