@@ -5,6 +5,9 @@ backward, LSTM step, GBT tree growth, ARIMA fit) so performance
 regressions in the from-scratch framework are caught by CI history.
 ``test_bench_holt_fit`` times the Holt grid-search fit at the fleet's
 pooled refit shape, the fit that runs on every in-line refit tick;
+``test_bench_holt_predict`` times that model's forecast (one product
+with its cached window filter) for one window of 12, the scalar
+predictor's per-record forward, and for 4096, ``fleet_holt_4k``'s tick;
 ``test_bench_gbt_predict`` times one forecast of the boosted trees at the
 closed cluster loop's shape (30 rows through 40 trees of depth 3).
 ``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
@@ -158,6 +161,20 @@ def test_bench_holt_fit(benchmark, rng):
 
     model = benchmark(lambda: HoltForecaster().fit(x, y))
     assert model.fitted and model.alpha_ in model.alphas
+
+
+def _holt_serving(rng):
+    """A Holt model fitted on the pooled refit input; 4096 windows of 12 to serve."""
+    x, y = _holt_pool(rng)
+    return HoltForecaster().fit(x, y), rng.random((4096, 12, 1))
+
+
+@pytest.mark.parametrize("n", [1, 4096])
+def test_bench_holt_predict(benchmark, rng, n):
+    model, x = _holt_serving(rng)
+
+    pred = benchmark(lambda: model.predict(x[:n]))
+    assert pred.shape == (n, 1)
 
 
 def _rptcn_pool(rng):
@@ -394,6 +411,9 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     xh, yh = _holt_pool(rng)
     holt_fit = _ops_per_sec(lambda: HoltForecaster().fit(xh, yh))
+    holt, xs = _holt_serving(rng)
+    holt_predict_n1 = _ops_per_sec(lambda: holt.predict(xs[:1]))
+    holt_predict_n4096 = _ops_per_sec(lambda: holt.predict(xs))
 
     xg, yg = _gbt_pool(rng)
     gbt_fit = _ops_per_sec(lambda: _gbt_autoscale_fit(xg, yg), min_time=1.0)
@@ -440,6 +460,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "lstm_forward": "LSTM(8->32) x(32,12,8) no_grad",
             "online_serving": "holt predictor, 400-step mutation stream",
             "holt_fit": "HoltForecaster.fit, 1024 windows of 12, default 5x4 grid",
+            "holt_predict_n1": "predict of a model fitted that way, 1 window of 12, 1 feature",
+            "holt_predict_n4096": "predict of that model, 4096 windows of 12, 1 feature",
             "gbt_fit": "GradientBoostedTrees.fit, 1431 windows of 8, 40 trees, depth 3",
             "gbt_predict": "predict of that model, 30 rows",
             "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
@@ -465,6 +487,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "lstm_forward": round(lstm_fwd_ops, 1),
             "online_serving_records_per_sec": round(serving_throughput, 1),
             "holt_fit": round(holt_fit, 1),
+            "holt_predict_n1": round(holt_predict_n1, 1),
+            "holt_predict_n4096": round(holt_predict_n4096, 1),
             "gbt_fit": round(gbt_fit, 1),
             "gbt_predict": round(gbt_predict, 1),
             "rptcn_fit": round(rptcn_fit, 2),
@@ -498,6 +522,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     path.write_text(json.dumps(data, indent=2) + "\n")
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
+    assert holt_predict_n1 > 0 and holt_predict_n4096 > 0
     assert gbt_fit > 0 and gbt_predict > 0
     assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0 and last_step_train > 0
     assert ring_gather > 0 and ring_append > 0

@@ -3,9 +3,13 @@
 All models implement the :class:`~repro.models.base.Forecaster` interface
 over windowed supervised data ``X (N, window, features) -> y (N, horizon)``
 and are discoverable through :func:`~repro.models.base.create_forecaster`.
+
+Each model's module loads on first use (PEP 562 here, and by name through
+the registry), so ``import repro.models`` loads only :mod:`.base`, and a
+process that serves Holt never imports :mod:`repro.nn`.
 """
 
-from .arima import ARIMA, ARIMAForecaster
+from .._lazy import lazy_exports
 from .base import (
     FORECASTER_REGISTRY,
     Forecaster,
@@ -13,23 +17,6 @@ from .base import (
     create_forecaster,
     register_forecaster,
 )
-from .bilstm import BiLSTMForecaster
-from .clustered import ClusteredForecaster, KMeans, window_features
-from .cnn_lstm import CNNLSTMForecaster
-from .ensemble import EnsembleForecaster, HybridARIMANNForecaster
-from .exponential import HoltForecaster, holt_linear
-from .gbt import GradientBoostedTrees, GBTForecaster, RegressionTree
-from .gru import GRUForecaster
-from .gru_pruned import PrunedGRUForecaster
-from .lstm import LSTMForecaster
-from .mlp import MLPForecaster
-from .naive import DriftForecaster, MeanForecaster, PersistenceForecaster
-from .quantile import PinballLoss, QuantileGBTForecaster, QuantileRPTCNForecaster
-from .rptcn import RPTCN, RPTCNForecaster
-from .seq2seq import Seq2SeqForecaster
-from .tcn import TCN, TCNForecaster, TemporalBlock
-from .transformer import TransformerForecaster
-from .tuning import GridSearchResult, TrialResult, grid_search
 
 __all__ = [
     "Forecaster",
@@ -72,3 +59,44 @@ __all__ = [
     "KMeans",
     "window_features",
 ]
+
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ARIMA": "arima",
+        "ARIMAForecaster": "arima",
+        "BiLSTMForecaster": "bilstm",
+        "ClusteredForecaster": "clustered",
+        "KMeans": "clustered",
+        "window_features": "clustered",
+        "CNNLSTMForecaster": "cnn_lstm",
+        "EnsembleForecaster": "ensemble",
+        "HybridARIMANNForecaster": "ensemble",
+        "HoltForecaster": "exponential",
+        "holt_linear": "exponential",
+        "GradientBoostedTrees": "gbt",
+        "GBTForecaster": "gbt",
+        "RegressionTree": "gbt",
+        "GRUForecaster": "gru",
+        "PrunedGRUForecaster": "gru_pruned",
+        "LSTMForecaster": "lstm",
+        "MLPForecaster": "mlp",
+        "DriftForecaster": "naive",
+        "MeanForecaster": "naive",
+        "PersistenceForecaster": "naive",
+        "PinballLoss": "quantile",
+        "QuantileGBTForecaster": "quantile",
+        "QuantileRPTCNForecaster": "quantile",
+        "RPTCN": "rptcn",
+        "RPTCNForecaster": "rptcn",
+        "Seq2SeqForecaster": "seq2seq",
+        "TCN": "tcn",
+        "TCNForecaster": "tcn",
+        "TemporalBlock": "tcn",
+        "TransformerForecaster": "transformer",
+        "GridSearchResult": "tuning",
+        "TrialResult": "tuning",
+        "grid_search": "tuning",
+    },
+)

@@ -13,16 +13,15 @@ value (needed by the univariate classical models and the naive baselines).
 from __future__ import annotations
 
 import abc
+import importlib
 import pickle
-from typing import Callable, Type
+from typing import TYPE_CHECKING, Callable, Iterator, Type
 
 import numpy as np
 
-from ..nn.losses import MSELoss
-from ..nn.module import Module
-from ..nn.optim import Adam
-from ..training.callbacks import EarlyStopping
-from ..training.trainer import Trainer, TrainingHistory
+if TYPE_CHECKING:
+    from ..nn.module import Module
+    from ..training.trainer import Trainer, TrainingHistory
 
 __all__ = [
     "Forecaster",
@@ -148,15 +147,75 @@ class Forecaster(abc.ABC):
         return obj
 
 
+#: built-in forecaster name → the module of this package that registers it
+_BUILTIN = {
+    "arima": "arima",
+    "bilstm": "bilstm",
+    "clustered": "clustered",
+    "cnn_lstm": "cnn_lstm",
+    "drift": "naive",
+    "ensemble": "ensemble",
+    "gru": "gru",
+    "gru_pruned": "gru_pruned",
+    "holt": "exponential",
+    "hybrid_arima_nn": "ensemble",
+    "lstm": "lstm",
+    "mean": "naive",
+    "mlp": "mlp",
+    "persistence": "naive",
+    "quantile_rptcn": "quantile",
+    "quantile_xgboost": "quantile",
+    "rptcn": "rptcn",
+    "seq2seq": "seq2seq",
+    "tcn": "tcn",
+    "transformer": "transformer",
+    "xgboost": "gbt",
+}
+
+
+class _Registry(dict):
+    """name → Forecaster subclass; a built-in's module is imported on first lookup.
+
+    Every built-in name counts as registered (``in``, iteration, ``len``,
+    ``get``) before its module loads, so a process imports only the
+    models it asks for: a Holt server never loads :mod:`repro.nn`.
+    """
+
+    def __missing__(self, name: str) -> Type[Forecaster]:
+        if name not in _BUILTIN:
+            raise KeyError(name)
+        importlib.import_module(f".{_BUILTIN[name]}", __package__)
+        return dict.__getitem__(self, name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in _BUILTIN or dict.__contains__(self, name)
+
+    def __iter__(self) -> Iterator[str]:
+        yield from _BUILTIN
+        yield from (name for name in dict.keys(self) if name not in _BUILTIN)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def get(self, name: str, default: Type[Forecaster] | None = None):
+        return self[name] if name in self else default
+
+
 #: name → Forecaster subclass
-FORECASTER_REGISTRY: dict[str, Type[Forecaster]] = {}
+FORECASTER_REGISTRY: dict[str, Type[Forecaster]] = _Registry()
 
 
 def register_forecaster(name: str) -> Callable[[Type[Forecaster]], Type[Forecaster]]:
-    """Class decorator adding the forecaster to the global registry."""
+    """Class decorator adding the forecaster to the global registry.
+
+    A built-in name registers only from its own module (see ``_BUILTIN``).
+    """
 
     def deco(cls: Type[Forecaster]) -> Type[Forecaster]:
-        if name in FORECASTER_REGISTRY:
+        home = _BUILTIN.get(name)
+        if dict.__contains__(FORECASTER_REGISTRY, name) or (
+            home is not None and cls.__module__ != f"{__package__}.{home}"
+        ):
             raise KeyError(f"forecaster {name!r} already registered")
         FORECASTER_REGISTRY[name] = cls
         cls.name = name
@@ -213,6 +272,8 @@ class NeuralForecaster(Forecaster):
 
     def _make_loss(self) -> Module:
         """Training objective; subclasses may override (e.g. pinball)."""
+        from ..nn.losses import MSELoss
+
         return MSELoss()
 
     def fit(
@@ -222,6 +283,10 @@ class NeuralForecaster(Forecaster):
         x_val: np.ndarray | None = None,
         y_val: np.ndarray | None = None,
     ) -> "NeuralForecaster":
+        from ..nn.optim import Adam
+        from ..training.callbacks import EarlyStopping
+        from ..training.trainer import Trainer
+
         self._check_xy(x, y)
         rng = np.random.default_rng(self.seed)
         _, window, features = x.shape
@@ -278,6 +343,8 @@ class NeuralForecaster(Forecaster):
             or getattr(self, "_fit_shape", None) != tuple(np.asarray(x).shape[1:])
         ):
             return self.fit(x, y, x_val, y_val)
+        from ..training.callbacks import EarlyStopping
+
         self._check_xy(x, y)
         budget = int(epochs) if epochs is not None else max(1, self.epochs // 4)
         if budget < 1:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Mapping
 
@@ -211,16 +212,10 @@ class Histogram(_Instrument):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"histogram {self.name} rejects non-finite observation {value!r}")
-        # bisect over the fixed bounds (tuples are small: ~25 entries)
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        # the first bound >= value; past the last bound, the overflow bucket
+        bucket = bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[lo] += 1
+            self._counts[bucket] += 1
             self._count += 1
             self._sum += value
             if value < self._min:

@@ -128,13 +128,12 @@ class RollingBuffer:
             "size": self._size,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; a ``ValueError`` leaves the ring untouched.
+    def validate_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless ``state`` is a consistent ring for this shape.
 
-        Checks shapes and cursors before writing, as
-        :meth:`MatrixRingBuffer.validate_state` does: ``0 <= size <=
-        capacity``, ``0 <= head < capacity``, and ``head == size`` while
-        the ring has not wrapped.
+        Checks shapes and cursors, as :meth:`MatrixRingBuffer.validate_state`
+        does: ``0 <= size <= capacity``, ``0 <= head < capacity``, and
+        ``head == size`` while the ring has not wrapped. Touches no storage.
         """
         shape = (self.capacity, self.features)
         if (state["capacity"], state["features"]) != shape:
@@ -152,9 +151,13 @@ class RollingBuffer:
             raise ValueError(f"ring head must be in [0, {self.capacity}), got {head}")
         if size < self.capacity and head != size:
             raise ValueError(f"an unwrapped ring must have head == size, got {head} != {size}")
-        self._data[...] = data
-        self._head = head
-        self._size = size
+
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt a :meth:`state_dict`; a ``ValueError`` leaves the ring untouched."""
+        self.validate_state(state)
+        self._data[...] = state["data"]
+        self._head = int(state["head"])
+        self._size = int(state["size"])
 
 
 class MatrixRingBuffer:

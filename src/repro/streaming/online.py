@@ -433,22 +433,31 @@ class _ServingPredictor:
             ),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; the predictor must match its config.
+    def validate_state_dict(self, state: dict) -> None:
+        """Raise :class:`CheckpointError` unless :meth:`load_state_dict` takes ``state``.
 
-        A refused checkpoint (config mismatch, corrupt ring) leaves the
-        predictor exactly as it was.
+        Checks the config identity and the ring (shapes and cursors);
+        writes nothing.
         """
         cfg, config = state["config"], self._config()
         saved = {key: cfg[key] for key in self._IDENTITY}
         live = {key: config[key] for key in self._IDENTITY}
         if saved != live:
             raise CheckpointError(f"checkpoint config mismatch: saved {saved} vs live {live}")
-        # the ring validates before it writes, so it goes first
         try:
-            self.buffer.load_state_dict(state["buffer"])
+            self.buffer.validate_state(state["buffer"])
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
+
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt a :meth:`state_dict`; the predictor must match its config.
+
+        A refused checkpoint (config mismatch, corrupt ring) leaves the
+        predictor exactly as it was: :meth:`validate_state_dict` runs
+        before any field is set.
+        """
+        self.validate_state_dict(state)
+        self.buffer.load_state_dict(state["buffer"])
         self._step = int(state["step"])
         self._since_refit = int(state["since_refit"])
         self.model_version = int(state.get("model_version", 0))

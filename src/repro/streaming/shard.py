@@ -29,7 +29,9 @@ before tick *t* is collected, so at most two ticks are in flight:
 * the whole fleet checkpoints as **one** artifact: the coordinator
   collects every shard's ``state_dict`` (rare path — the pipe is fine
   there) and composes them with the fleet config; restore rejects
-  config mismatches and resumes every shard bit-for-bit;
+  config mismatches, has every worker check its shard state before any
+  adopts one (so a refused snapshot loads on no shard), and resumes
+  every shard bit-for-bit;
 * worker observability merges on :meth:`close` through the same
   ``adopt_series`` / span-revival path the parallel experiment runner
   uses — per-shard tick-latency histograms are adopted both fleet-wide
@@ -331,6 +333,9 @@ def _shard_worker(
                 payload = predictor.buffer.view(arg)
             elif command == "state":
                 payload = predictor.state_dict()
+            elif command == "check":
+                predictor.validate_state_dict(arg)
+                payload = None
             elif command == "load":
                 predictor.load_state_dict(arg)
                 payload = None
@@ -1217,7 +1222,13 @@ class ShardedFleetPredictor:
         )
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Adopt a composed snapshot; every shard must match its saved config."""
+        """Adopt a composed snapshot; every shard must match its saved config.
+
+        Every worker checks its shard state (config identity, ring
+        cursors) before any worker adopts one, so a snapshot that any
+        shard refuses raises :class:`CheckpointError` and leaves the
+        whole fleet as it was.
+        """
         cfg, config = state["config"], self._config_dict()
         saved = {key: cfg[key] for key in self._IDENTITY}
         live = {key: config[key] for key in self._IDENTITY}
@@ -1235,11 +1246,13 @@ class ShardedFleetPredictor:
             raise CheckpointError(
                 f"snapshot holds {len(shard_states)} shard states, need {self.shards}"
             )
-        for h, shard_state in zip(self._live(), shard_states):
-            try:
-                self._request(h, "load", shard_state)
-            except RuntimeError as exc:
-                raise CheckpointError(str(exc)) from exc
+        live = self._live()
+        for command in ("check", "load"):
+            for h, shard_state in zip(live, shard_states):
+                try:
+                    self._request(h, command, shard_state)
+                except RuntimeError as exc:
+                    raise CheckpointError(str(exc)) from exc
         self._step = int(state["step"])
         self._submitted = self._step
         self._last_compose_t = None

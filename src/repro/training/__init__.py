@@ -1,8 +1,10 @@
-"""Training loop, callbacks and evaluation metrics."""
+"""Training loop, callbacks and evaluation metrics.
 
-from .callbacks import Callback, EarlyStopping
-from .metrics import mae, mse, rmse
-from .trainer import Trainer, TrainingHistory
+Each module loads on first use (PEP 562), so reading the metrics does not
+import the training loop or :mod:`repro.nn`.
+"""
+
+from .._lazy import lazy_exports
 
 __all__ = [
     "Trainer",
@@ -13,3 +15,16 @@ __all__ = [
     "mae",
     "rmse",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Trainer": "trainer",
+        "TrainingHistory": "trainer",
+        "Callback": "callbacks",
+        "EarlyStopping": "callbacks",
+        "mse": "metrics",
+        "mae": "metrics",
+        "rmse": "metrics",
+    },
+)

@@ -46,6 +46,24 @@ class TestRegistry:
                 def predict(self, x):
                     return x
 
+    def test_builtin_names_match_their_modules(self):
+        """Each built-in name is registered by the module the lazy table names."""
+        import importlib
+        import pkgutil
+
+        import repro.models
+        from repro.models.base import _BUILTIN
+
+        for info in pkgutil.iter_modules(repro.models.__path__):
+            importlib.import_module(f"repro.models.{info.name}")
+        # test modules may register extra names; every built-in is loaded now
+        loaded = {n: cls for n, cls in dict.items(FORECASTER_REGISTRY) if n in _BUILTIN}
+        assert set(loaded) == set(_BUILTIN)
+        for name, cls in loaded.items():
+            assert cls.__module__ == f"repro.models.{_BUILTIN[name]}", name
+        assert len(FORECASTER_REGISTRY) == len(list(FORECASTER_REGISTRY))
+        assert FORECASTER_REGISTRY.get("nope") is None
+
     def test_name_attribute_set(self):
         assert PersistenceForecaster.name == "persistence"
         assert FORECASTER_REGISTRY["rptcn"].name == "rptcn"

@@ -4,6 +4,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import (
     Counter,
@@ -53,6 +55,22 @@ class TestGauge:
         assert g.value == 17.0
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bounds_and_value(draw):
+    """Strictly increasing finite bounds and a finite value to bucket."""
+    bounds = sorted(draw(st.lists(_FINITE, min_size=1, max_size=30, unique=True)))
+    value = draw(st.one_of(
+        st.sampled_from(bounds),  # on a bound
+        st.floats(max_value=bounds[0], allow_nan=False, allow_infinity=False),  # below the first
+        st.floats(min_value=bounds[-1], allow_nan=False, allow_infinity=False),  # above the last
+        _FINITE,
+    ))
+    return tuple(bounds), value
+
+
 class TestHistogramBuckets:
     def test_log_buckets_span_and_order(self):
         bounds = log_buckets(1e-6, 100.0, per_decade=3)
@@ -77,6 +95,26 @@ class TestHistogramBuckets:
         assert h.bucket_counts() == [(1.0, 2), (10.0, 3), (100.0, 4), (math.inf, 5)]
         assert h.count == 5
         assert h.sum == pytest.approx(556.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_bounds_and_value())
+    @example(case=((1.0, 10.0), 10.0))
+    @example(case=((1.0, 10.0), -5.0))
+    @example(case=((1.0, 10.0), 50.0))
+    def test_bucket_matches_the_reference_bisect(self, case):
+        bounds, value = case
+        # the hand-written loop observe() ran before it called bisect_left
+        lo, hi = 0, len(bounds)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value <= bounds[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        h = Histogram("lat", buckets=bounds)
+        h.observe(value)
+        cumulative = [n for _, n in h.bucket_counts()]
+        assert cumulative.index(1) == lo
 
     def test_empty_histogram(self):
         h = Histogram("lat")

@@ -10,8 +10,9 @@ The ring is wrap-padded in memory but checkpoints only the logical
 * fleet, sharded and scalar checkpoints written by older code (before
   the ring was padded, while the fleet still kept an error ring, while
   the predictors still took options that are now retired) still restore
-  and serve bit-identically, and a retired option is refused when passed
-  to a constructor;
+  and serve bit-identically to an uninterrupted run, and within Holt's
+  predict tolerance of what that older code served; a retired option is
+  refused when passed to a constructor;
 * a fleet checkpoint is the history ring plus a few scalars per stream.
 """
 
@@ -47,6 +48,22 @@ FLEET_KW = dict(
     min_fit_size=8,
     detector=PageHinkley(threshold=0.25, min_instances=30),
 )
+
+
+def _assert_holt_tolerance(got, recorded, history):
+    """``got`` is within Holt's predict tolerance of ``recorded``.
+
+    The fixtures recorded what Holt served while its predict ran the
+    level/trend recursion; it now multiplies each window by a precomputed
+    filter, which agrees to ``1e-12 * max|window|``
+    (:meth:`repro.models.HoltForecaster.predict`). Every window is drawn
+    from ``history``, so its largest magnitude bounds ``max|window|``.
+    NaN (nothing served) must match NaN.
+    """
+    scale = float(np.nanmax(np.abs(np.asarray(history, float))))
+    np.testing.assert_allclose(
+        np.asarray(got, float), np.asarray(recorded, float), rtol=0, atol=1e-12 * scale
+    )
 
 
 #: the scalar fixture's predictor config (its detector aside)
@@ -172,6 +189,35 @@ class TestFleetRefusesBadRing:
             assert got.predictions.tobytes() == want.predictions.tobytes()
 
 
+class TestShardedRefusesBadShard:
+    def test_snapshot_a_later_shard_refuses_loads_on_no_shard(self, tmp_path):
+        """Every shard checks its state before any adopts one.
+
+        A step-20 snapshot whose shard 1 ring head is out of range,
+        loaded into the fleet at step 40: the load raises, and shard 0
+        (which would accept its own state) keeps its step-40 state.
+        """
+        ticks = _ticks(40, 4)
+        with ShardedFleetPredictor(4, shards=2, registry=MetricRegistry(),
+                                   **SHARD_KW) as fleet:
+            fleet.run(ticks[:20])
+            fleet.save(tmp_path / "step20.ckpt")
+            fleet.run(ticks[20:])
+            fleet.save(tmp_path / "before.ckpt")
+            bad = read_checkpoint(tmp_path / "step20.ckpt")["state"]
+            ring = bad["shard_states"][1]["buffer"]
+            ring["size"][0] = ring["head"][0] = SHARD_KW["buffer_capacity"]
+            with pytest.raises(CheckpointError, match="shard 1 failed 'check'.*ring heads"):
+                fleet.load_state(bad)
+            fleet.save(tmp_path / "after.ckpt")
+        before = read_checkpoint(tmp_path / "before.ckpt")["state"]
+        after = read_checkpoint(tmp_path / "after.ckpt")["state"]
+        assert after["step"] == before["step"] == 40
+        assert len(after["shard_states"]) == len(before["shard_states"]) == 2
+        for got, want in zip(after["shard_states"], before["shard_states"]):
+            _assert_same_state(got, want)
+
+
 def _scalar_ring(state, case):
     """A copy of a scalar ring state with one rule broken (the others hold)."""
     cap = state["capacity"]
@@ -251,8 +297,8 @@ class TestCheckpointCompatibility:
         for row, want in zip(ticks[split:], saved["predictions"]):
             got = restored.process_tick(row).predictions
             again = uninterrupted.process_tick(row).predictions
-            assert got.tobytes() == want.tobytes()
-            assert again.tobytes() == want.tobytes()
+            assert got.tobytes() == again.tobytes()
+            _assert_holt_tolerance(got, want, ticks)
 
     def test_padded_fleet_checkpoint_is_the_logical_ring(self):
         fleet = FleetPredictor(3, **FLEET_KW)
@@ -292,7 +338,7 @@ class TestCheckpointCompatibility:
             want = uninterrupted.run(ticks)[split:]
         assert len(got) == len(want) == len(saved["predictions"])
         for g, w, recorded in zip(got, want, saved["predictions"]):
-            assert g.predictions.tobytes() == recorded.tobytes()
+            _assert_holt_tolerance(g.predictions, recorded, ticks)
             assert g.predictions.tobytes() == w.predictions.tobytes()
             assert g.errors.tobytes() == w.errors.tobytes()
             assert g.refit == w.refit
@@ -332,8 +378,8 @@ class TestCheckpointCompatibility:
             again = uninterrupted.process(x).prediction
             got = np.nan if got is None else got
             again = np.nan if again is None else again
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert np.float64(again).tobytes() == np.float64(want).tobytes()
+            assert np.float64(got).tobytes() == np.float64(again).tobytes()
+            _assert_holt_tolerance(got, want, trace)
         assert restored.stats.n_drifts > drifts
 
 

@@ -17,7 +17,7 @@ from repro.streaming import ShardedFleetPredictor
 from repro.streaming.shard import _payload
 
 #: every command a worker answers (``ready`` is implicit at start-up)
-COMMANDS = ("ready", "tick", "history", "state", "load", "stats", "metrics", "stop")
+COMMANDS = ("ready", "tick", "history", "state", "check", "load", "stats", "metrics", "stop")
 
 FLEET_KW = dict(
     forecaster_name="holt",

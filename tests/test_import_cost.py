@@ -101,3 +101,29 @@ def test_sharded_close_does_not_load_experiments():
             assert not any(m.startswith("scipy") for m in sys.modules)
         """
     )
+
+
+def test_holt_serving_loads_no_nn():
+    """Serving Holt, refits included, imports neither ``repro.nn`` nor another model."""
+    run_fresh(
+        """
+        import sys
+        import numpy as np
+        import repro.cluster
+        from repro.streaming import FleetPredictor, OnlinePredictor
+
+        series = np.sin(np.arange(240) / 9.0)
+        OnlinePredictor("holt", window=12, buffer_capacity=80, refit_interval=30,
+                        min_fit_size=24).run(series)
+        fleet = FleetPredictor(4, forecaster_name="holt", window=12, buffer_capacity=80,
+                               refit_interval=30, min_fit_size=24)
+        for row in np.stack([series] * 4, axis=1):
+            fleet.process_tick(row)
+        assert fleet.stats.n_refits > 0
+        loaded = sorted(m for m in sys.modules
+                        if m.startswith(("repro.nn", "repro.training.trainer"))
+                        or m.startswith("repro.models.")
+                        and m not in ("repro.models.base", "repro.models.exponential"))
+        assert not loaded, loaded
+        """
+    )
