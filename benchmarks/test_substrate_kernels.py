@@ -13,7 +13,10 @@ closed cluster loop's shape (30 rows through 40 trees of depth 3).
 ``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
 paper's model at the fleet serving shape: one 253-row forecast, and one
 forward + backward of a fused 16-channel residual block at training
-batch size. ``test_bench_tcn_last_step_train_step`` times one fit batch
+batch size. ``test_bench_rptcn_predict_n1`` times that model's forecast
+of one window, the scalar predictor's per-record forward, where fixed
+per-call cost dominates. Both forecasts run the model's frozen
+inference plan. ``test_bench_tcn_last_step_train_step`` times one fit batch
 of RPTCN's backbone: forward and backward of 32 windows through
 ``TCN.last_step``, which computes only the conv rows the loss reads.
 ``test_bench_ring_last_windows`` and
@@ -194,6 +197,14 @@ def test_bench_rptcn_predict(benchmark, rng):
 
     pred = benchmark(lambda: model.predict(x[:253]))
     assert pred.shape == (253, 1)
+
+
+def test_bench_rptcn_predict_n1(benchmark, rng):
+    x, y = _rptcn_pool(rng)
+    model = _rptcn_fit(x, y)
+
+    pred = benchmark(lambda: model.predict(x[:1]))
+    assert pred.shape == (1, 1)
 
 
 def _tcn_block_step(rng):
@@ -424,6 +435,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     rptcn_fit = _ops_per_sec(lambda: _rptcn_fit(xr, yr), min_time=1.0)
     rptcn = _rptcn_fit(xr, yr)
     rptcn_predict = _ops_per_sec(lambda: rptcn.predict(xr[:253]))
+    rptcn_predict_n1 = _ops_per_sec(lambda: rptcn.predict(xr[:1]))
     rptcn_faults = _minor_faults_per_call(lambda: rptcn.predict(xr[:253]))
     block_step = _ops_per_sec(_tcn_block_step(rng))
     last_step_train = _ops_per_sec(_tcn_last_step_train_step(rng))
@@ -466,6 +478,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "gbt_predict": "predict of that model, 30 rows",
             "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
             "rptcn_predict": "predict of that model, 253 rows",
+            "rptcn_predict_n1": "predict of that model, 1 row",
             "tcn_block_step": "TemporalBlock(16->16, k=3, dil=2) x(32,16,12) fwd+bwd",
             "tcn_last_step_train_step": "TCN(1, (16,16,16), k=3) train mode, x(32,1,12): "
             "last_step fwd+bwd",
@@ -493,6 +506,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "gbt_predict": round(gbt_predict, 1),
             "rptcn_fit": round(rptcn_fit, 2),
             "rptcn_predict": round(rptcn_predict, 1),
+            "rptcn_predict_n1": round(rptcn_predict_n1, 1),
             "tcn_block_step": round(block_step, 1),
             "tcn_last_step_train_step": round(last_step_train, 1),
             "ring_last_windows": round(ring_gather, 1),
@@ -524,7 +538,8 @@ def test_perf_smoke_kernel_snapshot(rng):
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert holt_predict_n1 > 0 and holt_predict_n4096 > 0
     assert gbt_fit > 0 and gbt_predict > 0
-    assert rptcn_fit > 0 and rptcn_predict > 0 and block_step > 0 and last_step_train > 0
+    assert rptcn_fit > 0 and rptcn_predict > 0 and rptcn_predict_n1 > 0
+    assert block_step > 0 and last_step_train > 0
     assert ring_gather > 0 and ring_append > 0
     assert gate_check > 0 and ph_update > 0
     assert all(sec > 0 for sec in startup.values())

@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 import importlib
 import pickle
+import weakref
 from typing import TYPE_CHECKING, Callable, Iterator, Type
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 if TYPE_CHECKING:
     from ..nn.module import Module
     from ..training.trainer import Trainer, TrainingHistory
+    from .tcn import LastStepPlan
 
 __all__ = [
     "Forecaster",
@@ -235,6 +237,24 @@ def create_forecaster(name: str, **kwargs) -> Forecaster:
     return cls(**kwargs)
 
 
+#: fitted network → its frozen inference plan, or None where the network
+#: has none. Derived state: kept beside the network, never in its pickle
+#: or checkpoint bytes, and gone when the network is
+_PLANS: weakref.WeakKeyDictionary[Module, LastStepPlan | None] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _inference_plan(model: "Module") -> "LastStepPlan | None":
+    """The network's frozen inference plan (``model.inference_plan()``), built on first use."""
+    try:
+        return _PLANS[model]
+    except KeyError:
+        build = getattr(model, "inference_plan", None)
+        plan = _PLANS[model] = build() if build is not None else None
+        return plan
+
+
 class NeuralForecaster(Forecaster):
     """Shared training plumbing for the deep models.
 
@@ -242,6 +262,17 @@ class NeuralForecaster(Forecaster):
     ``(N, window, features)`` tensors to ``(N, horizon)``. Training follows
     the paper's recipe: Adam + MSE, EarlyStopping(patience=10) on
     validation loss with best-weight restore.
+
+    **Serving.** A network that defines ``inference_plan()`` (the
+    last-step TCN family: ``rptcn`` with the ``feature`` or ``none``
+    attention, ``quantile_rptcn``, ``tcn``) answers :meth:`predict`
+    through that frozen plan, built once per fitted network: its weights
+    folded into plain arrays, run with the Module forward's ops in its
+    order, in the same 256-row chunks as :meth:`Trainer.predict`, so the
+    output is bit for bit the Module forward's. The plan is derived
+    state, kept outside the forecaster and its pickle; :meth:`fit` and
+    :meth:`warm_fit` drop it. Every other network, and training, runs
+    the Module forward.
     """
 
     def __init__(
@@ -288,6 +319,7 @@ class NeuralForecaster(Forecaster):
         from ..training.trainer import Trainer
 
         self._check_xy(x, y)
+        self._drop_plan()
         rng = np.random.default_rng(self.seed)
         _, window, features = x.shape
         self._fit_shape = (window, features)
@@ -346,6 +378,8 @@ class NeuralForecaster(Forecaster):
         from ..training.callbacks import EarlyStopping
 
         self._check_xy(x, y)
+        # warm_fit trains the live network in place: its plan goes stale
+        self._drop_plan()
         budget = int(epochs) if epochs is not None else max(1, self.epochs // 4)
         if budget < 1:
             raise ValueError(f"epochs must be >= 1, got {budget}")
@@ -370,11 +404,16 @@ class NeuralForecaster(Forecaster):
             self.history = history
         return self
 
+    def _drop_plan(self) -> None:
+        if self.model is not None:
+            _PLANS.pop(self.model, None)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         self._check_fitted()
         self._check_xy(x)
         assert self.trainer is not None
-        return self.trainer.predict(x)
+        plan = _inference_plan(self.model)
+        return self.trainer.predict(x) if plan is None else plan.predict(x)
 
     @property
     def loss_curves(self) -> dict[str, list[float]]:

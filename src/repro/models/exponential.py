@@ -169,13 +169,17 @@ class HoltForecaster(Forecaster):
         [1e-3, 1], beta in [0, 1] and scales from 1e-6 to 1e6). A NaN
         anywhere in a window gives NaN. ``np.einsum`` (never BLAS, whose
         blocking depends on the batch) sums each row on its own, so a row's
-        forecast is bit-identical alone and inside any batch of the same
-        layout — the fleet's micro-batched forward depends on that.
+        forecast is bit-identical alone and inside any batch — the fleet's
+        micro-batched forward depends on that. The target column is read
+        into one C-contiguous ``(N, window)`` array first (no copy for a
+        single-feature C-contiguous batch), because ``np.einsum`` rounds a
+        strided column differently: the forecast depends on the values
+        only, never on the caller's memory layout.
         """
         self._check_fitted()
         self._check_xy(x)
         x = np.asarray(x, float)
-        series = x[:, :, self.target_col]  # (N, window)
+        series = np.ascontiguousarray(x[:, :, self.target_col])  # (N, window)
         if series.shape[1] < 2:
             raise ValueError("need at least two points for a trend")
         w = _holt_filter(self.alpha_, self.beta_, series.shape[1], self.horizon)

@@ -18,19 +18,29 @@ fits and in serving alike it computes, and backpropagates through, only
 the conv positions that reach that step, with the full forward's taps,
 ops and dropout draws. The ``temporal`` attention reads every step and
 keeps the full backbone.
+
+A fitted ``feature``/``none`` network serves through a frozen
+:class:`~repro.models.tcn.LastStepPlan` (:meth:`RPTCN.inference_plan`):
+the backbone's folded conv weights, the FC layer, the attention's score
+layer and the head as plain arrays, run with the Module forward's ops in
+its order. The ``temporal`` attention has no plan and serves through the
+Module forward.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from ..nn import functional as F
 from ..nn import init as nn_init
 from ..nn.layers.attention import FeatureAttention, TemporalAttention
 from ..nn.layers.linear import Linear
 from ..nn.module import Module
 from ..nn.tensor import Tensor, no_grad
 from .base import NeuralForecaster, register_forecaster
-from .tcn import TCN
+from .tcn import TCN, LastStepPlan, frozen_linear
 
 __all__ = ["RPTCN", "RPTCNForecaster"]
 
@@ -121,12 +131,42 @@ class RPTCN(Module):
             z = self.feature_attention(z)
         return self.head(z)
 
+    def inference_plan(self) -> LastStepPlan | None:
+        """This network frozen for serving; None for the ``temporal`` attention.
+
+        The plan runs ``last_step`` → FC + ReLU → feature attention →
+        head (see :class:`~repro.models.tcn.LastStepPlan`).
+        """
+        if self.temporal_attention is not None:
+            return None
+        head = [frozen_linear(self.fc, relu=True)] if self.fc is not None else []
+        if self.feature_attention is not None:
+            head.append(_frozen_feature_attention(self.feature_attention))
+        head.append(frozen_linear(self.head))
+        return LastStepPlan(self.backbone, head)
+
     def attention_weights(self, x: Tensor) -> np.ndarray | None:
         """Post-FC attention vector for interpretability (None if ablated)."""
         if self.feature_attention is None:
             return None
         with no_grad():
             return self.feature_attention.attention_weights(self._summary(x))
+
+
+def _frozen_feature_attention(
+    attention: FeatureAttention,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """:meth:`FeatureAttention.forward` on plain arrays, weights copied now."""
+    score = frozen_linear(attention.score)
+    softmax = attention.normalizer == "softmax"
+    scale = float(attention.features) if softmax else 2.0
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        s = score(z)
+        a = F._softmax_arr(s, -1) if softmax else F._sigmoid_arr(s)
+        return a * scale * z
+
+    return apply
 
 
 @register_forecaster("rptcn")

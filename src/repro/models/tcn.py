@@ -23,9 +23,20 @@ different row count: on x86-64 OpenBLAS the served RPTCN's predictions
 are bit for bit the same, while a fit's weights can move by a few ulps.
 The full forward stays the reference every test compares the pruned
 path with.
+
+A fitted last-step network serves through a :class:`LastStepPlan`: its
+weights folded once into plain arrays (each conv's weight-normalized GEMM
+operand, the biases, the downsample and the head), run through the same
+row ops as :meth:`TCN.last_step` with no Tensor wrappers, no autograd
+bookkeeping and no train/eval walks. ``NeuralForecaster.predict`` builds
+it on first use and keeps it beside, never inside, the network, so it is
+never pickled; ``fit`` and ``warm_fit`` drop it. The Module forward
+stays the training path and the oracle the plan is tested against.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,10 +49,22 @@ from ..nn.layers.dropout import SpatialDropout1d
 from ..nn.layers.linear import Linear
 from ..nn.layers.normalization import WeightNormConv1d
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, get_default_dtype
+from ..training.trainer import predict_batches
 from .base import NeuralForecaster, register_forecaster
 
-__all__ = ["TemporalBlock", "TCN", "TCNForecaster"]
+__all__ = ["TemporalBlock", "TCN", "LastStepPlan", "TCNForecaster"]
+
+
+class FrozenBlock(NamedTuple):
+    """A :class:`TemporalBlock`'s weights as :func:`F._block_rows` reads them."""
+
+    w1m: np.ndarray  # conv1's weight-normalized GEMM operand, (K*C_in, C_out)
+    b1: np.ndarray
+    w2m: np.ndarray
+    b2: np.ndarray
+    down_w: np.ndarray | None  # the 1x1 downsample as (C_out, C_in)
+    down_b: np.ndarray | None
 
 
 class TemporalBlock(Module):
@@ -102,6 +125,18 @@ class TemporalBlock(Module):
             p=self.drop1.p,
             rng=self.drop1.rng,
             training=self.training,
+        )
+
+    def freeze(self) -> FrozenBlock:
+        """The block's current weights, folded and copied for inference."""
+        down = self.downsample
+        return FrozenBlock(
+            F._gemm_weight(F._weight_norm(self.conv1.v.data, self.conv1.g.data)[0]),
+            self.conv1.bias.data.copy(),
+            F._gemm_weight(F._weight_norm(self.conv2.v.data, self.conv2.g.data)[0]),
+            self.conv2.bias.data.copy(),
+            down.weight.data[:, :, 0].copy(order="K") if down is not None else None,
+            down.bias.data.copy() if down is not None else None,
         )
 
     def forward_rows(
@@ -209,6 +244,72 @@ class TCN(Module):
         return h[1:]
 
 
+def frozen_linear(layer: Linear, relu: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """``layer`` (then ReLU) on plain arrays, with its weights copied now.
+
+    The ops are :func:`F.linear`'s inference path and
+    :meth:`Tensor.relu`'s, so the values match the Module forward's bit
+    for bit.
+    """
+    weight_t = layer.weight.data.copy(order="K").T
+    bias = layer.bias.data.copy() if layer.bias is not None else None
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        out = z @ weight_t
+        if bias is not None:
+            out += bias
+        return np.where(out > 0, out, 0.0) if relu else out
+
+    return apply
+
+
+class LastStepPlan:
+    """Frozen inference plan of a network that reads ``TCN.last_step``.
+
+    Holds every block's folded weights (:meth:`TemporalBlock.freeze`)
+    and the ``head`` ops that map the last-step features ``(N, C)`` to
+    the output, each a function of plain arrays whose weights were copied
+    when the plan was built. :meth:`predict` runs :meth:`TCN.last_step`
+    → head with the Module forward's ops in its order, in
+    :meth:`Trainer.predict`'s chunks (:func:`predict_batches`): the input
+    converted as ``Tensor(...)`` converts it under the dtype policy, the
+    window rows behind one zero row (:func:`F.window_rows`), one
+    :func:`F._block_rows` per block over the memoized
+    :func:`repro.nn._plans.last_step_rows`. Every GEMM sees the row
+    count it sees in the Module forward, so the output is the Module
+    forward's bit for bit.
+
+    The plan never sees the network again after it is built: it is
+    derived state, valid until the weights change.
+    """
+
+    def __init__(
+        self, backbone: TCN, head: Sequence[Callable[[np.ndarray], np.ndarray]]
+    ) -> None:
+        self.kernel_size = backbone.blocks[0].kernel_size
+        self.dilations = tuple(block.dilation for block in backbone.blocks)
+        self.blocks = tuple(block.freeze() for block in backbone.blocks)
+        self.head = tuple(head)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``(N, window, features)`` windows → ``(N, out)``, as ``Trainer.predict``."""
+        return predict_batches(self._forward, x)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=get_default_dtype())
+        n, window, features = x.shape
+        rows = _plans.last_step_rows(self.kernel_size, self.dilations, window, n)
+        h = np.concatenate(
+            [np.zeros((1, features), dtype=x.dtype), x.reshape(n * window, features)]
+        )
+        for block, block_rows in zip(self.blocks, rows):
+            h = F._block_rows(h, block_rows, n, self.kernel_size, *block)
+        z = h[1:]
+        for op in self.head:
+            z = op(z)
+        return z
+
+
 class _TCNHead(Module):
     """Plain TCN forecaster: backbone → last step → linear head."""
 
@@ -230,6 +331,10 @@ class _TCNHead(Module):
     def forward(self, x: Tensor) -> Tensor:
         # (N, W, F) -> channels-first (N, F, W); the head reads the last step
         return self.head(self.backbone.last_step(x.swapaxes(1, 2)))
+
+    def inference_plan(self) -> LastStepPlan:
+        """This network frozen for serving (see :class:`LastStepPlan`)."""
+        return LastStepPlan(self.backbone, (frozen_linear(self.head),))
 
 
 @register_forecaster("tcn")

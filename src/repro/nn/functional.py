@@ -122,11 +122,15 @@ def conv1d(
 # ---------------------------------------------------------------------------
 
 
+def _softmax_arr(x: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`softmax` on a raw array."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_arr(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -622,14 +626,53 @@ def _drop_rows(h: np.ndarray, rng: np.random.Generator, n: int, p: float) -> np.
 
 
 def _residual_rows(
-    res: np.ndarray, down_weight: Tensor | None, down_bias: Tensor | None
+    res: np.ndarray, down_w: np.ndarray | None, down_b: np.ndarray | None
 ) -> np.ndarray:
-    """The shortcut at the gathered input rows: identity, or the 1x1 downsample."""
-    if down_weight is None:
+    """The shortcut at the gathered input rows: identity, or the 1x1 downsample.
+
+    ``down_w`` is the downsample's ``(C_out, C_in)`` weight matrix.
+    """
+    if down_w is None:
         return res
-    res = res @ down_weight.data[:, :, 0].T
-    res += down_bias.data
+    res = res @ down_w.T
+    res += down_b
     return res
+
+
+def _block_rows(
+    xr: np.ndarray,
+    rows: tuple[np.ndarray, ...],
+    n: int,
+    k: int,
+    w1m: np.ndarray,
+    b1: np.ndarray,
+    w2m: np.ndarray,
+    b2: np.ndarray,
+    down_w: np.ndarray | None,
+    down_b: np.ndarray | None,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """:func:`temporal_block_rows` without autograd, on plain arrays.
+
+    ``w1m``/``w2m`` are the convs' folded GEMM weights
+    (``_gemm_weight(_weight_norm(v, g)[0])``); ``down_w``/``down_b`` the
+    downsample's ``(C_out, C_in)`` matrix and bias, or None. Returns the
+    output rows ``(1 + M_out, C_out)`` behind the zero row, in place on
+    fresh buffers. A frozen inference plan
+    (:class:`repro.models.tcn.LastStepPlan`) calls it with weights folded
+    once per fitted network.
+    """
+    conv1, conv2, residual = rows[:3]
+    h = _conv_rows(_row_cols(xr, conv1, k), w1m, b1)
+    _drop_rows(h, rng, n, p)
+    out = _conv_rows(_row_cols(h, conv2, k), w2m, b2)
+    del h
+    _drop_rows(out, rng, n, p)
+    body = out[1:]
+    body += _residual_rows(np.take(xr, residual, axis=0), down_w, down_b)
+    np.maximum(body, 0.0, out=body)
+    return out
 
 
 def temporal_block_rows(
@@ -680,20 +723,22 @@ def temporal_block_rows(
         parents += (down_weight, down_bias)
     if is_grad_enabled() and any(t.requires_grad for t in parents):
         return _temporal_block_rows_graph(x, rows, n, parents, p, rng)
-    conv1, conv2, residual = rows[:3]
-    xr = x.data
-    k = v1.shape[2]
-    w1m = _gemm_weight(_weight_norm(v1.data, g1.data)[0])
-    w2m = _gemm_weight(_weight_norm(v2.data, g2.data)[0])
-    h = _conv_rows(_row_cols(xr, conv1, k), w1m, b1.data)
-    _drop_rows(h, rng, n, p)
-    out = _conv_rows(_row_cols(h, conv2, k), w2m, b2.data)
-    del h
-    _drop_rows(out, rng, n, p)
-    body = out[1:]
-    body += _residual_rows(np.take(xr, residual, axis=0), down_weight, down_bias)
-    np.maximum(body, 0.0, out=body)
-    return Tensor(out)
+    return Tensor(
+        _block_rows(
+            x.data,
+            rows,
+            n,
+            v1.shape[2],
+            _gemm_weight(_weight_norm(v1.data, g1.data)[0]),
+            b1.data,
+            _gemm_weight(_weight_norm(v2.data, g2.data)[0]),
+            b2.data,
+            down_weight.data[:, :, 0] if down_weight is not None else None,
+            down_bias.data if down_bias is not None else None,
+            p,
+            rng,
+        )
+    )
 
 
 def _temporal_block_rows_graph(
@@ -720,7 +765,11 @@ def _temporal_block_rows_graph(
     h2 = _conv_rows(cols2, w2m, b2.data)
     mask2 = _drop_rows(h2, rng, n, p)
     res_in = np.take(xr, residual, axis=0)
-    res = _residual_rows(res_in, down_weight, down_bias)
+    res = _residual_rows(
+        res_in,
+        down_weight.data[:, :, 0] if down_weight is not None else None,
+        down_bias.data if down_bias is not None else None,
+    )
     out = np.empty(h2.shape, dtype=np.result_type(h2, res))
     out[0] = 0.0
     np.add(h2[1:], res, out=out[1:])

@@ -65,6 +65,7 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, is_enabled, log_buckets
 from .buffer import MatrixRingBuffer
+from .checkpoint import CheckpointError
 from .drift import PageHinkley
 from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord, _ServingPredictor
 from .refit import AsyncRefitEngine, RefitTask
@@ -741,6 +742,21 @@ class FleetPredictor(_ServingPredictor):
         state["pending_refit"] = None if task is None else task.state_dict()
         state["detector"] = self.detector.state_dict()
         return state
+
+    def validate_state_dict(self, state: dict) -> None:
+        """The base checks, plus the refit cursor and the detector arrays' shapes."""
+        super().validate_state_dict(state)
+        missing = [key for key in ("refit_cursor", "detector") if key not in state]
+        if missing:
+            raise CheckpointError(f"fleet checkpoint lacks {missing}")
+        saved = state["detector"] if isinstance(state["detector"], dict) else {}
+        for name, live in self.detector.state_dict().items():
+            if name not in saved or np.shape(saved[name]) != live.shape:
+                raise CheckpointError(
+                    f"fleet checkpoint holds a corrupt detector state: {name!r} is "
+                    f"{np.shape(saved[name]) if name in saved else 'missing'}, "
+                    f"expected {live.shape}"
+                )
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)

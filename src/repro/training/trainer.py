@@ -11,7 +11,9 @@ uninstrumented hot path stays as fast as before.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,7 +26,29 @@ from ..obs import trace
 from ..obs.registry import MetricRegistry, get_registry, is_enabled
 from .callbacks import Callback
 
-__all__ = ["Trainer", "TrainingHistory"]
+__all__ = ["Trainer", "TrainingHistory", "predict_batches"]
+
+
+def predict_batches(
+    forward: Callable[[np.ndarray], np.ndarray], x: np.ndarray, batch_size: int = 256
+) -> np.ndarray:
+    """``forward`` over ``batch_size``-row chunks of ``x``, into one array.
+
+    The output array is preallocated after the first chunk reveals the
+    head shape, and each chunk is written into its slice in place: no
+    Python list of chunk outputs, no terminal ``np.concatenate``. An
+    empty ``x`` still runs one zero-row forward, so the result has the
+    head's trailing shape.
+    """
+    out_arr: np.ndarray | None = None
+    for start in range(0, max(len(x), 1), batch_size):
+        stop = min(start + batch_size, len(x))
+        out = forward(x[start:stop])
+        if out_arr is None:
+            out_arr = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
+        out_arr[start:stop] = out
+    return out_arr
+
 
 @dataclass
 class TrainingHistory:
@@ -76,16 +100,30 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------
 
+    @contextmanager
+    def _eval_mode(self) -> Iterator[None]:
+        """Eval mode for the block, restored after it.
+
+        The module tree is walked only when the mode changes: a model
+        already in eval mode (every fitted model) is left alone.
+        """
+        was_training = self.model.training
+        if was_training:
+            self.model.eval()
+        try:
+            yield
+        finally:
+            if was_training:
+                self.model.train()
+
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
         """Mean loss over a dataset, in eval mode with autograd off.
 
         The model's train/eval mode is restored afterwards.
         """
-        was_training = self.model.training
-        self.model.eval()
         total = 0.0
         count = 0
-        with no_grad():
+        with self._eval_mode(), no_grad():
             for start in range(0, len(x), batch_size):
                 stop = min(start + batch_size, len(x))
                 xb = Tensor(x[start:stop])
@@ -94,31 +132,16 @@ class Trainer:
                 loss = self.loss(out, yb)
                 total += loss.item() * (stop - start)
                 count += stop - start
-        self.model.train(was_training)
         return total / max(count, 1)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Forward pass over a dataset (eval mode, no graph).
 
-        The output array is preallocated after the first batch reveals the
-        head shape, and each batch is written into its slice in place —
-        no Python list of batch outputs, no terminal ``np.concatenate``.
-        An empty ``x`` still runs one zero-row forward, so the result has
-        the head's trailing shape. The model's train/eval mode is restored
-        afterwards.
+        Runs :func:`predict_batches` over the Module forward. The model's
+        train/eval mode is restored afterwards.
         """
-        was_training = self.model.training
-        self.model.eval()
-        out_arr: np.ndarray | None = None
-        with no_grad():
-            for start in range(0, max(len(x), 1), batch_size):
-                stop = min(start + batch_size, len(x))
-                out = self.model(Tensor(x[start:stop])).data
-                if out_arr is None:
-                    out_arr = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
-                out_arr[start:stop] = out
-        self.model.train(was_training)
-        return out_arr
+        with self._eval_mode(), no_grad():
+            return predict_batches(lambda xb: self.model(Tensor(xb)).data, x, batch_size)
 
     # -- training ----------------------------------------------------------------
 

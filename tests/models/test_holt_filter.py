@@ -9,6 +9,8 @@ recursion. These properties pin down what that may and may not change:
 * a row's forecast is bit-identical alone and inside any batch, for one
   and several horizons, with the target read as a strided column of a
   multi-feature window;
+* a forecast depends on the window's values only, not on the caller's
+  memory layout (strided, Fortran-order and sliced batches);
 * a NaN anywhere in a window gives NaN in every horizon of that row;
 * a fitted model gains no state: ``predict`` leaves ``__dict__`` and the
   pickle bytes as they were.
@@ -96,6 +98,33 @@ class TestHoltFilter:
             lo = max(0, i - 5)
             inside = model.predict(x[lo : i + 3])[i - lo]
             assert inside.tobytes() == full[i].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        features=st.integers(1, 4),
+        col=st.integers(0, 3),
+        window=st.integers(2, 24),
+        horizon=st.sampled_from([1, 3]),
+        layout=st.sampled_from(["strided", "fortran", "sliced"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=30, features=3, col=1, window=12, horizon=1, layout="strided", seed=0)
+    def test_forecast_does_not_depend_on_the_memory_layout(
+        self, n, features, col, window, horizon, layout, seed
+    ):
+        col %= features
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(2 * n, window + 3, features + 2)).cumsum(axis=1)
+        if layout == "strided":  # every other row, a window of a longer series
+            x = base[::2, 1 : window + 1, 1 : features + 1]
+        elif layout == "fortran":
+            x = np.asfortranarray(base[:n, :window, :features])
+        else:  # a trailing slice of the feature axis, rows offset
+            x = base[n:, 3:, 2:]
+        model = _fitted(0.3, 0.7, horizon, target_col=col)
+        want = model.predict(np.ascontiguousarray(x))
+        assert model.predict(x).tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(

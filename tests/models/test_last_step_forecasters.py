@@ -2,8 +2,9 @@
 
 ``rptcn``, ``quantile_rptcn``, ``hybrid_arima_nn`` (RPTCN on the ARIMA
 residuals) and ``tcn`` read only the last backbone step, so both their
-``fit`` and their ``predict`` run the pruned last-step backbone. These
-tests compare it with the full-sequence backbone batched the same way,
+``fit`` and their ``predict`` run the pruned last-step backbone (``predict``
+through the frozen plan of those rows). These tests compare it with the
+full-sequence backbone batched the same way,
 check the empty batch, pin the full backbone's training numerics (the
 oracle the pruned fit is held to), and check that the ``temporal``
 attention, which reads every step, never reaches the pruned rows.
@@ -46,6 +47,13 @@ def _full_backbone(self, x):
     return self(x)[:, :, -1]
 
 
+def _module_predict(model, x):
+    """The Module forward's predictions (``Trainer.predict``), not the frozen plan's."""
+    if isinstance(model, HybridARIMANNForecaster):
+        return model._arima_part(x) + model.nn.trainer.predict(x)
+    return model.trainer.predict(x)
+
+
 @pytest.fixture(scope="module")
 def fitted():
     x, y = _series()
@@ -62,7 +70,7 @@ def test_predict_matches_the_full_backbone(name, fitted, monkeypatch):
     model = fitted[name]
     got = model.predict(x)
     monkeypatch.setattr(TCN, "last_step", _full_backbone)
-    want = model.predict(x)
+    want = _module_predict(model, x)
     assert got.shape == want.shape == (300, want.shape[1])
     # same taps, same ops: only the GEMM row count differs, which BLAS may
     # round differently in the last ulp

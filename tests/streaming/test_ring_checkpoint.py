@@ -6,7 +6,8 @@ The ring is wrap-padded in memory but checkpoints only the logical
 * a checkpoint with bad ring cursors is refused before anything is
   written — by the ring itself and by :class:`FleetPredictor` and
   :class:`OnlinePredictor`, whose state must be exactly as it was after
-  the refusal;
+  the refusal; so is a fleet state that lacks the refit cursor or the
+  detector, or whose detector arrays are another fleet's size;
 * fleet, sharded and scalar checkpoints written by older code (before
   the ring was padded, while the fleet still kept an error ring, while
   the predictors still took options that are now retired) still restore
@@ -187,6 +188,36 @@ class TestFleetRefusesBadRing:
         for row in rest:
             got, want = fleet.process_tick(row), twin.process_tick(row)
             assert got.predictions.tobytes() == want.predictions.tobytes()
+
+
+class TestFleetRefusesIncompleteState:
+    """A state missing a fleet-only key is refused before anything is written."""
+
+    def _fleet(self, steps):
+        fleet = FleetPredictor(4, **FLEET_KW)
+        for row in _ticks(steps, 4):
+            fleet.process_tick(row)
+        return fleet
+
+    @pytest.mark.parametrize("key", ["detector", "refit_cursor"])
+    def test_missing_key_raises_and_leaves_the_fleet_unchanged(self, key):
+        fleet = self._fleet(30)
+        assert (fleet.model_version, fleet.state_dict()["step"]) == (3, 30)
+        blob = pickle.dumps(fleet.state_dict())
+        old = self._fleet(5).state_dict()
+        del old[key]
+        with pytest.raises(CheckpointError, match=key):
+            fleet.load_state_dict(old)
+        assert pickle.dumps(fleet.state_dict()) == blob
+
+    def test_detector_of_another_fleet_size_is_refused(self):
+        fleet = self._fleet(30)
+        blob = pickle.dumps(fleet.state_dict())
+        bad = fleet.state_dict()
+        bad["detector"] = {name: arr[:2] for name, arr in bad["detector"].items()}
+        with pytest.raises(CheckpointError, match="detector"):
+            fleet.load_state_dict(bad)
+        assert pickle.dumps(fleet.state_dict()) == blob
 
 
 class TestShardedRefusesBadShard:

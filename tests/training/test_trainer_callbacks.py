@@ -48,6 +48,32 @@ class TestTrainer:
         pred = trainer.predict(xv)
         assert pred.shape == (len(xv), 1)
 
+    def test_predict_and_evaluate_walk_the_tree_only_to_change_the_mode(
+        self, rng, problem, monkeypatch
+    ):
+        from repro.nn.module import Module
+
+        xt, yt, xv, _ = problem
+        trainer = make_trainer(rng)
+        trainer.fit(xt, yt, epochs=1)  # leaves the model in eval mode
+        calls = []
+        walk = Module.train
+
+        def spy(self, mode=True):
+            calls.append(mode)
+            return walk(self, mode)
+
+        monkeypatch.setattr(Module, "train", spy)
+        trainer.predict(xv)
+        trainer.evaluate(xv, xv[:, :1])
+        assert calls == []
+        trainer.model.train()
+        calls.clear()
+        trainer.predict(xv)
+        trainer.evaluate(xv, xv[:, :1])
+        assert calls == [False, True, False, True]
+        assert all(m.training for m in trainer.model.modules())
+
     def test_grad_clipping_runs(self, rng, problem):
         xt, yt, _, _ = problem
         model = Sequential(Linear(2, 4, rng=rng), Linear(4, 1, rng=rng))
