@@ -19,6 +19,10 @@ per-call cost dominates. Both forecasts run the model's frozen
 inference plan. ``test_bench_tcn_last_step_train_step`` times one fit batch
 of RPTCN's backbone: forward and backward of 32 windows through
 ``TCN.last_step``, which computes only the conv rows the loss reads.
+``test_bench_adam_step`` times the rest of that fit batch: the gradient
+clip (per parameter) and the Adam update over a fitted RPTCN's 26
+parameters, a few whole-vector ops over the optimizer's flat weights and
+moments.
 ``test_bench_ring_last_windows`` and
 ``test_bench_ring_append_tick`` time the fleet history ring at the
 ``fleet_holt_4k`` shape (4096 streams, capacity 140, window 12, one
@@ -64,6 +68,7 @@ from repro.models.rptcn import RPTCNForecaster
 from repro.models.tcn import TCN, TemporalBlock
 from repro.nn import functional as F
 from repro.nn.layers import LSTM
+from repro.nn.optim import clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.streaming import MatrixRingBuffer, PageHinkley
 from repro.streaming.fleet import _FleetPageHinkley
@@ -205,6 +210,27 @@ def test_bench_rptcn_predict_n1(benchmark, rng):
 
     pred = benchmark(lambda: model.predict(x[:1]))
     assert pred.shape == (1, 1)
+
+
+def _adam_step(model):
+    """clip_grad_norm + Adam.step over a fitted model's parameters, its last batch's grads."""
+    params = list(model.model.parameters())
+    opt = model.trainer.optimizer
+
+    def step():
+        clip_grad_norm(params, model.grad_clip_norm)
+        opt.step()
+
+    return step
+
+
+def test_bench_adam_step(benchmark, rng):
+    x, y = _rptcn_pool(rng)
+    model = _rptcn_fit(x, y)
+    assert len(list(model.model.parameters())) == 26
+
+    benchmark(_adam_step(model))
+    assert all(p.grad is not None for p in model.model.parameters())
 
 
 def _tcn_block_step(rng):
@@ -437,6 +463,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     rptcn_predict = _ops_per_sec(lambda: rptcn.predict(xr[:253]))
     rptcn_predict_n1 = _ops_per_sec(lambda: rptcn.predict(xr[:1]))
     rptcn_faults = _minor_faults_per_call(lambda: rptcn.predict(xr[:253]))
+    adam_step = _ops_per_sec(_adam_step(_rptcn_fit(xr, yr)))
     block_step = _ops_per_sec(_tcn_block_step(rng))
     last_step_train = _ops_per_sec(_tcn_last_step_train_step(rng))
 
@@ -479,6 +506,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
             "rptcn_predict": "predict of that model, 253 rows",
             "rptcn_predict_n1": "predict of that model, 1 row",
+            "adam_step": "clip_grad_norm (max_norm 5) + Adam.step over that model's 26 "
+            "parameters, its last fit batch's grads",
             "tcn_block_step": "TemporalBlock(16->16, k=3, dil=2) x(32,16,12) fwd+bwd",
             "tcn_last_step_train_step": "TCN(1, (16,16,16), k=3) train mode, x(32,1,12): "
             "last_step fwd+bwd",
@@ -507,6 +536,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "rptcn_fit": round(rptcn_fit, 2),
             "rptcn_predict": round(rptcn_predict, 1),
             "rptcn_predict_n1": round(rptcn_predict_n1, 1),
+            "adam_step": round(adam_step, 1),
             "tcn_block_step": round(block_step, 1),
             "tcn_last_step_train_step": round(last_step_train, 1),
             "ring_last_windows": round(ring_gather, 1),
@@ -538,7 +568,7 @@ def test_perf_smoke_kernel_snapshot(rng):
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert holt_predict_n1 > 0 and holt_predict_n4096 > 0
     assert gbt_fit > 0 and gbt_predict > 0
-    assert rptcn_fit > 0 and rptcn_predict > 0 and rptcn_predict_n1 > 0
+    assert rptcn_fit > 0 and rptcn_predict > 0 and rptcn_predict_n1 > 0 and adam_step > 0
     assert block_step > 0 and last_step_train > 0
     assert ring_gather > 0 and ring_append > 0
     assert gate_check > 0 and ph_update > 0

@@ -239,7 +239,11 @@ def create_forecaster(name: str, **kwargs) -> Forecaster:
 
 #: fitted network → its frozen inference plan, or None where the network
 #: has none. Derived state: kept beside the network, never in its pickle
-#: or checkpoint bytes, and gone when the network is
+#: or checkpoint bytes, and gone when the network is. A plan records the
+#: process-wide ``Module.weights_version`` it was built at and is rebuilt
+#: once that moves (any ``load_state_dict`` or ``to_dtype``, on any module
+#: of any network: a rare rebuild too many, never a stale plan); whether a
+#: network has a plan at all does not depend on its weights.
 _PLANS: weakref.WeakKeyDictionary[Module, LastStepPlan | None] = (
     weakref.WeakKeyDictionary()
 )
@@ -247,12 +251,14 @@ _PLANS: weakref.WeakKeyDictionary[Module, LastStepPlan | None] = (
 
 def _inference_plan(model: "Module") -> "LastStepPlan | None":
     """The network's frozen inference plan (``model.inference_plan()``), built on first use."""
-    try:
-        return _PLANS[model]
-    except KeyError:
+    version = model.weights_version
+    plan = _PLANS.get(model)
+    if model not in _PLANS or (plan is not None and plan.weights_version != version):
         build = getattr(model, "inference_plan", None)
         plan = _PLANS[model] = build() if build is not None else None
-        return plan
+        if plan is not None:
+            plan.weights_version = version
+    return plan
 
 
 class NeuralForecaster(Forecaster):

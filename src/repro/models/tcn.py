@@ -283,6 +283,10 @@ class LastStepPlan:
     derived state, valid until the weights change.
     """
 
+    #: ``Module.weights_version`` when the plan was built (set by the plan
+    #: cache, :func:`repro.models.base._inference_plan`)
+    weights_version = 0
+
     def __init__(
         self, backbone: TCN, head: Sequence[Callable[[np.ndarray], np.ndarray]]
     ) -> None:

@@ -28,7 +28,17 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class for all neural-network layers and models."""
+    """Base class for all neural-network layers and models.
+
+    ``Module.weights_version`` is one process-wide counter that every
+    :meth:`load_state_dict` and :meth:`to_dtype` bumps, on whichever
+    module of whichever tree it is called: state derived from a network's
+    weights (a frozen inference plan) is valid while the counter holds
+    still. Training steps (``p.data`` edited in place by an optimizer) do
+    not bump it.
+    """
+
+    weights_version = 0
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -97,6 +107,7 @@ class Module:
         dt = np.dtype(dtype)
         for p in self.parameters():
             p.data = p.data.astype(dt, copy=False)
+        Module.weights_version += 1
         return self
 
     # -- gradients ---------------------------------------------------------------
@@ -125,6 +136,7 @@ class Module:
                     f"shape mismatch for {name}: have {p.data.shape}, got {value.shape}"
                 )
             p.data[...] = value
+        Module.weights_version += 1
 
     # -- call protocol ------------------------------------------------------------
 

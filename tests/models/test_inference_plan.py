@@ -10,9 +10,9 @@ attention), ``quantile_rptcn``, ``tcn`` and the NN half of
   and dilation variants, every attention / FC / normalizer combination,
   float32 and non-contiguous inputs;
 * derived state only: ``predict`` leaves ``to_bytes()`` and the pickle
-  as they were, a ``from_bytes`` copy serves the same, ``warm_fit``
-  never leaves a stale plan behind, and the ``temporal`` attention keeps
-  the Module forward;
+  as they were, a ``from_bytes`` copy serves the same, neither
+  ``warm_fit`` nor ``load_state_dict`` nor ``to_dtype`` leaves a stale
+  plan behind, and the ``temporal`` attention keeps the Module forward;
 * no mode walks: a fitted network predicts without one ``Module.train``
   call.
 """
@@ -172,6 +172,38 @@ class TestPlanIsDerivedState:
         after = model.predict(x)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, model.trainer.predict(x))
+
+    def test_loaded_weights_never_serve_a_stale_plan(self):
+        x, y = _windows(300, seed=12)
+        a = _fit("rptcn", x[:60], y[:60], channels=(4, 4))
+        b = create_forecaster("rptcn", epochs=1, seed=1, channels=(4, 4)).fit(x[60:], y[60:])
+        before = a.predict(x)
+        a.model.load_state_dict(b.model.state_dict())
+        after = a.predict(x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, a.trainer.predict(x))
+        assert np.array_equal(after, b.predict(x))
+
+    def test_a_submodule_load_state_dict_never_serves_a_stale_plan(self):
+        x, y = _windows(300, seed=14)
+        a = _fit("rptcn", x[:60], y[:60], channels=(4, 4))
+        b = create_forecaster("rptcn", epochs=1, seed=1, channels=(4, 4)).fit(x[60:], y[60:])
+        before = a.predict(x)
+        a.model.backbone.load_state_dict(b.model.backbone.state_dict())
+        after = a.predict(x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, a.trainer.predict(x))
+
+    def test_to_dtype_never_serves_a_stale_plan(self):
+        x, y = _windows(300, seed=13)
+        model = _fit("rptcn", x[:60], y[:60], channels=(4, 4))
+        model.predict(x[:3])  # the float64 plan
+        model.model.to_dtype(np.float32)
+        with dtype_policy(np.float32):
+            got = model.predict(x)
+            want = model.trainer.predict(x)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
 
     def test_refit_builds_a_new_plan(self):
         x, y = _windows(300, seed=8)
