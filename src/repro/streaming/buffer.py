@@ -17,13 +17,29 @@ into a sliding-window view. Checkpoints carry only the logical
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .checkpoint import Stateful
 
 __all__ = ["RollingBuffer", "MatrixRingBuffer"]
 
 
-class RollingBuffer:
+def _check_cursors(ring: Any, saved: dict[str, Any]) -> None:
+    """Both rings' ``_check_state``: ``0 <= size <= capacity``, ``0 <= head <
+    capacity``, and ``head == size`` while a ring (or stream) has not wrapped."""
+    head, size, capacity = saved["head"], saved["size"], ring.capacity
+    if np.any((size < 0) | (size > capacity)):
+        raise ValueError(f"ring sizes must be in [0, {capacity}]")
+    if np.any((head < 0) | (head >= capacity)):
+        raise ValueError(f"ring heads must be in [0, {capacity})")
+    if np.any((size < capacity) & (head != size)):
+        raise ValueError("an unwrapped ring must have head == size")
+
+
+class RollingBuffer(Stateful):
     """Ring buffer of ``(features,)`` records with O(1) append.
 
     Backed by a preallocated ``(capacity, features)`` array; ``view()``
@@ -118,49 +134,16 @@ class RollingBuffer:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Raw ring state (data + head + size) for exact checkpoint/restore."""
-        return {
-            "capacity": self.capacity,
-            "features": self.features,
-            "data": self._data.copy(),
-            "head": self._head,
-            "size": self._size,
-        }
+    #: raw ring state (data + head + size) for exact checkpoint/restore
+    _STATE = {"capacity": "capacity", "features": "features",
+              "data": "_data", "head": "_head", "size": "_size"}  # fmt: skip
+    _FIXED = ("capacity", "features")
+    _WHAT = "ring"
 
-    def validate_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless ``state`` is a consistent ring for this shape.
-
-        Checks shapes and cursors, as :meth:`MatrixRingBuffer.validate_state`
-        does: ``0 <= size <= capacity``, ``0 <= head < capacity``, and
-        ``head == size`` while the ring has not wrapped. Touches no storage.
-        """
-        shape = (self.capacity, self.features)
-        if (state["capacity"], state["features"]) != shape:
-            raise ValueError(
-                f"buffer shape mismatch: have {shape}, "
-                f"checkpoint holds ({state['capacity']}, {state['features']})"
-            )
-        data = np.asarray(state["data"])
-        if data.shape != shape:
-            raise ValueError(f"ring data shape mismatch: expected {shape}, got {data.shape}")
-        head, size = int(state["head"]), int(state["size"])
-        if not 0 <= size <= self.capacity:
-            raise ValueError(f"ring size must be in [0, {self.capacity}], got {size}")
-        if not 0 <= head < self.capacity:
-            raise ValueError(f"ring head must be in [0, {self.capacity}), got {head}")
-        if size < self.capacity and head != size:
-            raise ValueError(f"an unwrapped ring must have head == size, got {head} != {size}")
-
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; a ``ValueError`` leaves the ring untouched."""
-        self.validate_state(state)
-        self._data[...] = state["data"]
-        self._head = int(state["head"])
-        self._size = int(state["size"])
+    _check_state = _check_cursors
 
 
-class MatrixRingBuffer:
+class MatrixRingBuffer(Stateful):
     """A fleet of independent ring buffers in one preallocated array.
 
     Semantically ``streams`` :class:`RollingBuffer` instances — each
@@ -300,56 +283,19 @@ class MatrixRingBuffer:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Logical ring state (data + heads + sizes) for exact checkpoint/restore.
+    #: logical ring state for exact checkpoint/restore: ``data`` is the ring
+    #: without the pad, so checkpoints do not depend on the gather width
+    _STATE = {"streams": "streams", "capacity": "capacity", "features": "features",
+              "data": "_ring", "head": "_head", "size": "_size"}  # fmt: skip
+    _FIXED = ("streams", "capacity", "features")
+    _WHAT = "ring"
 
-        ``data`` is the ``(streams, capacity, features)`` ring without
-        the pad, so checkpoints do not depend on the gather width.
-        """
-        return {
-            "streams": self.streams,
-            "capacity": self.capacity,
-            "features": self.features,
-            "data": self._data[:, : self.capacity].copy(),
-            "head": self._head.copy(),
-            "size": self._size.copy(),
-        }
+    @property
+    def _ring(self) -> np.ndarray:
+        return self._data[:, : self.capacity]
 
-    def validate_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless ``state`` is a consistent ring for this shape.
+    _check_state = _check_cursors
 
-        Checks shapes and cursors: ``0 <= size <= capacity``, ``0 <=
-        head < capacity``, and ``head == size`` for every stream that
-        has not wrapped. Touches no storage.
-        """
-        shape = (state["streams"], state["capacity"], state["features"])
-        if shape != (self.streams, self.capacity, self.features):
-            raise ValueError(
-                f"buffer shape mismatch: have ({self.streams}, {self.capacity}, "
-                f"{self.features}), checkpoint holds {shape}"
-            )
-        data = np.asarray(state["data"])
-        if data.shape != shape:
-            raise ValueError(f"ring data shape mismatch: expected {shape}, got {data.shape}")
-        head = np.asarray(state["head"])
-        size = np.asarray(state["size"])
-        for name, arr in (("head", head), ("size", size)):
-            if arr.shape != (self.streams,) or not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(
-                    f"ring {name} must be ({self.streams},) integers, "
-                    f"got {arr.shape} {arr.dtype}"
-                )
-        if np.any((size < 0) | (size > self.capacity)):
-            raise ValueError(f"ring sizes must be in [0, {self.capacity}]")
-        if np.any((head < 0) | (head >= self.capacity)):
-            raise ValueError(f"ring heads must be in [0, {self.capacity})")
-        if np.any((size < self.capacity) & (head != size)):
-            raise ValueError("an unwrapped ring stream must have head == size")
-
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict` in place, refreshing the pad."""
-        self.validate_state(state)
-        self._data[:, : self.capacity] = state["data"]
-        self._data[:, self.capacity :] = self._data[:, : self._pad]
-        self._head[...] = state["head"]
-        self._size[...] = state["size"]
+    def _adopt(self, saved: dict[str, Any]) -> None:
+        super()._adopt(saved)
+        self._data[:, self.capacity :] = self._data[:, : self._pad]  # refresh the pad

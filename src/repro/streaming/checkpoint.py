@@ -15,6 +15,10 @@ what bare ``pickle`` offers:
 The payload itself is a pickled plain-python/NumPy state mapping —
 checkpoints are trusted local artifacts written by this process (the
 usual pickle caveat: never load one from an untrusted source).
+
+Loading a state is **parse, then commit** (:class:`Stateful`): a
+predictor parses every part before it runs any commit, so a refused
+state changes nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +26,11 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 from ..ioutil import atomic_write_bytes
 
@@ -37,6 +44,81 @@ _HEADER = struct.Struct("<8sIQ32s")
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, truncated, corrupt or incompatible."""
+
+
+class Stateful:
+    """A part whose checkpoint state loads in two phases.
+
+    :meth:`parse_state` reads and checks every key it needs, touching
+    nothing, and returns a commit of attribute stores and in-place copies
+    of checked arrays, which cannot raise; :meth:`load_state_dict` runs
+    both. A part listing its state in ``_STATE`` inherits all three.
+    """
+
+    #: state key -> the attribute holding it
+    _STATE: dict[str, str] = {}
+    #: keys whose saved value must equal the live one (sizes)
+    _FIXED: tuple[str, ...] = ()
+    #: values of the keys that older checkpoints lack
+    _DEFAULTS: dict[str, Any] = {}
+    #: the part's name in error messages
+    _WHAT = "part"
+
+    def _live(self) -> dict[str, Any]:
+        return {key: getattr(self, attr) for key, attr in self._STATE.items()}
+
+    def state_dict(self) -> dict:
+        return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in self._live().items()}
+
+    def parse_state(self, state: Any) -> Callable[[], None]:
+        live = self._live()
+        saved = parse_fields({**self._DEFAULTS, **state}, live, self._WHAT)
+        if any(saved.pop(key) != live[key] for key in self._FIXED):  # all popped unless raising
+            raise ValueError(f"{self._WHAT} shape mismatch: live {[live[k] for k in self._FIXED]}")
+        self._check_state(saved)
+        return lambda: self._adopt(saved)
+
+    def _check_state(self, saved: dict[str, Any]) -> None:
+        """Raise unless the parsed values are consistent with each other."""
+
+    def _adopt(self, saved: dict[str, Any]) -> None:
+        """The commit: copy arrays in place, store scalars; never raises."""
+        for key, value in saved.items():
+            if isinstance(live := getattr(self, self._STATE[key]), np.ndarray):
+                live[...] = value
+            else:
+                setattr(self, self._STATE[key], value)
+
+    def load_state_dict(self, state: Any) -> None:
+        """Adopt a :meth:`state_dict`; a refused one raises and changes nothing."""
+        self.parse_state(state)()
+
+
+def parse_fields(state: Any, live: Mapping[str, Any], what: str) -> dict[str, Any]:
+    """Check the entries of ``state`` against the ``live`` values they replace.
+
+    Each key of ``live`` must be in ``state`` with the same ``np.shape``
+    and a dtype that casts to the live one within its kind: an int may
+    fill a float slot, not a float an int slot, nor a scalar an array.
+    Returns fresh values (arrays of the live dtype, Python scalars for
+    0-d entries); raises ``KeyError``/``ValueError``/``TypeError``.
+    """
+    if not isinstance(state, Mapping):
+        raise TypeError(f"{what} state must be a mapping, got {type(state).__name__}")
+    out: dict[str, Any] = {}
+    for key, value in live.items():
+        if key not in state:
+            raise KeyError(f"{what} state lacks {key!r}")
+        saved, want = np.asarray(state[key]), np.asarray(value)
+        if saved.shape != want.shape:
+            raise ValueError(
+                f"{what} {key} shape mismatch: expected {want.shape}, got {saved.shape}"
+            )
+        if not np.can_cast(saved.dtype, want.dtype, "same_kind"):
+            raise TypeError(f"{what} {key} holds {saved.dtype}, expected {want.dtype}")
+        fresh = saved.astype(want.dtype)
+        out[key] = fresh if fresh.ndim else fresh.item()
+    return out
 
 
 def write_checkpoint(path: str | Path, state: Any) -> None:

@@ -65,7 +65,7 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, is_enabled, log_buckets
 from .buffer import MatrixRingBuffer
-from .checkpoint import CheckpointError
+from .checkpoint import Stateful, parse_fields
 from .drift import PageHinkley
 from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord, _ServingPredictor
 from .refit import AsyncRefitEngine, RefitTask
@@ -140,7 +140,7 @@ class FleetTick:
         return [self.record(i) for i in range(self.n_streams)]
 
 
-class _FleetPageHinkley:
+class _FleetPageHinkley(Stateful):
     """Page-Hinkley drift test vectorized across N error streams.
 
     Elementwise identical arithmetic to
@@ -195,34 +195,23 @@ class _FleetPageHinkley:
         for state in states:
             np.copyto(state, state.dtype.type(0), where=mask)
 
-    def state_dict(self) -> dict:
-        return {
-            "n_seen": self.n_seen.copy(),
-            "drift_detected": self.drift_detected.copy(),
-            "mean": self._mean.copy(),
-            "cumulative": self._cumulative.copy(),
-            "minimum": self._minimum.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.n_seen[...] = state["n_seen"]
-        self.drift_detected[...] = state["drift_detected"]
-        self._mean[...] = state["mean"]
-        self._cumulative[...] = state["cumulative"]
-        self._minimum[...] = state["minimum"]
+    _STATE = {"n_seen": "n_seen", "drift_detected": "drift_detected", "mean": "_mean",
+              "cumulative": "_cumulative", "minimum": "_minimum"}  # fmt: skip
+    _WHAT = "detector"
 
 
-class _FleetStats:
+class _FleetStats(Stateful):
     """Per-stream serving statistics as ``(N,)`` arrays + fleet totals."""
 
-    _ARRAYS = (
-        "n_predictions",
-        "n_drifts",
-        "n_predict_failures",
-        "n_fallback_predictions",
-        "n_fallback_predict_failures",
-        "n_clamped_predictions",
-    )
+    #: checkpointed under their own names, in this order
+    _STATE = {name: name for name in (
+        "n_predictions", "n_drifts", "n_predict_failures", "n_fallback_predictions",
+        "n_fallback_predict_failures", "n_clamped_predictions", "sum_abs_error",
+        "sum_sq_error", "n_refits", "n_refit_failures", "n_refits_deferred",
+    )}  # fmt: skip
+    #: absent in checkpoints from before async refits
+    _DEFAULTS = {"n_refits_deferred": 0}
+    _WHAT = "stats"
 
     def __init__(self, streams: int) -> None:
         self.n_predictions = np.zeros(streams, dtype=np.int64)
@@ -258,24 +247,6 @@ class _FleetStats:
     def fleet_mae(self) -> float:
         """MAE over every prediction the fleet served."""
         return float(self.sum_abs_error.sum() / max(self.n_predictions.sum(), 1))
-
-    def state_dict(self) -> dict:
-        state = {name: getattr(self, name).copy() for name in self._ARRAYS}
-        state["sum_abs_error"] = self.sum_abs_error.copy()
-        state["sum_sq_error"] = self.sum_sq_error.copy()
-        state["n_refits"] = self.n_refits
-        state["n_refit_failures"] = self.n_refit_failures
-        state["n_refits_deferred"] = self.n_refits_deferred
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        for name in self._ARRAYS:
-            getattr(self, name)[...] = state[name]
-        self.sum_abs_error[...] = state["sum_abs_error"]
-        self.sum_sq_error[...] = state["sum_sq_error"]
-        self.n_refits = int(state["n_refits"])
-        self.n_refit_failures = int(state["n_refit_failures"])
-        self.n_refits_deferred = int(state.get("n_refits_deferred", 0))
 
 
 class FleetPredictor(_ServingPredictor):
@@ -730,9 +701,10 @@ class FleetPredictor(_ServingPredictor):
             "warm_epochs": self.warm_epochs,
         }
 
+    _STATE = {**_ServingPredictor._STATE, "refit_cursor": "_refit_cursor"}
+
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["refit_cursor"] = self._refit_cursor
         # an in-flight (or finished-but-unadopted) background fit is
         # persisted as its *task*: restore resubmits it, so the fit it
         # would have produced still lands — restore-then-replay equals
@@ -743,31 +715,23 @@ class FleetPredictor(_ServingPredictor):
         state["detector"] = self.detector.state_dict()
         return state
 
-    def validate_state_dict(self, state: dict) -> None:
-        """The base checks, plus the refit cursor and the detector arrays' shapes."""
-        super().validate_state_dict(state)
-        missing = [key for key in ("refit_cursor", "detector") if key not in state]
-        if missing:
-            raise CheckpointError(f"fleet checkpoint lacks {missing}")
-        saved = state["detector"] if isinstance(state["detector"], dict) else {}
-        for name, live in self.detector.state_dict().items():
-            if name not in saved or np.shape(saved[name]) != live.shape:
-                raise CheckpointError(
-                    f"fleet checkpoint holds a corrupt detector state: {name!r} is "
-                    f"{np.shape(saved[name]) if name in saved else 'missing'}, "
-                    f"expected {live.shape}"
-                )
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self._refit_cursor = int(state["refit_cursor"])
-        self.detector.load_state_dict(state["detector"])
-        pending = state.get("pending_refit")
-        if pending is not None and self.refit_engine is not None:
-            # deterministic resume: re-run the interrupted fit on the same
-            # pooled windows (a busy engine drops it — the restored refit
-            # clock reschedules with fresh data, also deterministically)
-            self.refit_engine.submit(RefitTask.from_state(pending))
+    def _parse_parts(self, state: dict) -> list[Callable[[], None]]:
+        """The base parts, the detector, and a pending task checked against this fleet."""
+        parts = [*super()._parse_parts(state), self.detector.parse_state(state["detector"])]
+        pending = state.get("pending_refit")  # absent before async refits
+        if pending is not None:
+            n = len(pending["x"])
+            windows = {"x": np.empty((n, self.window, self.buffer.features)), "y": np.empty((n, 1))}
+            fields = parse_fields(pending, {**windows, "step": 0}, "pending refit")
+            task = RefitTask.from_state({**pending, **fields})
+            if not isinstance(task.forecaster_name, str) or type(task.forecaster_kwargs) is not dict:
+                raise TypeError("pending refit needs a forecaster name and a kwargs dict")
+            if self.refit_engine is not None:
+                # deterministic resume: re-run the interrupted fit on the same
+                # pooled windows (a busy engine drops it — the restored refit
+                # clock reschedules with fresh data, also deterministically)
+                parts.append(lambda: self.refit_engine.submit(task))
+        return parts
 
     def close(self) -> None:
         """Release the background refit worker (no-op in sync mode).

@@ -31,6 +31,7 @@ assembly).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +45,7 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import RollingBuffer
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, Stateful, parse_fields, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
 from .refit import RefitTask, fit_task
 from .resilience import GatePolicy, HealthStatus, InputGate, Supervisor, SupervisorPolicy
@@ -83,7 +84,7 @@ class PredictionRecord:
 
 
 @dataclass
-class _OnlineStats:
+class _OnlineStats(Stateful):
     n_predictions: int = 0
     sum_abs_error: float = 0.0
     sum_sq_error: float = 0.0
@@ -106,21 +107,13 @@ class _OnlineStats:
     def state_dict(self) -> dict:
         return dict(vars(self))
 
-    def load_state_dict(self, state: dict) -> None:
-        self.n_predictions = int(state["n_predictions"])
-        self.sum_abs_error = float(state["sum_abs_error"])
-        self.sum_sq_error = float(state["sum_sq_error"])
-        self.n_refits = int(state["n_refits"])
-        self.n_drifts = int(state["n_drifts"])
-        self.n_refit_failures = int(state["n_refit_failures"])
-        self.n_predict_failures = int(state["n_predict_failures"])
-        self.n_fallback_predictions = int(state["n_fallback_predictions"])
-        # key absent in pre-fleet checkpoints; the count started at 0 there
-        self.n_fallback_predict_failures = int(state.get("n_fallback_predict_failures", 0))
-        self.n_clamped_predictions = int(state["n_clamped_predictions"])
+    def parse_state(self, state: dict) -> Callable[[], None]:
+        # pre-fleet checkpoints lack ``n_fallback_predict_failures``; it started at 0
+        saved = parse_fields({"n_fallback_predict_failures": 0, **state}, vars(self), "stats")
+        return lambda: vars(self).update(saved)
 
 
-class _ServingPredictor:
+class _ServingPredictor(Stateful):
     """The serving-model lifecycle both predictors share.
 
     :class:`OnlinePredictor` serves one stream record by record and
@@ -413,15 +406,17 @@ class _ServingPredictor:
             "fallback_kwargs": dict(self.fallback_kwargs),
         }
 
+    #: the scalar serving state; the parts and models are checkpointed on their own
+    _STATE = {"step": "_step", "since_refit": "_since_refit", "model_version": "model_version",
+              "model_step": "_model_step", "on_fallback": "on_fallback"}  # fmt: skip
+    #: absent in checkpoints from before async refits
+    _DEFAULTS = {"model_version": 0, "model_step": -1}
+
     def state_dict(self) -> dict:
         """Full serving state: enough to resume bit-for-bit."""
         return {
             "config": self._config(),
-            "step": self._step,
-            "since_refit": self._since_refit,
-            "model_version": self.model_version,
-            "model_step": self._model_step,
-            "on_fallback": self.on_fallback,
+            **super().state_dict(),
             "buffer": self.buffer.state_dict(),
             "gate": self.gate.state_dict(),
             "refit_supervisor": self.refit_supervisor.state_dict(),
@@ -433,46 +428,45 @@ class _ServingPredictor:
             ),
         }
 
-    def validate_state_dict(self, state: dict) -> None:
-        """Raise :class:`CheckpointError` unless :meth:`load_state_dict` takes ``state``.
+    def parse_state(self, state: dict) -> Callable[[], None]:
+        """Check a :meth:`state_dict` against this predictor; return the commit.
 
-        Checks the config identity and the ring (shapes and cursors);
-        writes nothing.
-        """
+        Parses the config identity (a missing key too), the scalars, every
+        part and both models before any commit runs: a fault raises
+        :class:`CheckpointError` and changes nothing."""
+        try:
+            commits = self._parse_parts(state)
+        except Exception as exc:  # noqa: BLE001 — parsing writes nothing: any fault refuses
+            raise CheckpointError(f"checkpoint refused: {type(exc).__name__}: {exc}") from exc
+
+        def commit() -> None:
+            for part in commits:
+                part()
+
+        return commit
+
+    def _parse_parts(self, state: dict) -> list[Callable[[], None]]:
+        """One commit per stateful part; subclasses append their own."""
         cfg, config = state["config"], self._config()
         saved = {key: cfg[key] for key in self._IDENTITY}
         live = {key: config[key] for key in self._IDENTITY}
         if saved != live:
-            raise CheckpointError(f"checkpoint config mismatch: saved {saved} vs live {live}")
-        try:
-            self.buffer.validate_state(state["buffer"])
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint holds a corrupt ring state: {exc}") from exc
-
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a :meth:`state_dict`; the predictor must match its config.
-
-        A refused checkpoint (config mismatch, corrupt ring) leaves the
-        predictor exactly as it was: :meth:`validate_state_dict` runs
-        before any field is set.
-        """
-        self.validate_state_dict(state)
-        self.buffer.load_state_dict(state["buffer"])
-        self._step = int(state["step"])
-        self._since_refit = int(state["since_refit"])
-        self.model_version = int(state.get("model_version", 0))
-        self._model_step = int(state.get("model_step", -1))
-        self.on_fallback = bool(state["on_fallback"])
-        self.gate.load_state_dict(state["gate"])
-        self.refit_supervisor.load_state_dict(state["refit_supervisor"])
-        self.predict_supervisor.load_state_dict(state["predict_supervisor"])
-        self.stats.load_state_dict(state["stats"])
-        self.model = None if state["model"] is None else Forecaster.from_bytes(state["model"])
-        self.fallback_model = (
-            None
-            if state["fallback_model"] is None
-            else Forecaster.from_bytes(state["fallback_model"])
+            raise ValueError(f"config mismatch: saved {saved} vs live {live}")
+        scalars = parse_fields({**self._DEFAULTS, **state}, self._live(), "checkpoint")
+        model, fallback = (
+            None if state[key] is None else Forecaster.from_bytes(state[key])
+            for key in ("model", "fallback_model")
         )
+        parts = [
+            getattr(self, key).parse_state(state[key])
+            for key in ("buffer", "gate", "refit_supervisor", "predict_supervisor", "stats")
+        ]
+
+        def commit() -> None:
+            self._adopt(scalars)
+            self.model, self.fallback_model = model, fallback
+
+        return [*parts, commit]
 
     def save(self, path: str | Path) -> None:
         """Checkpoint the full serving state atomically (crash-safe)."""
@@ -490,7 +484,9 @@ class _ServingPredictor:
         artifact = read_checkpoint(path)
         if not isinstance(artifact, dict) or artifact.get("kind") != cls._CHECKPOINT_KIND:
             raise CheckpointError(f"{path} does not hold a checkpoint of {cls.__name__}")
-        state = artifact["state"]
+        state = artifact.get("state")
+        if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
+            raise CheckpointError(f"{path} holds no state and config of {cls.__name__}")
         cfg = {k: v for k, v in state["config"].items() if k not in _RETIRED_OPTIONS}
         if "detector_params" in cfg:  # a fleet persists its detector prototype's parameters
             cfg["detector"] = PageHinkley(**cfg.pop("detector_params"))
@@ -714,6 +710,10 @@ class OnlinePredictor(_ServingPredictor):
         state["detector"] = self.detector  # pickled whole
         return state
 
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.detector = state["detector"]
+    def _parse_parts(self, state: dict) -> list[Callable[[], None]]:
+        parts = super()._parse_parts(state)
+        # pickled whole; a copy, so the live detector never aliases ``state``
+        detector = copy.deepcopy(state["detector"])
+        if not all(callable(getattr(detector, name, None)) for name in ("update", "reset")):
+            raise TypeError(f"detector {type(detector).__name__} lacks update/reset")
+        return [*parts, lambda: setattr(self, "detector", detector)]

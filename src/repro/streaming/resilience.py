@@ -32,6 +32,7 @@ import numpy as np
 from ..obs.registry import Counter as MetricCounter
 from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import MetricRegistry, get_registry
+from .checkpoint import Stateful, parse_fields
 
 __all__ = [
     "HealthStatus",
@@ -135,7 +136,7 @@ class GateResult:
     reason: str | None = None
 
 
-class InputGate:
+class InputGate(Stateful):
     """Validate, repair or quarantine records before they enter the buffer.
 
     Keeps per-feature running moments (Welford) over *accepted* data
@@ -309,20 +310,28 @@ class InputGate:
             "m2": self._m2.copy(),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        self._c_seen.restore(int(state["n_seen"]))
-        self._c_actions["accept"].restore(int(state["n_accepted"]))
-        self._c_actions["impute"].restore(int(state["n_imputed"]))
-        self._c_actions["quarantine"].restore(int(state["n_quarantined"]))
-        for counter in self._c_reasons.values():
-            counter.restore(0)
-        for reason, count in dict(state["reasons"]).items():
-            self._count_reason(reason)
-            self._c_reasons[reason].restore(int(count))
-        self._last = np.asarray(state["last"], float).copy()
-        self._count = int(state["count"])
-        self._mean = np.asarray(state["mean"], float).copy()
-        self._m2 = np.asarray(state["m2"], float).copy()
+    def parse_state(self, state: dict) -> Callable[[], None]:
+        """Check a :meth:`state_dict` (counts >= 0, reasons by name, moments per feature)."""
+        counts = ("n_seen", "n_accepted", "n_imputed", "n_quarantined")
+        moments = {"count": self._count, "last": self._last, "mean": self._mean, "m2": self._m2}
+        saved = parse_fields(state, {**dict.fromkeys(counts, 0), **moments}, "gate")
+        reasons = parse_fields(state["reasons"], dict.fromkeys(state["reasons"], 0), "gate reason")
+        named = all(isinstance(reason, str) for reason in reasons)
+        if not named or min(saved[key] for key in counts) < 0 or min(reasons.values(), default=0) < 0:
+            raise ValueError("gate counts must be >= 0 and reasons named by strings")
+
+        def commit() -> None:
+            for counter, key in zip((self._c_seen, *self._c_actions.values()), counts):
+                counter.restore(saved[key])
+            for counter in self._c_reasons.values():
+                counter.restore(0)
+            for reason, count in reasons.items():
+                self._count_reason(reason)
+                self._c_reasons[reason].restore(count)
+            self._last, self._count = saved["last"], saved["count"]
+            self._mean, self._m2 = saved["mean"], saved["m2"]
+
+        return commit
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +365,7 @@ class FleetGateResult:
         return self.actions != GATE_QUARANTINE
 
 
-class FleetGate:
+class FleetGate(Stateful):
     """Vectorized :class:`InputGate` over N parallel streams.
 
     Runs the NaN / empty-record / imputation / Welford-band checks on a
@@ -606,29 +615,14 @@ class FleetGate:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        return {
-            "n_seen": self._n_seen.copy(),
-            "n_accepted": self._n_accepted.copy(),
-            "n_imputed": self._n_imputed.copy(),
-            "n_quarantined": self._n_quarantined.copy(),
-            "reason_counts": self._reason_counts.copy(),
-            "last": self._last.copy(),
-            "count": self._count.copy(),
-            "mean": self._mean.copy(),
-            "m2": self._m2.copy(),
-        }
+    _STATE = {"n_seen": "_n_seen", "n_accepted": "_n_accepted", "n_imputed": "_n_imputed",
+              "n_quarantined": "_n_quarantined", "reason_counts": "_reason_counts",
+              "last": "_last", "count": "_count", "mean": "_mean", "m2": "_m2"}  # fmt: skip
+    _WHAT = "gate"
 
-    def load_state_dict(self, state: dict) -> None:
-        self._n_seen[...] = state["n_seen"]
-        self._n_accepted[...] = state["n_accepted"]
-        self._n_imputed[...] = state["n_imputed"]
-        self._n_quarantined[...] = state["n_quarantined"]
-        self._reason_counts[...] = state["reason_counts"]
-        self._last[...] = state["last"]
-        self._count[...] = state["count"]
-        self._mean[...] = state["mean"]
-        self._m2[...] = state["m2"]
+    def _adopt(self, saved: dict[str, Any]) -> None:
+        super()._adopt(saved)
+        # the running std is derived, never checkpointed: rebuild it
         self._std[...] = 0.0
         self._refresh_std(np.ones(self.streams, dtype=bool))
 
@@ -670,7 +664,7 @@ class SupervisorPolicy:
             raise ValueError(f"fallback_after must be >= 1, got {self.fallback_after}")
 
 
-class Supervisor:
+class Supervisor(Stateful):
     """Execute callables under the failure-isolation policy.
 
     One instance supervises one duty (the predictor keeps separate
@@ -802,20 +796,26 @@ class Supervisor:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        return {
-            "consecutive_failures": self.consecutive_failures,
-            "total_failures": self.total_failures,
-            "total_retries": self.total_retries,
-            "n_calls": self.n_calls,
-            "n_budget_exceeded": self.n_budget_exceeded,
-            "last_error": self.last_error,
-        }
+    #: the checkpointed counts, each read through its view property
+    _COUNTS = ("consecutive_failures", "total_failures", "total_retries", "n_calls",
+               "n_budget_exceeded")  # fmt: skip
 
-    def load_state_dict(self, state: dict) -> None:
-        self._g_consecutive.set(int(state["consecutive_failures"]))
-        self._c_failures.restore(int(state["total_failures"]))
-        self._c_retries.restore(int(state["total_retries"]))
-        self._c_calls.restore(int(state["n_calls"]))
-        self._c_budget.restore(int(state["n_budget_exceeded"]))
-        self.last_error = state["last_error"]
+    def state_dict(self) -> dict:
+        return {**{key: getattr(self, key) for key in self._COUNTS}, "last_error": self.last_error}
+
+    def parse_state(self, state: dict) -> Callable[[], None]:
+        """Check a :meth:`state_dict` (counts >= 0, ``last_error`` str or None)."""
+        what = f"{self.duty} supervisor"
+        saved = parse_fields(state, dict.fromkeys(self._COUNTS, 0), what)
+        last_error = state["last_error"]
+        if min(saved.values()) < 0 or not isinstance(last_error, (str, type(None))):
+            raise ValueError(f"{what} holds a negative count or a non-string last_error")
+        counters = (self._c_failures, self._c_retries, self._c_calls, self._c_budget)
+
+        def commit() -> None:
+            self._g_consecutive.set(saved["consecutive_failures"])
+            for key, counter in zip(self._COUNTS[1:], counters):
+                counter.restore(saved[key])
+            self.last_error = last_error
+
+        return commit

@@ -29,9 +29,10 @@ before tick *t* is collected, so at most two ticks are in flight:
 * the whole fleet checkpoints as **one** artifact: the coordinator
   collects every shard's ``state_dict`` (rare path — the pipe is fine
   there) and composes them with the fleet config; restore rejects
-  config mismatches, has every worker check its shard state before any
-  adopts one (so a refused snapshot loads on no shard), and resumes
-  every shard bit-for-bit;
+  config mismatches, has every worker parse its whole shard state (the
+  ``check`` command runs the parse a ``load`` runs) before any adopts
+  one, so a refused snapshot loads on no shard, and resumes every shard
+  bit-for-bit;
 * worker observability merges on :meth:`close` through the same
   ``adopt_series`` / span-revival path the parallel experiment runner
   uses — per-shard tick-latency histograms are adopted both fleet-wide
@@ -116,6 +117,7 @@ from ..obs.registry import MetricRegistry, default_registry, get_registry, is_en
 from ..obs.trace import Span
 from .checkpoint import (
     CheckpointError,
+    parse_fields,
     read_checkpoint,
     try_read_checkpoint,
     write_checkpoint,
@@ -272,11 +274,11 @@ def _shard_worker(
     raised. The first command is an implicit ``ready``; a worker that
     fails it reports the error and exits. ``restore_path`` (set on
     supervised respawn) is a best-effort background checkpoint: intact
-    → resume from it, and the ready payload is its step; missing or
-    corrupt → cold start, payload ``None``. ``chaos`` maps exact fleet
-    steps to scheduled process faults; the step in each tick token keys
-    the lookup, so a respawned worker never re-fires a fault the fleet
-    already absorbed.
+    → resume from it, and the ready payload is its step; missing,
+    corrupt or refused → cold start, payload ``None``. ``chaos`` maps
+    exact fleet steps to scheduled process faults; the step in each tick
+    token keys the lookup, so a respawned worker never re-fires a fault
+    the fleet already absorbed.
     """
     c_ckpt = c_ckpt_fail = None
     if checkpoint_path is not None and checkpoint_interval:
@@ -300,12 +302,11 @@ def _shard_worker(
                 if isinstance(saved, dict) and (
                     saved.get("kind"), saved.get("lo"), saved.get("hi")
                 ) == ("fleet_shard", lo, hi):
-                    try:
-                        payload = int(saved["step"])
+                    # a refused snapshot leaves the cold predictor as it was
+                    with contextlib.suppress(CheckpointError, KeyError, TypeError, ValueError):
+                        step = int(saved["step"])
                         predictor.load_state_dict(saved["state"])
-                    except Exception:  # noqa: BLE001 — damaged snapshot degrades to cold start
-                        predictor = FleetPredictor(hi - lo, **fleet_kwargs)
-                        payload = None
+                        payload = step
             elif command == "tick":
                 fault = chaos.get(arg) if chaos else None
                 if fault is not None:
@@ -334,7 +335,7 @@ def _shard_worker(
             elif command == "state":
                 payload = predictor.state_dict()
             elif command == "check":
-                predictor.validate_state_dict(arg)
+                predictor.parse_state(arg)  # parse exactly what a load would; commit nothing
                 payload = None
             elif command == "load":
                 predictor.load_state_dict(arg)
@@ -1224,15 +1225,22 @@ class ShardedFleetPredictor:
     def load_state(self, state: dict[str, Any]) -> None:
         """Adopt a composed snapshot; every shard must match its saved config.
 
-        Every worker checks its shard state (config identity, ring
-        cursors) before any worker adopts one, so a snapshot that any
+        The envelope (config identity, ``step``, ``shard_states``) is read
+        first. Then every worker parses its shard state (``check``)
+        before any worker adopts one (``load``), so a snapshot that any
         shard refuses raises :class:`CheckpointError` and leaves the
         whole fleet as it was.
         """
-        cfg, config = state["config"], self._config_dict()
-        saved = {key: cfg[key] for key in self._IDENTITY}
+        config = self._config_dict()
         live = {key: config[key] for key in self._IDENTITY}
-        if saved != live:
+        try:
+            saved = {key: state["config"][key] for key in self._IDENTITY}
+            same = saved == live
+            step = parse_fields(state, {"step": self._step}, "sharded checkpoint")["step"]
+            shard_states = list(state["shard_states"])
+        except Exception as exc:  # noqa: BLE001 — reading writes nothing: any fault refuses
+            raise CheckpointError(f"sharded checkpoint refused: {type(exc).__name__}: {exc}") from exc
+        if not same:
             raise CheckpointError(
                 f"sharded checkpoint config mismatch: saved {saved} vs live {live}"
             )
@@ -1241,19 +1249,18 @@ class ShardedFleetPredictor:
                 f"cannot load a fleet snapshot with failed shards "
                 f"{list(self.failed_shards)}"
             )
-        shard_states = state["shard_states"]
         if len(shard_states) != self.shards:
             raise CheckpointError(
                 f"snapshot holds {len(shard_states)} shard states, need {self.shards}"
             )
-        live = self._live()
+        live_handles = self._live()
         for command in ("check", "load"):
-            for h, shard_state in zip(live, shard_states):
+            for h, shard_state in zip(live_handles, shard_states):
                 try:
                     self._request(h, command, shard_state)
                 except RuntimeError as exc:
                     raise CheckpointError(str(exc)) from exc
-        self._step = int(state["step"])
+        self._step = step
         self._submitted = self._step
         self._last_compose_t = None
         self._last_predictions[:] = np.nan
@@ -1263,26 +1270,27 @@ class ShardedFleetPredictor:
         """Rebuild the sharded fleet from a composed snapshot and resume."""
         artifact = read_checkpoint(path)
         if not isinstance(artifact, dict) or artifact.get("kind") != "sharded_fleet_predictor":
-            raise CheckpointError(
-                f"{path} does not hold a ShardedFleetPredictor checkpoint"
-            )
-        state = artifact["state"]
-        cfg = state["config"]
-        fleet_kwargs = {
-            k: v for k, v in cfg["fleet_kwargs"].items() if k not in _RETIRED_OPTIONS
-        }
-        kwargs: dict[str, Any] = {
-            "shards": cfg["shards"],
-            "tick_timeout": cfg["tick_timeout"],
-            "control_timeout": cfg.get("control_timeout", 60.0),
-            "respawn": cfg.get("respawn", RespawnPolicy()),
-            "checkpoint_dir": cfg.get("checkpoint_dir"),
-            "checkpoint_interval": cfg.get("checkpoint_interval"),
-            "pipeline": cfg.get("pipeline", False),
-            **fleet_kwargs,
-        }
-        kwargs.update(overrides)
-        predictor = cls(cfg["n_streams"], **kwargs)
+            raise CheckpointError(f"{path} does not hold a ShardedFleetPredictor checkpoint")
+        try:
+            state = artifact["state"]
+            cfg = state["config"]
+            fleet_kwargs = {
+                k: v for k, v in cfg["fleet_kwargs"].items() if k not in _RETIRED_OPTIONS
+            }
+            kwargs: dict[str, Any] = {
+                "n_streams": cfg["n_streams"],
+                "shards": cfg["shards"],
+                "tick_timeout": cfg["tick_timeout"],
+                "control_timeout": cfg.get("control_timeout", 60.0),
+                "respawn": cfg.get("respawn", RespawnPolicy()),
+                "checkpoint_dir": cfg.get("checkpoint_dir"),
+                "checkpoint_interval": cfg.get("checkpoint_interval"),
+                "pipeline": cfg.get("pipeline", False),
+                **fleet_kwargs,
+            }
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path} holds no complete sharded state: {exc!r}") from exc
+        predictor = cls(**{**kwargs, **overrides})
         try:
             predictor.load_state(state)
         except Exception:
