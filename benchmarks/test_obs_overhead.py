@@ -1,11 +1,12 @@
 """Observability overhead guard (marker ``perf_smoke``) -> ``BENCH_obs.json``.
 
-The :mod:`repro.obs` instrumentation wired through ``Trainer.fit`` and
-``OnlinePredictor.run`` must stay cheap enough to leave enabled in
-production: this test runs each workload twice in lockstep — one
-instrumented worker, one with observability disabled, alternating every
-few milliseconds of work — and asserts the instrumented side stays
-within 10% of the plain side.
+The :mod:`repro.obs` instrumentation wired through ``Trainer.fit``,
+``OnlinePredictor.run`` and ``FleetPredictor.process_tick`` must stay
+cheap enough to leave enabled in production: this test runs each
+workload twice in lockstep — one instrumented worker, one with
+observability disabled, alternating every few milliseconds of work — and
+asserts the instrumented side stays within 10% of the plain side. The
+fleet is gated at N=64 and N=4096; its N=1 ratio is recorded ungated.
 
 Two choices keep the measurement honest on a busy machine:
 
@@ -34,17 +35,23 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.experiments.fleet import make_fleet_streams
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam
 from repro.obs.registry import MetricRegistry
-from repro.streaming import OnlinePredictor, PageHinkley
+from repro.streaming import FleetPredictor, OnlinePredictor, PageHinkley
 from repro.training.trainer import Trainer
 
 #: instrumented CPU time may exceed uninstrumented by at most this factor
 MAX_OVERHEAD_RATIO = 1.10
 #: full interleaved passes per workload; the min ratio is reported
 PASSES = 3
+#: fleet sizes -> (ticks, ticks per chunk); only the sizes in FLEET_GATED are gated
+FLEET_SIZES = {1: (1200, 50), 64: (1200, 50), 4096: (320, 10)}
+FLEET_GATED = (64, 4096)
+#: the serving configuration every predictor worker shares
+SERVE_KW = dict(window=12, buffer_capacity=200, refit_interval=100, min_fit_size=60)
 
 
 def _interleaved_cpu_ratio(make_worker, chunks):
@@ -77,9 +84,8 @@ def _interleaved_cpu_ratio(make_worker, chunks):
 
 def _make_serve_worker():
     predictor = OnlinePredictor(
-        "holt", window=12, buffer_capacity=200, refit_interval=100, min_fit_size=60,
-        detector=PageHinkley(threshold=0.25, min_instances=30),
-        registry=MetricRegistry(),
+        "holt", detector=PageHinkley(threshold=0.25, min_instances=30),
+        registry=MetricRegistry(), **SERVE_KW,
     )
 
     def step(rows):
@@ -87,6 +93,22 @@ def _make_serve_worker():
             predictor.process(row)
 
     return step
+
+
+def _fleet_worker_factory(n_streams):
+    def make():
+        fleet = FleetPredictor(
+            n_streams, "holt", detector=PageHinkley(threshold=0.25, min_instances=30),
+            registry=MetricRegistry(), **SERVE_KW,
+        )
+
+        def step(ticks):
+            for tick in ticks:
+                fleet.process_tick(tick)
+
+        return step
+
+    return make
 
 
 def _make_train_worker():
@@ -107,7 +129,7 @@ def _make_train_worker():
 
 @pytest.mark.perf_smoke
 def test_perf_smoke_obs_overhead():
-    """Instrumented Trainer.fit / OnlinePredictor.run within 10% of plain."""
+    """Instrumented Trainer.fit / OnlinePredictor.run / FleetPredictor within 10% of plain."""
     from repro.traces import ClusterTraceGenerator, TraceConfig
 
     gen = ClusterTraceGenerator(TraceConfig(n_steps=1200, seed=0))
@@ -124,11 +146,23 @@ def test_perf_smoke_obs_overhead():
     train_ratio, train_on, train_off = _interleaved_cpu_ratio(
         _make_train_worker, range(12)
     )
+    fleet = {}
+    for n, (ticks, chunk) in FLEET_SIZES.items():
+        trace = make_fleet_streams(n, ticks, seed=0)
+        _fleet_worker_factory(n)()(trace[:chunk])  # warm caches and lazy imports
+        chunks = [trace[i : i + chunk] for i in range(0, ticks, chunk)]
+        fleet[f"fleet_n{n}"] = _interleaved_cpu_ratio(_fleet_worker_factory(n), chunks)
 
     snapshot = {
         "workloads": {
             "trainer_fit": "Linear(16,64)+Tanh+Linear(64,1), Adam, 512x16, 12 epochs, batch 64",
             "online_serving": "holt predictor, 1200-step mutation stream",
+            **{
+                f"fleet_n{n}": f"holt FleetPredictor, {n} streams, {ticks} ticks "
+                f"(make_fleet_streams, 1 % NaN cells)"
+                + ("" if n in FLEET_GATED else "; recorded, not gated")
+                for n, (ticks, _) in FLEET_SIZES.items()
+            },
         },
         "method": f"chunk-interleaved instrumented/plain workers, CPU time, min of {PASSES} passes",
         "cpu_seconds": {
@@ -136,10 +170,16 @@ def test_perf_smoke_obs_overhead():
             "trainer_fit_plain": round(train_off, 6),
             "online_serving_instrumented": round(serve_on, 6),
             "online_serving_plain": round(serve_off, 6),
+            **{
+                f"{name}_{side}": round(cpu, 6)
+                for name, (_, on, off) in fleet.items()
+                for side, cpu in (("instrumented", on), ("plain", off))
+            },
         },
         "overhead_ratio": {
             "trainer_fit": round(train_ratio, 4),
             "online_serving": round(serve_ratio, 4),
+            **{name: round(ratio, 4) for name, (ratio, _, _) in fleet.items()},
         },
         "max_allowed_ratio": MAX_OVERHEAD_RATIO,
     }
@@ -160,3 +200,9 @@ def test_perf_smoke_obs_overhead():
         f"serving instrumentation overhead {serve_ratio:.3f}x exceeds "
         f"{MAX_OVERHEAD_RATIO}x ({serve_on * 1e3:.1f}ms vs {serve_off * 1e3:.1f}ms CPU)"
     )
+    for n in FLEET_GATED:
+        ratio, on, off = fleet[f"fleet_n{n}"]
+        assert ratio <= MAX_OVERHEAD_RATIO, (
+            f"fleet N={n} instrumentation overhead {ratio:.3f}x exceeds "
+            f"{MAX_OVERHEAD_RATIO}x ({on * 1e3:.1f}ms vs {off * 1e3:.1f}ms CPU)"
+        )

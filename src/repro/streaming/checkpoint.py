@@ -18,17 +18,23 @@ usual pickle caveat: never load one from an untrusted source).
 
 Loading a state is **parse, then commit** (:class:`Stateful`): a
 predictor parses every part before it runs any commit, so a refused
-state changes nothing.
+state changes nothing. Every predictor is rebuilt from its artifact by
+one path, :meth:`Restorable.restore`, which checks the saved options
+against the constructor before it builds anything.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
+import numbers
 import pickle
 import struct
+import types
+import typing
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -40,6 +46,12 @@ _MAGIC = b"RPTCNCKP"
 _VERSION = 1
 #: magic + u32 version + u64 payload length + sha256 digest
 _HEADER = struct.Struct("<8sIQ32s")
+#: constructor options older checkpoints may still carry; restore drops them
+_RETIRED_OPTIONS = ("error_history", "refit_backend", "serve_dtype", "span_sample")
+#: a config number must be a number of this kind, and not a bool
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+_R = TypeVar("_R", bound="Restorable")
 
 
 class CheckpointError(RuntimeError):
@@ -119,6 +131,104 @@ def parse_fields(state: Any, live: Mapping[str, Any], what: str) -> dict[str, An
         fresh = saved.astype(want.dtype)
         out[key] = fresh if fresh.ndim else fresh.item()
     return out
+
+
+def _admits(hint: Any, value: Any) -> bool:
+    """Whether ``value`` fits a parameter annotated ``hint`` (a bool is no number here)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_admits(arg, value) for arg in typing.get_args(hint))
+    if hint in _NUMBERS:
+        return isinstance(value, _NUMBERS[hint]) and not isinstance(value, (bool, np.bool_))
+    if hint is bool:
+        return isinstance(value, (bool, np.bool_))
+    kind = typing.get_origin(hint) or hint
+    if kind is inspect.Parameter.empty or not isinstance(kind, type):  # unannotated, or Any
+        return True
+    return isinstance(value, kind)
+
+
+def parse_options(fn: Callable[..., Any], options: Any) -> dict[str, Any]:
+    """The ``options`` a checkpoint saved for ``fn``, checked against its signature.
+
+    Drops the retired options; raises ``KeyError`` for an option ``fn``
+    does not name and ``TypeError`` for a value its annotation refuses.
+    """
+    if not isinstance(options, Mapping):
+        raise TypeError(f"options must be a mapping, got {type(options).__name__}")
+    params = inspect.signature(fn, eval_str=True).parameters
+    out: dict[str, Any] = {}
+    for key, value in options.items():
+        if key in _RETIRED_OPTIONS:
+            continue
+        param = params.get(key)
+        if param is None or param.kind is param.VAR_KEYWORD:
+            raise KeyError(f"{fn.__name__} takes no option {key!r}")
+        if not _admits(param.annotation, value):
+            raise TypeError(f"{fn.__name__} option {key}={value!r} is not {param.annotation}")
+        out[key] = value
+    return out
+
+
+class Restorable:
+    """A predictor that :meth:`restore` rebuilds from the artifact its ``save`` wrote."""
+
+    #: ``kind`` tag of the artifacts ``save`` writes and :meth:`restore` reads
+    _CHECKPOINT_KIND = ""
+    #: config entries a checkpoint must hold, equal to the live predictor's
+    _IDENTITY: tuple[str, ...] = ()
+
+    def _check_identity(self, saved: Any) -> None:
+        """Raise unless the saved config ``saved`` has this predictor's identity."""
+        config = self._config()  # type: ignore[attr-defined]
+        saved = {key: saved[key] for key in self._IDENTITY}
+        live = {key: config[key] for key in self._IDENTITY}
+        if saved != live:
+            raise ValueError(f"config mismatch: saved {saved} vs live {live}")
+
+    @classmethod
+    def _options(cls, config: dict[str, Any]) -> dict[str, Any]:
+        """The checked constructor arguments a saved config (a copy) rebuilds."""
+        return parse_options(cls, config)
+
+    def _load(self, state: dict[str, Any]) -> None:
+        """Parse, then commit ``state``; a refusal raises :class:`CheckpointError`."""
+        self.load_state_dict(state)  # type: ignore[attr-defined]
+
+    def _discard(self) -> None:
+        """Release what the constructor started, after a refused load."""
+
+    @classmethod
+    def restore(cls: type[_R], path: str | Path, **overrides: Any) -> _R:
+        """Rebuild a predictor from a checkpoint and resume mid-stream.
+
+        Before anything is built, the kind, the envelope and every saved
+        option are checked: a retired option is dropped, an unknown one,
+        a value of the wrong type or a missing identity entry refuses the
+        artifact, and any other option left out takes the constructor
+        default (older checkpoints lack the options added since). A load
+        refused after the build releases the predictor. ``overrides``
+        patch process-local constructor arguments that are deliberately
+        not persisted (``refit_fault_hook``, ``registry``, ...).
+        """
+        artifact = read_checkpoint(path)
+        if not isinstance(artifact, dict) or artifact.get("kind") != cls._CHECKPOINT_KIND:
+            raise CheckpointError(f"{path} does not hold a checkpoint of {cls.__name__}")
+        state = artifact.get("state")
+        if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
+            raise CheckpointError(f"{path} holds no state and config of {cls.__name__}")
+        try:
+            if missing := [key for key in cls._IDENTITY if key not in state["config"]]:
+                raise KeyError(f"config lacks {missing}")
+            options = cls._options(dict(state["config"]))
+        except Exception as exc:  # noqa: BLE001 — nothing is built yet: any fault refuses
+            raise CheckpointError(f"{path} config refused: {type(exc).__name__}: {exc}") from exc
+        predictor = cls(**{**options, **overrides})
+        try:
+            predictor._load(state)
+        except BaseException:
+            predictor._discard()
+            raise
+        return predictor
 
 
 def write_checkpoint(path: str | Path, state: Any) -> None:

@@ -51,6 +51,10 @@ class PageHinkley:
             self.drift_detected = True
         return fired
 
+    def __eq__(self, other: object) -> bool:
+        """Equal parameters and equal running state (a checkpoint compares detectors)."""
+        return type(other) is type(self) and vars(other) == vars(self)
+
     def reset(self) -> None:
         self.drift_detected = False
         self.n_seen = 0

@@ -27,17 +27,10 @@ model state and processes one *tick* (one record per stream) at a time:
   fitted on windows pooled from a bounded, round-robin sample of stream
   buffers, so a refit costs O(sample) instead of O(N) and a drift storm
   across the fleet cannot stall serving;
-* with ``refit_mode="async"`` the pooled fit itself leaves the serving
-  path: an :class:`~repro.streaming.refit.AsyncRefitEngine` fits a fresh
-  model on a background worker and the serving thread adopts it at the
-  start of a later tick by **atomic weight swap** — the tick that
-  triggers a refit only pools and submits, so refit ticks stop paying
-  the fit cost (the p99 stall ROADMAP item 3 targets). Every tick
-  carries the live ``model_version`` and obs tracks staleness, refit
-  lag and swap counts. In-line and background refits build the same
-  :class:`~repro.streaming.refit.RefitTask` and finish through one
-  handler, so failures degrade identically and warm starts work in
-  both modes;
+* with ``refit_mode="async"`` the pooled fit leaves the serving path:
+  an :class:`~repro.streaming.refit.AsyncRefitEngine` fits on a
+  background worker, and a later tick adopts the model by **atomic
+  weight swap**; every tick carries the live ``model_version``;
 * the whole fleet checkpoints to one crash-safe artifact via
   :mod:`repro.streaming.checkpoint`.
 
@@ -54,20 +47,16 @@ rows, quarantined as ``"empty"``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ..obs import trace
-from ..obs.registry import Gauge as MetricGauge
-from ..obs.registry import Histogram as MetricHistogram
-from ..obs.registry import MetricRegistry, is_enabled, log_buckets
+from ..obs.registry import MetricRegistry
 from .buffer import MatrixRingBuffer
-from .checkpoint import Stateful, parse_fields
+from .checkpoint import Stateful, parse_fields, parse_options
 from .drift import PageHinkley
-from .online import _HEALTH_LEVEL, _SPAN_SAMPLE, PredictionRecord, _ServingPredictor
+from .online import _HEALTH_LEVEL, PredictionRecord, _page_hinkley, _ServingPredictor
 from .refit import AsyncRefitEngine, RefitTask
 from .resilience import (
     GATE_QUARANTINE,
@@ -83,6 +72,18 @@ __all__ = ["FleetPredictor", "FleetTick"]
 _HEALTH_BY_LEVEL = {level: status for status, level in _HEALTH_LEVEL.items()}
 #: gate action code -> the ``gated`` field of :class:`PredictionRecord`
 _GATED_BY_ACTION = (None, "imputed", "quarantined")
+#: the PageHinkley parameters a fleet checkpoints for its detector
+_DETECTOR_PARAMS = ("delta", "threshold", "min_instances")
+
+
+def _tick_matrix(tick: np.ndarray, streams: int, features: int) -> np.ndarray:
+    """``tick`` as the ``(streams, features)`` float matrix a fleet step serves."""
+    arr = np.asarray(tick, float)
+    if arr.ndim == 1 and features == 1:
+        arr = arr[:, None]
+    if arr.shape != (streams, features):
+        raise ValueError(f"expected tick of shape ({streams}, {features}), got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -295,14 +296,11 @@ class FleetPredictor(_ServingPredictor):
     warm_epochs:
         Epoch budget for warm-started resumes (``None`` = the model's
         default, a quarter of its cold budget).
-
-    Per-tick latency lands in the ``serving_fleet_tick_seconds``
-    histogram, and every eighth tick runs inside a
-    ``serving.fleet_tick`` trace span.
     """
 
     _CHECKPOINT_KIND = "fleet_predictor"
     _METRIC_PREFIX = "serving_fleet"
+    _SPANS = ("serving.fleet_tick", "serving.fleet_run")
     _IDENTITY = ("n_streams", *_ServingPredictor._IDENTITY)
     _COUNTERS = (
         *_ServingPredictor._COUNTERS,
@@ -310,6 +308,24 @@ class FleetPredictor(_ServingPredictor):
         ("async_swaps", "background fits adopted by atomic weight swap"),
         ("refits_deferred", "refit triggers deferred: a background fit was in flight"),
     )
+    #: beside health and tick latency: throughput, forward batch size, and the
+    #: async-refit protocol's live version, staleness, submit->swap lag and fit cost
+    _GAUGES = {
+        **_ServingPredictor._GAUGES,
+        "records_per_sec": "instantaneous fleet serving throughput",
+        "model_version": "live shared-model version (0 = no model yet)",
+        "model_staleness_ticks": "ticks elapsed since the live model's training pool was drawn",
+    }
+    _HISTOGRAMS = {
+        "tick_seconds": ("per-tick fleet serving latency (all streams)", (1e-6, 10.0)),
+        "batch_size": ("streams served per micro-batched model forward", (1.0, 65536.0)),
+        "refit_lag_ticks": (
+            "ticks between refit submission and the adopting weight swap", (1.0, 4096.0)
+        ),
+        "refit_fit_seconds": (
+            "background fit duration (spent off the serving path)", (1e-4, 600.0)
+        ),
+    }
 
     def __init__(
         self,
@@ -343,12 +359,7 @@ class FleetPredictor(_ServingPredictor):
             raise ValueError(f"refit_mode must be 'sync' or 'async', got {refit_mode!r}")
         if warm_epochs is not None and warm_epochs < 1:
             raise ValueError(f"warm_epochs must be >= 1, got {warm_epochs}")
-        if detector is not None and type(detector) is not PageHinkley:
-            raise TypeError(
-                "FleetPredictor vectorizes PageHinkley detector state; "
-                f"got {type(detector).__name__} (use OnlinePredictor for "
-                "custom detectors)"
-            )
+        proto = PageHinkley() if detector is None else _page_hinkley(detector)
         super().__init__(
             forecaster_name, forecaster_kwargs, window, buffer_capacity, refit_interval,
             min_fit_size, target_col, supervisor_policy, fallback_forecaster,
@@ -358,58 +369,9 @@ class FleetPredictor(_ServingPredictor):
         self.refit_streams = refit_streams
         self.max_fit_windows = max_fit_windows
         self.buffer = MatrixRingBuffer(n_streams, buffer_capacity, features, window=window)
-        proto = detector if detector is not None else PageHinkley()
-        self._detector_params = {
-            "delta": proto.delta,
-            "threshold": proto.threshold,
-            "min_instances": proto.min_instances,
-        }
         self.detector = _FleetPageHinkley.from_prototype(proto, n_streams)
         self.gate = FleetGate(n_streams, features, gate_policy, registry=self._registry)
         self.stats = _FleetStats(n_streams)
-        # fleet telemetry: tick latency, forward batch size, throughput
-        self._h_latency = MetricHistogram(
-            "serving_fleet_tick_seconds",
-            "per-tick fleet serving latency (all streams)",
-            buckets=log_buckets(1e-6, 10.0),
-        )
-        self._h_batch = MetricHistogram(
-            "serving_fleet_batch_size",
-            "streams served per micro-batched model forward",
-            buckets=log_buckets(1.0, 65536.0),
-        )
-        self._g_throughput = MetricGauge(
-            "serving_fleet_records_per_sec", "instantaneous fleet serving throughput"
-        )
-        # async-refit telemetry: live version, staleness, submit->swap lag,
-        # off-path fit cost (these make the swap protocol observable)
-        self._g_version = MetricGauge(
-            "serving_fleet_model_version", "live shared-model version (0 = no model yet)"
-        )
-        self._g_staleness = MetricGauge(
-            "serving_fleet_model_staleness_ticks",
-            "ticks elapsed since the live model's training pool was drawn",
-        )
-        self._h_refit_lag = MetricHistogram(
-            "serving_fleet_refit_lag_ticks",
-            "ticks between refit submission and the adopting weight swap",
-            buckets=log_buckets(1.0, 4096.0),
-        )
-        self._h_fit_seconds = MetricHistogram(
-            "serving_fleet_refit_fit_seconds",
-            "background fit duration (spent off the serving path)",
-            buckets=log_buckets(1e-4, 600.0),
-        )
-        for inst in (
-            self._h_latency,
-            self._h_batch,
-            self._g_throughput,
-            self._g_version,
-            self._g_staleness,
-            self._h_refit_lag,
-            self._h_fit_seconds,
-        ):
-            self._registry.register(inst)
         self.refit_mode = refit_mode
         self.warm_start = bool(warm_start)
         self.warm_epochs = warm_epochs
@@ -468,38 +430,6 @@ class FleetPredictor(_ServingPredictor):
             return xs[0], ys[0]
         return np.concatenate(xs), np.concatenate(ys)
 
-    def _start_refit(self) -> bool:
-        """Refit trigger; ``True`` iff an attempt *started*.
-
-        Sync mode fits in-line under the refit supervisor (retries re-run
-        the hook and the pooling) and finishes the attempt before this
-        tick returns. Async mode submits the task, and the outcome is
-        finished by the poll at the start of a later tick; a failure of
-        the hook or the pooling finishes it at once. A busy engine defers
-        the trigger instead, *without* resetting the refit clock, so it
-        re-arms next tick and the effective cadence degrades to
-        ``max(refit_interval, fit_time)``.
-        """
-        engine = self.refit_engine
-        if engine is None:
-            self._refit()
-            return True
-        if engine.busy:
-            self.stats.n_refits_deferred += 1
-            self._counters["refits_deferred"].inc()
-            return False
-        # reset at the attempt's start, as the in-line refit does
-        self._since_refit = 0
-        try:
-            task = self._refit_task()
-        except Exception as exc:  # noqa: BLE001 — a failed attempt, as in sync mode
-            self.refit_supervisor.record(False, f"{type(exc).__name__}: {exc}")
-            self._finish_refit(None, self._step)
-            return True
-        # ``busy`` covers an unpolled outcome too, so this cannot be rejected
-        engine.submit(task)
-        return True
-
     def _sanitize(self, predictions: np.ndarray, served: np.ndarray) -> None:
         """Vectorized output guard over the streams that were just served.
 
@@ -537,41 +467,31 @@ class FleetPredictor(_ServingPredictor):
         fleet instruments, and every eighth tick runs inside a
         ``serving.fleet_tick`` trace span.
         """
-        if not is_enabled():
-            return self._process_tick_inner(tick)
-        t0 = time.perf_counter()
-        self._span_tick += 1
-        if self._span_tick >= _SPAN_SAMPLE:
-            self._span_tick = 0
-            with trace.span("serving.fleet_tick") as sp:
-                result = self._process_tick_inner(tick)
-                sp.add("streams", self.n_streams)
-        else:
-            result = self._process_tick_inner(tick)
-        elapsed = time.perf_counter() - t0
-        self._h_latency.observe(elapsed)
-        self._h_batch.observe(self._last_batch_size)
+        return self._observed_step(tick)
+
+    def _observe_step(self, result: FleetTick, elapsed: float) -> HealthStatus:
+        gauges = self._gauges
+        self._histograms["batch_size"].observe(self._last_batch_size)
         if elapsed > 0:
-            self._g_throughput.set(self.n_streams / elapsed)
-        self._counters["records"].inc(self.n_streams)
-        self._observe_health(self.health)
-        self._g_version.set(float(self.model_version))
-        self._g_staleness.set(
+            gauges["records_per_sec"].set(self.n_streams / elapsed)
+        gauges["model_version"].set(float(self.model_version))
+        gauges["model_staleness_ticks"].set(
             float(self._step - self._model_step) if self.model is not None else 0.0
         )
-        return result
+        return self.health
 
-    def _process_tick_inner(self, tick: np.ndarray) -> FleetTick:
-        arr = np.asarray(tick, float)
-        if arr.ndim == 1 and self.buffer.features == 1:
-            arr = arr[:, None]
-        if arr.shape != (self.n_streams, self.buffer.features):
-            raise ValueError(
-                f"expected tick of shape ({self.n_streams}, {self.buffer.features}), "
-                f"got {arr.shape}"
-            )
+    def _count_span(self, span: Any, steps: int | None) -> None:
+        if steps is None:
+            span.add("streams", self.n_streams)
+        else:
+            span.add("ticks", steps)
+            span.add("records", steps * self.n_streams)
+
+    def _step_inner(self, tick: np.ndarray) -> FleetTick:
+        arr = _tick_matrix(tick, self.n_streams, self.buffer.features)
         st = self.stats
         counters = self._counters
+        counters["records"].inc(self.n_streams)
         # async mode: adopt a finished background fit *before* predicting, so
         # the freshest completed model serves this tick — with a fit that
         # lands within one tick gap this is exactly the sync schedule (model
@@ -583,8 +503,8 @@ class FleetPredictor(_ServingPredictor):
             self.refit_supervisor.record(outcome.ok, outcome.error)
             if self._finish_refit(outcome.model, outcome.task.step):
                 counters["async_swaps"].inc()
-                self._h_refit_lag.observe(float(self._step - outcome.task.step))
-                self._h_fit_seconds.observe(outcome.fit_seconds)
+                self._histograms["refit_lag_ticks"].observe(float(self._step - outcome.task.step))
+                self._histograms["refit_fit_seconds"].observe(outcome.fit_seconds)
         gated = self.gate.check_tick(arr)
         accepted = gated.actions != GATE_QUARANTINE
         # quarantined rows report their *raw* target (possibly NaN), accepted
@@ -620,6 +540,7 @@ class FleetPredictor(_ServingPredictor):
         have = np.isfinite(predictions)
         n_served = int(np.count_nonzero(have))
         errors = np.full(self.n_streams, np.nan)
+        n_drift = 0
         if n_served:
             # masked passes: unserved rows keep their NaN error and their sums.
             # With every stream served the mask is ``True``: a bool-array
@@ -648,18 +569,12 @@ class FleetPredictor(_ServingPredictor):
         if accepted.any():
             self._since_refit += 1
             sizes = self.buffer.sizes
-            ready = sizes >= max(self.min_fit_size, self.window + 2)
-            needs_fit = (
-                self.model is None
-                and bool(ready.any())
-                and (
-                    self.refit_supervisor.consecutive_failures == 0
-                    or self._since_refit >= self.refit_interval
-                )
+            # each mask is built only where the rule reads it
+            ready = self.model is None and bool(
+                (sizes >= max(self.min_fit_size, self.window + 2)).any()
             )
-            scheduled = self.model is not None and self._since_refit >= self.refit_interval
-            drift_ready = fired & (sizes >= self.min_fit_size)
-            if (needs_fit or scheduled or bool(drift_ready.any())) and self._start_refit():
+            drift_ready = n_drift > 0 and bool((fired & (sizes >= self.min_fit_size)).any())
+            if self._refit_rule(ready, drift_ready) and n_drift:
                 self.detector.reset(fired)
 
         health = np.full(self.n_streams, _HEALTH_LEVEL[self.health], dtype=np.uint8)
@@ -676,24 +591,13 @@ class FleetPredictor(_ServingPredictor):
             model_version=self.model_version,
         )
 
-    def run(self, ticks: np.ndarray) -> list[FleetTick]:
-        """Process a ``(T, n_streams[, features])`` tick matrix sequentially."""
-        ticks = np.asarray(ticks, float)
-        if ticks.ndim == 2 and self.buffer.features == 1:
-            ticks = ticks[:, :, None]
-        with trace.span("serving.fleet_run") as sp:
-            out = [self.process_tick(t) for t in ticks]
-            sp.add("ticks", len(out))
-            sp.add("records", len(out) * self.n_streams)
-        return out
-
     # -- checkpoint / restore ----------------------------------------------------
 
     def _config(self) -> dict:
         return {
             "n_streams": self.n_streams,
             **super()._config(),
-            "detector_params": dict(self._detector_params),
+            "detector_params": {k: getattr(self.detector, k) for k in _DETECTOR_PARAMS},
             "refit_streams": self.refit_streams,
             "max_fit_windows": self.max_fit_windows,
             "refit_mode": self.refit_mode,
@@ -702,6 +606,15 @@ class FleetPredictor(_ServingPredictor):
         }
 
     _STATE = {**_ServingPredictor._STATE, "refit_cursor": "_refit_cursor"}
+
+    @classmethod
+    def _options(cls, config: dict[str, Any]) -> dict[str, Any]:
+        # the detector prototype is persisted as its parameters
+        params = config.pop("detector_params", None)
+        options = super()._options(config)
+        if params is not None:
+            options["detector"] = PageHinkley(**parse_options(PageHinkley, params))
+        return options
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -742,3 +655,5 @@ class FleetPredictor(_ServingPredictor):
         """
         if self.refit_engine is not None:
             self.refit_engine.close()
+
+    _discard = close

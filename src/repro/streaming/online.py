@@ -5,25 +5,20 @@ a forecast for it from the previous state (test), then absorbs the record
 (train). Refits happen every ``refit_interval`` records and whenever the
 Page-Hinkley detector fires on the absolute-error stream.
 
-Unlike the first version of this module, the serving loop is built for a
-hostile stream (paper §III-A: data "partially incomplete or has outliers
-due to network anomalies, system interruption etc."):
+The loop is built for a hostile stream (paper §III-A: data "partially
+incomplete or has outliers due to network anomalies, system interruption
+etc."): an :class:`~repro.streaming.resilience.InputGate` repairs or
+quarantines, and counts, every bad record before it reaches the
+:class:`RollingBuffer`; refits and predictions run under a
+:class:`~repro.streaming.resilience.Supervisor` and degrade to a
+fallback forecaster; every :class:`PredictionRecord` carries a
+:class:`~repro.streaming.resilience.HealthStatus`; and the serving state
+checkpoints to one crash-safe artifact, so a restored process resumes
+mid-stream bit-for-bit.
 
-* every record passes an :class:`~repro.streaming.resilience.InputGate`
-  before it can touch the :class:`RollingBuffer` — NaN or malformed
-  records are repaired or quarantined and *counted*, never absorbed;
-* refits and predictions run under a
-  :class:`~repro.streaming.resilience.Supervisor` (retry + backoff +
-  wall-time budget); repeated refit failure degrades to a registered
-  fallback forecaster instead of killing the service;
-* every :class:`PredictionRecord` carries a
-  :class:`~repro.streaming.resilience.HealthStatus`;
-* the full serving state checkpoints to a single crash-safe artifact
-  (:meth:`OnlinePredictor.save` / :meth:`OnlinePredictor.restore`), so a
-  restarted process resumes mid-stream bit-for-bit.
-
-The model lifecycle — refit adoption, fallback, health, serving counters
-and the checkpoint envelope — lives in :class:`_ServingPredictor`, which
+The model lifecycle — the observed step and :meth:`~_ServingPredictor.run`,
+the refit rule, refit adoption, fallback, health, serving counters and
+the checkpoint envelope — lives in :class:`_ServingPredictor`, which
 :class:`~repro.streaming.fleet.FleetPredictor` shares; each predictor
 keeps only its own hot path (gate, buffer, stats, sanitizer, record
 assembly).
@@ -32,10 +27,11 @@ assembly).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,9 +41,9 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import RollingBuffer
-from .checkpoint import CheckpointError, Stateful, parse_fields, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, Restorable, Stateful, parse_fields, write_checkpoint
 from .drift import PageHinkley
-from .refit import RefitTask, fit_task
+from .refit import AsyncRefitEngine, RefitTask, fit_task
 from .resilience import GatePolicy, HealthStatus, InputGate, Supervisor, SupervisorPolicy
 
 #: numeric encoding of :class:`HealthStatus` for the health gauge
@@ -60,12 +56,15 @@ _HEALTH_LEVEL = {
 #: one serving step (record or fleet tick) in this many opens a trace
 #: span; the latency histogram still sees every step
 _SPAN_SAMPLE = 8
-#: constructor options older checkpoints may still carry; restore drops them
-_RETIRED_OPTIONS = ("error_history", "refit_backend", "serve_dtype", "span_sample")
 
 __all__ = ["PredictionRecord", "OnlinePredictor"]
 
-_P = TypeVar("_P", bound="_ServingPredictor")
+
+def _page_hinkley(detector: Any) -> PageHinkley:
+    """``detector`` if it is a :class:`PageHinkley` (the fleet vectorizes one); else TypeError."""
+    if type(detector) is not PageHinkley:
+        raise TypeError(f"the drift detector must be a PageHinkley, got {type(detector).__name__}")
+    return detector
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,20 @@ class _OnlineStats(Stateful):
         return lambda: vars(self).update(saved)
 
 
-class _ServingPredictor(Stateful):
+class _ServingPredictor(Stateful, Restorable):
     """The serving-model lifecycle both predictors share.
 
     :class:`OnlinePredictor` serves one stream record by record and
     :class:`~repro.streaming.fleet.FleetPredictor` serves N streams tick
     by tick; what differs between them is only the hot path (gate,
     history buffer, stats arrays, output sanitizer, record assembly).
-    The model they serve is managed here once: refit adoption
+    The rest is written here once: the observed step
+    (:meth:`_observed_step`) and :meth:`run`, the refit rule
+    (:meth:`_refit_rule`, :meth:`_start_refit`), refit adoption
     (:meth:`_finish_refit`), the fallback (:meth:`_fit_fallback`,
     :meth:`_forward`), :attr:`health`, the serving counters and the
-    checkpoint envelope (:meth:`state_dict`, :meth:`save`,
-    :meth:`restore`).
+    checkpoint envelope (:meth:`state_dict`, :meth:`save`, and
+    :meth:`~repro.streaming.checkpoint.Restorable.restore`).
 
     Parameters
     ----------
@@ -147,8 +148,9 @@ class _ServingPredictor(Stateful):
     features:
         Feature columns per record.
     detector:
-        Page-Hinkley drift detector over absolute errors (default
-        parameters when ``None``).
+        :class:`~repro.streaming.drift.PageHinkley` drift detector over
+        absolute errors (default parameters when ``None``); any other
+        detector, a subclass too, raises ``TypeError``.
     gate_policy:
         Input-gate behaviour (imputation / outlier screening); the gate
         is always on — it is what keeps one NaN record from silently
@@ -177,11 +179,10 @@ class _ServingPredictor(Stateful):
         respect it.
     """
 
-    #: ``kind`` tag of the artifacts :meth:`save` writes and :meth:`restore` reads
-    _CHECKPOINT_KIND = ""
-    #: metric names are ``{prefix}_{counter}_total`` and ``{prefix}_health_state``
+    #: metric names are ``{prefix}_{counter}_total`` and ``{prefix}_{instrument}``
     _METRIC_PREFIX = "serving"
-    #: checkpoint config entries that must equal the live predictor's
+    #: trace span names of one sampled step and of :meth:`run`
+    _SPANS = ("serving.process", "serving.run")
     _IDENTITY = ("forecaster_name", "window", "features", "buffer_capacity")
     _COUNTERS = (
         ("predictions", "predictions served"),
@@ -192,9 +193,14 @@ class _ServingPredictor(Stateful):
         ("fallback_predict_failures", "fallback forwards that also failed"),
         ("clamped_predictions", "predictions clamped into the plausibility band"),
     )
-    #: warm-started refits are a fleet option; the scalar predictor fits cold
+    _GAUGES = {"health_state": "0=healthy 1=degraded 2=fallback"}
+    #: name -> (help, log-bucket range); the first one times each step
+    _HISTOGRAMS = {"process_seconds": ("per-record prequential step latency", (1e-6, 10.0))}
+    #: warm-started and background refits are fleet options; the scalar
+    #: predictor fits cold and in-line
     warm_start = False
     warm_epochs: int | None = None
+    refit_engine: AsyncRefitEngine | None = None
 
     def __init__(
         self,
@@ -231,26 +237,27 @@ class _ServingPredictor(Stateful):
         self._registry = registry = get_registry(registry)
         self.refit_supervisor = Supervisor(supervisor_policy, duty="refit", registry=registry)
         # predictions: same budget envelope, but no retries
-        predict_policy = supervisor_policy or SupervisorPolicy()
-        self.predict_supervisor = Supervisor(
-            SupervisorPolicy(
-                max_retries=0,
-                backoff_base=0.0,
-                time_budget=predict_policy.time_budget,
-                fallback_after=predict_policy.fallback_after,
-            ),
-            duty="predict",
-            registry=registry,
+        predict_policy = dataclasses.replace(
+            supervisor_policy or SupervisorPolicy(), max_retries=0, backoff_base=0.0
         )
+        self.predict_supervisor = Supervisor(predict_policy, duty="predict", registry=registry)
         prefix = self._METRIC_PREFIX
         self._counters = {
             name: registry.counter(f"{prefix}_{name}_total", help)
             for name, help in self._COUNTERS
         }
-        self._g_health = registry.register(
-            MetricGauge(f"{prefix}_health_state", "0=healthy 1=degraded 2=fallback")
-        )
-        # the gauge is written only when the level changes
+        self._gauges = {
+            name: registry.register(MetricGauge(f"{prefix}_{name}", help))
+            for name, help in self._GAUGES.items()
+        }
+        self._histograms = {
+            name: registry.register(
+                MetricHistogram(f"{prefix}_{name}", help, buckets=log_buckets(*span))
+            )
+            for name, (help, span) in self._HISTOGRAMS.items()
+        }
+        self._h_latency = next(iter(self._histograms.values()))
+        # the health gauge is written only when the level changes
         self._last_health_level: int | None = None
         self._span_tick = 0
         self.model: Forecaster | None = None
@@ -262,6 +269,51 @@ class _ServingPredictor(Stateful):
         self._model_step = -1
         self._step = 0
         self._since_refit = 0
+
+    # -- the observed step ---------------------------------------------------------
+
+    def _step_inner(self, item: Any) -> Any:
+        """One prequential step over ``item``: a record, or a fleet tick."""
+        raise NotImplementedError
+
+    def _observed_step(self, item: Any) -> Any:
+        """:meth:`_step_inner`; with obs on, also its latency, the health gauge,
+        a trace span every eighth step and :meth:`_observe_step`'s writes."""
+        if not is_enabled():
+            return self._step_inner(item)
+        t0 = time.perf_counter()
+        self._span_tick += 1
+        if self._span_tick >= _SPAN_SAMPLE:
+            self._span_tick = 0
+            with trace.span(self._SPANS[0]) as sp:
+                result = self._step_inner(item)
+                self._count_span(sp, None)
+        else:
+            result = self._step_inner(item)
+        elapsed = time.perf_counter() - t0
+        self._h_latency.observe(elapsed)
+        level = _HEALTH_LEVEL[self._observe_step(result, elapsed)]
+        if level != self._last_health_level:
+            self._last_health_level = level
+            self._gauges["health_state"].set(level)
+        return result
+
+    def _observe_step(self, result: Any, elapsed: float) -> HealthStatus:
+        """The predictor's own instrument writes after an observed step that
+        returned ``result``; returns the health the gauge reports."""
+        return self.health
+
+    def _count_span(self, span: Any, steps: int | None) -> None:
+        """Count a :meth:`run` span's ``steps`` steps (``None``: one sampled step's span)."""
+        if steps is not None:
+            span.add("records", steps)
+
+    def run(self, items: np.ndarray) -> list:
+        """Serve a batch of steps in order (replay a trace) inside one trace span."""
+        with trace.span(self._SPANS[1]) as sp:
+            out = [self._observed_step(item) for item in np.asarray(items, float)]
+            self._count_span(sp, len(out))
+        return out
 
     # -- health ---------------------------------------------------------------
 
@@ -276,12 +328,6 @@ class _ServingPredictor(Stateful):
         ):
             return HealthStatus.DEGRADED
         return HealthStatus.HEALTHY
-
-    def _observe_health(self, status: HealthStatus) -> None:
-        level = _HEALTH_LEVEL[status]
-        if level != self._last_health_level:
-            self._last_health_level = level
-            self._g_health.set(level)
 
     # -- model lifecycle ------------------------------------------------------------
 
@@ -327,15 +373,52 @@ class _ServingPredictor(Stateful):
             step=self._step,
         )
 
-    def _refit(self) -> bool:
-        """In-line supervised refit; ``True`` iff a new model was adopted."""
+    def _refit_rule(self, ready: bool, drift_ready: bool) -> bool:
+        """Start the refit an absorbing step owes, if any; ``True`` iff an attempt started.
+
+        ``ready``: a stream holds the history a first fit needs (read only
+        while no model is live); ``drift_ready``: a stream whose detector
+        fired this step holds ``min_fit_size`` records. A first fit runs
+        once a stream is ready (after a failed attempt, on the clock), a
+        live model refits on the clock, and drift refits early.
+        """
+        due = self._since_refit >= self.refit_interval
+        if self.model is None:
+            due = ready and (due or self.refit_supervisor.consecutive_failures == 0)
+        return (due or drift_ready) and self._start_refit()
+
+    def _start_refit(self) -> bool:
+        """Start a refit attempt; ``True`` iff it started.
+
+        In-line (no :attr:`refit_engine`) the attempt fits under the refit
+        supervisor and finishes before the step returns. Async, it is
+        submitted and finished by a later tick's poll (a failure to build
+        the task finishes it at once); a busy engine defers the trigger
+        *without* resetting the clock, so it re-arms next tick.
+        """
+        engine = self.refit_engine
+        if engine is not None and engine.busy:
+            self.stats.n_refits_deferred += 1
+            self._counters["refits_deferred"].inc()
+            return False
         # the clock resets when the attempt *starts*, not after it returns:
         # anything escaping the supervisor (it only catches Exception, so a
         # BaseException from the fit propagates) must not leave the
         # scheduled trigger armed, or every later step re-fires a refit
         self._since_refit = 0
-        _, model = self.refit_supervisor.run(lambda: fit_task(self._refit_task()))
-        return self._finish_refit(model, self._step)
+        if engine is None:
+            _, model = self.refit_supervisor.run(lambda: fit_task(self._refit_task()))
+            self._finish_refit(model, self._step)
+            return True
+        try:
+            task = self._refit_task()
+        except Exception as exc:  # noqa: BLE001 — a failed attempt, as in-line
+            self.refit_supervisor.record(False, f"{type(exc).__name__}: {exc}")
+            self._finish_refit(None, self._step)
+        else:
+            # ``busy`` covers an unpolled outcome too, so this cannot be rejected
+            engine.submit(task)
+        return True
 
     def _finish_refit(self, model: Forecaster | None, step: int) -> bool:
         """Adopt a fitted model, or degrade on a failed attempt.
@@ -447,11 +530,7 @@ class _ServingPredictor(Stateful):
 
     def _parse_parts(self, state: dict) -> list[Callable[[], None]]:
         """One commit per stateful part; subclasses append their own."""
-        cfg, config = state["config"], self._config()
-        saved = {key: cfg[key] for key in self._IDENTITY}
-        live = {key: config[key] for key in self._IDENTITY}
-        if saved != live:
-            raise ValueError(f"config mismatch: saved {saved} vs live {live}")
+        self._check_identity(state["config"])
         scalars = parse_fields({**self._DEFAULTS, **state}, self._live(), "checkpoint")
         model, fallback = (
             None if state[key] is None else Forecaster.from_bytes(state[key])
@@ -472,38 +551,14 @@ class _ServingPredictor(Stateful):
         """Checkpoint the full serving state atomically (crash-safe)."""
         write_checkpoint(path, {"kind": self._CHECKPOINT_KIND, "state": self.state_dict()})
 
-    @classmethod
-    def restore(cls: type[_P], path: str | Path, **overrides: Any) -> _P:
-        """Rebuild a predictor from a checkpoint and resume mid-stream.
-
-        ``overrides`` patch constructor arguments that are process-local
-        and deliberately not persisted (``refit_fault_hook``, a live
-        ``detector`` replacement, ...). Options the constructor no longer
-        takes are dropped from older checkpoints.
-        """
-        artifact = read_checkpoint(path)
-        if not isinstance(artifact, dict) or artifact.get("kind") != cls._CHECKPOINT_KIND:
-            raise CheckpointError(f"{path} does not hold a checkpoint of {cls.__name__}")
-        state = artifact.get("state")
-        if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
-            raise CheckpointError(f"{path} holds no state and config of {cls.__name__}")
-        cfg = {k: v for k, v in state["config"].items() if k not in _RETIRED_OPTIONS}
-        if "detector_params" in cfg:  # a fleet persists its detector prototype's parameters
-            cfg["detector"] = PageHinkley(**cfg.pop("detector_params"))
-        predictor = cls(**{**cfg, **overrides})
-        predictor.load_state_dict(state)
-        return predictor
-
 
 class OnlinePredictor(_ServingPredictor):
     """Serve one-step-ahead predictions over a live indicator stream.
 
     Takes the parameters documented on :class:`_ServingPredictor`, which
-    it shares with :class:`~repro.streaming.fleet.FleetPredictor`; its
-    ``detector`` may be any object with PageHinkley's ``update`` /
-    ``reset`` interface. Per-record latency lands in the
-    ``serving_process_seconds`` histogram, and every eighth record runs
-    inside a ``serving.process`` trace span.
+    it shares with :class:`~repro.streaming.fleet.FleetPredictor`; like
+    the fleet it takes only a :class:`~repro.streaming.drift.PageHinkley`
+    detector.
     """
 
     _CHECKPOINT_KIND = "online_predictor"
@@ -526,22 +581,16 @@ class OnlinePredictor(_ServingPredictor):
         refit_fault_hook: Callable[[], None] | None = None,
         registry: MetricRegistry | None = None,
     ) -> None:
+        detector = PageHinkley() if detector is None else _page_hinkley(detector)
         super().__init__(
             forecaster_name, forecaster_kwargs, window, buffer_capacity, refit_interval,
             min_fit_size, target_col, supervisor_policy, fallback_forecaster,
             fallback_kwargs, refit_fault_hook, registry,
         )  # fmt: skip
         self.buffer = RollingBuffer(buffer_capacity, features)
-        self.detector = detector if detector is not None else PageHinkley()
+        self.detector = detector
         self.gate = InputGate(features, gate_policy, registry=self._registry)
         self.stats = _OnlineStats()
-        self._h_latency = self._registry.register(
-            MetricHistogram(
-                "serving_process_seconds",
-                "per-record prequential step latency",
-                buckets=log_buckets(1e-6, 10.0),
-            )
-        )
         # hot-path alias: process() runs per record
         self._c_predictions = self._counters["predictions"]
         # preallocated (1, window, features) inference input — refilled in
@@ -602,21 +651,12 @@ class OnlinePredictor(_ServingPredictor):
         the stamped :class:`HealthStatus`, and every eighth step runs
         inside a ``serving.process`` trace span.
         """
-        if not is_enabled():
-            return self._process_inner(record)
-        t0 = time.perf_counter()
-        self._span_tick += 1
-        if self._span_tick >= _SPAN_SAMPLE:
-            self._span_tick = 0
-            with trace.span("serving.process"):
-                result = self._process_inner(record)
-        else:
-            result = self._process_inner(record)
-        self._h_latency.observe(time.perf_counter() - t0)
-        self._observe_health(result.health)
-        return result
+        return self._observed_step(record)
 
-    def _process_inner(self, record: np.ndarray) -> PredictionRecord:
+    def _observe_step(self, result: PredictionRecord, elapsed: float) -> HealthStatus:
+        return result.health
+
+    def _step_inner(self, record: np.ndarray) -> PredictionRecord:
         gated = self.gate.check(record)
         if gated.action == "quarantine":
             # the record never reaches the buffer or the error stream; the
@@ -632,15 +672,9 @@ class OnlinePredictor(_ServingPredictor):
                 actual = float("nan")
             self._step += 1
             return PredictionRecord(
-                step=self._step - 1,
-                prediction=None,
-                actual=actual,
-                error=None,
-                refit=False,
-                drift=False,
-                health=self.health,
-                gated="quarantined",
-            )
+                step=self._step - 1, prediction=None, actual=actual, error=None,
+                refit=False, drift=False, health=self.health, gated="quarantined",
+            )  # fmt: skip
 
         clean = gated.record
         actual = float(clean[self.target_col])
@@ -666,54 +700,33 @@ class OnlinePredictor(_ServingPredictor):
         self.buffer.append(clean)
         self._step += 1
         self._since_refit += 1
-
-        needs_fit = (
-            self.model is None
-            and len(self.buffer) >= max(self.min_fit_size, self.window + 2)
-            and (
-                self.refit_supervisor.consecutive_failures == 0
-                or self._since_refit >= self.refit_interval
-            )
-        )
-        scheduled = self.model is not None and self._since_refit >= self.refit_interval
-        refit = False
-        if needs_fit or scheduled or (drift and len(self.buffer) >= self.min_fit_size):
-            refit = self._refit()
-            if drift:
-                self.detector.reset()
+        version = self.model_version
+        # each condition is built only where the rule reads it
+        ready = self.model is None and len(self.buffer) >= max(self.min_fit_size, self.window + 2)
+        if self._refit_rule(ready, drift and len(self.buffer) >= self.min_fit_size) and drift:
+            self.detector.reset()
 
         return PredictionRecord(
             step=self._step - 1,
             prediction=prediction,
             actual=actual,
             error=error,
-            refit=refit,
+            refit=self.model_version != version,
             drift=drift,
             health=HealthStatus.FALLBACK if used_fallback else self.health,
             gated=gated.reason and "imputed",
         )
 
-    def run(self, records: np.ndarray) -> list[PredictionRecord]:
-        """Process a batch of records sequentially (replay a trace)."""
-        records = np.asarray(records, float)
-        if records.ndim == 1:
-            records = records[:, None]
-        with trace.span("serving.run") as sp:
-            out = [self.process(row) for row in records]
-            sp.add("records", len(out))
-        return out
-
     # -- checkpoint / restore ----------------------------------------------------
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["detector"] = self.detector  # pickled whole
+        # pickled whole; a copy, so a taken state stays as it was taken
+        state["detector"] = copy.copy(self.detector)
         return state
 
     def _parse_parts(self, state: dict) -> list[Callable[[], None]]:
         parts = super()._parse_parts(state)
-        # pickled whole; a copy, so the live detector never aliases ``state``
-        detector = copy.deepcopy(state["detector"])
-        if not all(callable(getattr(detector, name, None)) for name in ("update", "reset")):
-            raise TypeError(f"detector {type(detector).__name__} lacks update/reset")
+        # a copy, so the live detector never aliases ``state``
+        detector = copy.copy(_page_hinkley(state["detector"]))
         return [*parts, lambda: setattr(self, "detector", detector)]

@@ -117,14 +117,15 @@ from ..obs.registry import MetricRegistry, default_registry, get_registry, is_en
 from ..obs.trace import Span
 from .checkpoint import (
     CheckpointError,
+    Restorable,
     parse_fields,
-    read_checkpoint,
+    parse_options,
     try_read_checkpoint,
     write_checkpoint,
 )
 from .faults import ChaosSchedule, ProcessFault
-from .fleet import FleetPredictor, FleetTick
-from .online import _HEALTH_LEVEL, _RETIRED_OPTIONS
+from .fleet import FleetPredictor, FleetTick, _tick_matrix
+from .online import _HEALTH_LEVEL
 from .resilience import GATE_QUARANTINE, HealthStatus
 from .shm import ShmArraySpec, ShmBlock
 
@@ -396,11 +397,9 @@ def _shard_worker(
                 c_ckpt.inc()
             except Exception:  # noqa: BLE001 — checkpoint failure must not kill serving
                 c_ckpt_fail.inc()
-    if predictor is not None:
-        try:
-            predictor.close()  # release a per-shard async refit worker, if any
-        except Exception:  # noqa: BLE001 — shutdown best effort
-            pass
+    if predictor is not None:  # release a per-shard async refit worker, if any
+        with contextlib.suppress(Exception):  # shutdown best effort
+            predictor.close()
     conn.close()
 
 
@@ -528,7 +527,7 @@ class _InFlightTick:
         self.t0 = t0
 
 
-class ShardedFleetPredictor:
+class ShardedFleetPredictor(Restorable):
     """Drive N streams through ``shards`` supervised FleetPredictor workers.
 
     Parameters
@@ -648,49 +647,33 @@ class ShardedFleetPredictor:
         self.forecaster_name = str(cfg["forecaster_name"])
 
         self._registry = get_registry(registry)
-        self._h_latency = MetricHistogram(
-            "serving_shard_tick_seconds",
-            "per-tick sharded-fleet latency (fan-out + shards + fan-in)",
-            buckets=log_buckets(1e-6, 10.0),
+        register = self._registry.register
+        self._c_ticks, self._c_failures, self._c_respawns, self._c_quarantines = (
+            register(MetricCounter(f"serving_shard_{name}_total", help))
+            for name, help in (
+                ("ticks", "fleet ticks driven through the shard pool"),
+                ("worker_failures", "shard workers declared dead or hung by the coordinator"),
+                ("respawns", "shard workers respawned by the supervisor"),
+                ("quarantines", "shards durably quarantined by the crash-loop breaker"),
+            )
         )
-        self._g_throughput = MetricGauge(
-            "serving_shard_records_per_sec", "instantaneous sharded-fleet throughput"
-        )
-        self._c_ticks = MetricCounter(
-            "serving_shard_ticks_total", "fleet ticks driven through the shard pool"
-        )
-        self._c_failures = MetricCounter(
-            "serving_shard_worker_failures_total",
-            "shard workers declared dead or hung by the coordinator",
-        )
-        self._c_respawns = MetricCounter(
-            "serving_shard_respawns_total",
-            "shard workers respawned by the supervisor",
-        )
-        self._c_quarantines = MetricCounter(
-            "serving_shard_quarantines_total",
-            "shards durably quarantined by the crash-loop breaker",
-        )
-        self._h_recovery = MetricHistogram(
-            "serving_shard_recovery_ticks",
-            "fleet ticks from shard failure to a restored live worker",
-            buckets=log_buckets(1.0, 4096.0),
-        )
-        self._g_staleness = MetricGauge(
-            "serving_shard_staleness_ticks",
-            "worst-case held-prediction age across recovering shards (ticks)",
-        )
-        for inst in (
-            self._h_latency,
-            self._g_throughput,
-            self._c_ticks,
-            self._c_failures,
-            self._c_respawns,
-            self._c_quarantines,
-            self._h_recovery,
-            self._g_staleness,
-        ):
-            self._registry.register(inst)
+        self._g_throughput, self._g_staleness = (
+            register(MetricGauge(f"serving_shard_{name}", help))
+            for name, help in (
+                ("records_per_sec", "instantaneous sharded-fleet throughput"),
+                ("staleness_ticks",
+                 "worst-case held-prediction age across recovering shards (ticks)"),
+            )
+        )  # fmt: skip
+        self._h_latency, self._h_recovery = (
+            register(MetricHistogram(f"serving_shard_{name}", help, buckets=log_buckets(*span)))
+            for name, help, span in (
+                ("tick_seconds", "per-tick sharded-fleet latency (fan-out + shards + fan-in)",
+                 (1e-6, 10.0)),
+                ("recovery_ticks", "fleet ticks from shard failure to a restored live worker",
+                 (1.0, 4096.0)),
+            )
+        )  # fmt: skip
 
         self._step = 0  #: ticks composed (collected) so far
         self._submitted = 0  #: ticks dispatched to the workers so far
@@ -904,14 +887,7 @@ class ShardedFleetPredictor:
                 f"all {self.shards} shards are quarantined after repeated "
                 f"failures — refusing to serve an all-NaN fleet (recent: {recent})"
             )
-        arr = np.asarray(tick, float)
-        if arr.ndim == 1 and self.features == 1:
-            arr = arr[:, None]
-        if arr.shape != (self.n_streams, self.features):
-            raise ValueError(
-                f"expected tick of shape ({self.n_streams}, {self.features}), "
-                f"got {arr.shape}"
-            )
+        arr = _tick_matrix(tick, self.n_streams, self.features)
         step = self._submitted
         entry = _InFlightTick(step, arr, time.perf_counter())
         self._block["ticks_in"][step % _TICK_BANKS] = arr
@@ -1174,11 +1150,13 @@ class ShardedFleetPredictor:
 
     # -- checkpoint / restore ----------------------------------------------------
 
-    #: the config a snapshot must match to load
+    _CHECKPOINT_KIND = "sharded_fleet_predictor"
     _IDENTITY = ("n_streams", "shards", "boundaries", "features", "window",
                  "buffer_capacity", "forecaster_name")
+    #: identity entries derived from the fleet options, not passed to the constructor
+    _DERIVED = ("features", "window", "buffer_capacity", "forecaster_name")
 
-    def _config_dict(self) -> dict[str, Any]:
+    def _config(self) -> dict[str, Any]:
         return {
             "n_streams": self.n_streams,
             "shards": self.shards,
@@ -1213,9 +1191,9 @@ class ShardedFleetPredictor:
         write_checkpoint(
             path,
             {
-                "kind": "sharded_fleet_predictor",
+                "kind": self._CHECKPOINT_KIND,
                 "state": {
-                    "config": self._config_dict(),
+                    "config": self._config(),
                     "step": self._step,
                     "shard_states": shard_states,
                 },
@@ -1231,19 +1209,12 @@ class ShardedFleetPredictor:
         shard refuses raises :class:`CheckpointError` and leaves the
         whole fleet as it was.
         """
-        config = self._config_dict()
-        live = {key: config[key] for key in self._IDENTITY}
         try:
-            saved = {key: state["config"][key] for key in self._IDENTITY}
-            same = saved == live
+            self._check_identity(state["config"])
             step = parse_fields(state, {"step": self._step}, "sharded checkpoint")["step"]
             shard_states = list(state["shard_states"])
         except Exception as exc:  # noqa: BLE001 — reading writes nothing: any fault refuses
             raise CheckpointError(f"sharded checkpoint refused: {type(exc).__name__}: {exc}") from exc
-        if not same:
-            raise CheckpointError(
-                f"sharded checkpoint config mismatch: saved {saved} vs live {live}"
-            )
         if self.failed_shards:
             raise CheckpointError(
                 f"cannot load a fleet snapshot with failed shards "
@@ -1266,37 +1237,21 @@ class ShardedFleetPredictor:
         self._last_predictions[:] = np.nan
 
     @classmethod
-    def restore(cls, path: str | Path, **overrides: Any) -> "ShardedFleetPredictor":
-        """Rebuild the sharded fleet from a composed snapshot and resume."""
-        artifact = read_checkpoint(path)
-        if not isinstance(artifact, dict) or artifact.get("kind") != "sharded_fleet_predictor":
-            raise CheckpointError(f"{path} does not hold a ShardedFleetPredictor checkpoint")
-        try:
-            state = artifact["state"]
-            cfg = state["config"]
-            fleet_kwargs = {
-                k: v for k, v in cfg["fleet_kwargs"].items() if k not in _RETIRED_OPTIONS
-            }
-            kwargs: dict[str, Any] = {
-                "n_streams": cfg["n_streams"],
-                "shards": cfg["shards"],
-                "tick_timeout": cfg["tick_timeout"],
-                "control_timeout": cfg.get("control_timeout", 60.0),
-                "respawn": cfg.get("respawn", RespawnPolicy()),
-                "checkpoint_dir": cfg.get("checkpoint_dir"),
-                "checkpoint_interval": cfg.get("checkpoint_interval"),
-                "pipeline": cfg.get("pipeline", False),
-                **fleet_kwargs,
-            }
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path} holds no complete sharded state: {exc!r}") from exc
-        predictor = cls(**{**kwargs, **overrides})
-        try:
-            predictor.load_state(state)
-        except Exception:
-            predictor.close(collect_metrics=False)
-            raise
-        return predictor
+    def _options(cls, config: dict[str, Any]) -> dict[str, Any]:
+        """The coordinator's options plus the fleet options, each checked.
+
+        The derived identity entries are checked like fleet options and
+        then dropped (:meth:`load_state` compares their values).
+        """
+        fleet = parse_options(FleetPredictor, config.pop("fleet_kwargs", {}))
+        parse_options(FleetPredictor, {key: config.pop(key) for key in cls._DERIVED})
+        del config["boundaries"]
+        return {**fleet, **super()._options(config)}
+
+    _load = load_state
+
+    def _discard(self) -> None:
+        self.close(collect_metrics=False)
 
     # -- observability merge / shutdown ------------------------------------------
 

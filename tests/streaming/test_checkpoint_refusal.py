@@ -24,6 +24,8 @@ whose ``state`` or ``config`` is missing.
 """
 
 import copy
+import inspect
+import multiprocessing
 import pickle
 import time
 
@@ -324,3 +326,148 @@ def test_restore_refuses_an_artifact_without_state_or_config(tmp_path, cls, kind
     write_checkpoint(path, {"kind": kind, **envelope})
     with pytest.raises(CheckpointError):
         cls.restore(path)
+
+
+# -- restore: every saved option is checked before anything is built -------------------
+
+#: a value of the wrong type for an option whose constructor default is a str, a
+#: bool or a number (a bool is no number to a config)
+WRONG_TYPE = {str: [6], bool: ["yes", 1], int: ["six", True, 2.5], float: ["six", True]}
+
+
+def _typed_options(fn, names):
+    """``(option, wrong value)`` for each of ``names`` whose default in ``fn`` is typed."""
+    params = inspect.signature(fn).parameters
+    return [
+        (name, wrong)
+        for name in names
+        if name in params and type(params[name].default) in WRONG_TYPE
+        for wrong in WRONG_TYPE[type(params[name].default)]
+    ]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One saved checkpoint per predictor (the sharded one: 1 shard, async fleets)."""
+    root = tmp_path_factory.mktemp("artifacts")
+    _online().save(root / "online.ckpt")
+    _fleet().save(root / "fleet.ckpt")
+    with ShardedFleetPredictor(2, shards=1, registry=MetricRegistry(), pipeline=True,
+                               refit_mode="async", **KW) as fleet:
+        fleet.run(_ticks(20, 2))
+        fleet.save(root / "sharded.ckpt")
+    return root
+
+
+def _cases():
+    """``(predictor, artifact, where, option, wrong value)`` for every typed saved option."""
+    cases = []
+    for cls, name, state in (
+        (OnlinePredictor, "online", ONLINE_STATE),
+        (FleetPredictor, "fleet", FLEET_STATE),
+    ):
+        for option, wrong in _typed_options(cls, state["config"]):
+            cases.append((cls, name, (), option, wrong))
+    own = ("shards", "tick_timeout", "control_timeout", "pipeline")
+    derived = ("features", "window", "buffer_capacity", "forecaster_name")
+    fleet_kwargs = (*KW, "refit_mode")
+    for option, wrong in _typed_options(ShardedFleetPredictor, own):
+        cases.append((ShardedFleetPredictor, "sharded", (), option, wrong))
+    for option, wrong in _typed_options(FleetPredictor, derived):
+        cases.append((ShardedFleetPredictor, "sharded", (), option, wrong))
+    for option, wrong in _typed_options(FleetPredictor, fleet_kwargs):
+        cases.append((ShardedFleetPredictor, "sharded", ("fleet_kwargs",), option, wrong))
+    return cases
+
+
+def _edited(artifacts, tmp_path, name, where, edit):
+    """A copy of artifact ``name`` whose config, or its dict at ``where``, ``edit`` changed."""
+    artifact = read_checkpoint(artifacts / f"{name}.ckpt")
+    config = artifact["state"]["config"]
+    for key in where:
+        config = config[key]
+    edit(config)
+    path = tmp_path / f"{name}.ckpt"
+    write_checkpoint(path, artifact)
+    return path
+
+
+def _refused_before_building(cls, path, match):
+    children = set(multiprocessing.active_children())
+    with pytest.raises(CheckpointError, match=match):
+        cls.restore(path, registry=MetricRegistry())
+    assert set(multiprocessing.active_children()) == children
+
+
+@pytest.mark.parametrize(
+    "cls, name, where, option, wrong",
+    _cases(),
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_restore_refuses_an_option_of_the_wrong_type(artifacts, tmp_path, cls, name, where,
+                                                     option, wrong):
+    path = _edited(artifacts, tmp_path, name, where, lambda cfg: cfg.update({option: wrong}))
+    _refused_before_building(cls, path, f"option {option}=")
+
+
+@pytest.mark.parametrize(
+    "cls, name, where",
+    [
+        (OnlinePredictor, "online", ()),
+        (FleetPredictor, "fleet", ()),
+        (ShardedFleetPredictor, "sharded", ()),
+        (ShardedFleetPredictor, "sharded", ("fleet_kwargs",)),
+    ],
+)
+def test_restore_refuses_an_unknown_option(artifacts, tmp_path, cls, name, where):
+    path = _edited(artifacts, tmp_path, name, where, lambda cfg: cfg.update(bogus=1))
+    _refused_before_building(cls, path, "no option 'bogus'")
+
+
+@pytest.mark.parametrize(
+    "cls, name, identity",
+    [
+        (OnlinePredictor, "online", "window"),
+        (FleetPredictor, "fleet", "n_streams"),
+        (ShardedFleetPredictor, "sharded", "n_streams"),
+        (ShardedFleetPredictor, "sharded", "boundaries"),
+    ],
+)
+def test_restore_refuses_a_missing_identity_entry(artifacts, tmp_path, cls, name, identity):
+    path = _edited(artifacts, tmp_path, name, (), lambda cfg: cfg.pop(identity))
+    _refused_before_building(cls, path, "config lacks")
+
+
+@pytest.mark.parametrize(
+    "cls, name, option, default",
+    [
+        (OnlinePredictor, "online", "refit_interval", 100),
+        (FleetPredictor, "fleet", "refit_streams", 8),
+        (ShardedFleetPredictor, "sharded", "control_timeout", 60.0),
+    ],
+)
+def test_a_missing_option_takes_the_constructor_default(artifacts, tmp_path, cls, name, option,
+                                                        default):
+    path = _edited(artifacts, tmp_path, name, (), lambda cfg: cfg.pop(option))
+    restored = cls.restore(path, registry=MetricRegistry())
+    try:
+        assert getattr(restored, option) == default
+    finally:
+        if cls is ShardedFleetPredictor:
+            restored.close(collect_metrics=False)
+
+
+def test_restore_drops_retired_options_and_keeps_a_saved_detector(artifacts, tmp_path):
+    def retire(cfg):
+        cfg.update(error_history=64, span_sample=8)
+        cfg["detector_params"]["threshold"] = 7.5
+
+    path = _edited(artifacts, tmp_path, "fleet", (), retire)
+    restored = FleetPredictor.restore(path, registry=MetricRegistry())
+    assert restored.detector.threshold == 7.5
+
+
+def test_restore_refuses_detector_params_of_the_wrong_type(artifacts, tmp_path):
+    path = _edited(artifacts, tmp_path, "fleet", ("detector_params",),
+                   lambda cfg: cfg.update(min_instances="ten"))
+    _refused_before_building(FleetPredictor, path, "min_instances")

@@ -174,6 +174,21 @@ class TestServingCounterParity:
             assert got[f"serving_{counter}_total"] == want, counter
             assert got[f"serving_fleet_{counter}_total"] == want, counter
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_records_count_every_offered_record(self, enabled):
+        """``records == ticks x N`` whether or not obs is on, absent rows included."""
+        ticks = np.random.default_rng(3).normal(0.5, 0.05, (30, 4))
+        ticks[10, 2] = ticks[11] = np.nan
+        reg = MetricRegistry()
+        fleet = FleetPredictor(4, "mean", registry=reg, **_COMMON)
+        prev = set_enabled(enabled)
+        try:
+            fleet.run(ticks)
+        finally:
+            set_enabled(prev)
+        got = {s["name"]: s["value"] for s in reg.collect() if s["kind"] == "counter"}
+        assert got["serving_fleet_records_total"] == ticks.size
+
 
 class TestMultiStream:
     def test_per_stream_fault_isolation(self):

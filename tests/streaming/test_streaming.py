@@ -1,9 +1,11 @@
 """Ring buffer, drift detection and online predictor tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.streaming import OnlinePredictor, PageHinkley, RollingBuffer
+from repro.streaming import CheckpointError, OnlinePredictor, PageHinkley, RollingBuffer
 
 
 class TestRollingBuffer:
@@ -74,12 +76,45 @@ class TestPageHinkley:
         with pytest.raises(ValueError):
             PageHinkley(min_instances=0)
 
+    def test_equal_by_parameters_and_running_state(self):
+        a, b = PageHinkley(threshold=0.5), PageHinkley(threshold=0.5)
+        assert a == b and a != PageHinkley(threshold=0.6)
+        a.update(0.3)
+        assert a != b
+        b.update(0.3)
+        assert a == b
+
 
 class TestOnlinePredictor:
     def _stream(self, n=400, seed=0):
         rng = np.random.default_rng(seed)
         t = np.arange(n)
         return 0.5 + 0.3 * np.sin(2 * np.pi * t / 50) + rng.normal(0, 0.02, n)
+
+    def test_takes_only_a_page_hinkley_detector(self):
+        class Custom(PageHinkley):
+            pass
+
+        with pytest.raises(TypeError, match="PageHinkley"):
+            OnlinePredictor("holt", detector=Custom())
+
+    def test_a_state_with_another_detector_is_refused(self):
+        pred = OnlinePredictor("holt", window=6, buffer_capacity=60, min_fit_size=20)
+        pred.run(self._stream(40))
+        for detector in (None, object(), {"n_seen": 3}):
+            with pytest.raises(CheckpointError, match="PageHinkley"):
+                pred.load_state_dict({**pred.state_dict(), "detector": detector})
+
+    def test_a_taken_state_stays_as_it_was_taken(self):
+        pred = OnlinePredictor("holt", window=6, buffer_capacity=60, min_fit_size=20)
+        stream = self._stream(80)
+        pred.run(stream[:40])
+        state = pred.state_dict()
+        blob = pickle.dumps(state)
+        assert state["detector"].n_seen > 0
+        pred.run(stream[40:])
+        assert pickle.dumps(state) == blob
+        assert state["detector"] != pred.detector
 
     def test_warmup_then_predicts(self):
         pred = OnlinePredictor(
