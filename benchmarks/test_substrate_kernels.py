@@ -10,6 +10,9 @@ with its cached window filter) for one window of 12, the scalar
 predictor's per-record forward, and for 4096, ``fleet_holt_4k``'s tick;
 ``test_bench_gbt_predict`` times one forecast of the boosted trees at the
 closed cluster loop's shape (30 rows through 40 trees of depth 3).
+``test_bench_gbt_fit_pool_3279`` times that loop's largest refit: 40 trees
+of depth 3 over a pool of 3279 windows of 8, the fit that sets the
+``autoscale_quantile`` tick p99.
 ``test_bench_rptcn_predict`` and ``test_bench_tcn_block_step`` time the
 paper's model at the fleet serving shape: one 253-row forecast, and one
 forward + backward of a fused 16-channel residual block at training
@@ -128,15 +131,22 @@ def test_bench_gbt_fit(benchmark, rng):
     assert len(model.trees) == 20
 
 
-def _gbt_pool(rng):
-    """The cluster loop's pooled refit input: 1431 windows of 8, flattened."""
-    x = rng.random((1431, 8))
-    y = x[:, -1] + 0.5 * np.sin(6 * x[:, -2]) + 0.05 * rng.random(1431)
+def _gbt_pool(rng, n=1431):
+    """The cluster loop's pooled refit input: ``n`` windows of 8, flattened."""
+    x = rng.random((n, 8))
+    y = x[:, -1] + 0.5 * np.sin(6 * x[:, -2]) + 0.05 * rng.random(n)
     return x, y
 
 
 def _gbt_autoscale_fit(x, y):
     return GradientBoostedTrees(n_estimators=40, max_depth=3).fit(x, y)
+
+
+def test_bench_gbt_fit_pool_3279(benchmark):
+    # its own generator: the module's shared one keeps feeding later tests as before
+    x, y = _gbt_pool(np.random.default_rng(3279), 3279)
+    model = benchmark(lambda: _gbt_autoscale_fit(x, y))
+    assert len(model.trees) == 40
 
 
 def test_bench_gbt_predict(benchmark, rng):
@@ -454,6 +464,9 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     xg, yg = _gbt_pool(rng)
     gbt_fit = _ops_per_sec(lambda: _gbt_autoscale_fit(xg, yg), min_time=1.0)
+    # its own generator: the rows after it keep the inputs they always had
+    xg_big, yg_big = _gbt_pool(np.random.default_rng(3279), 3279)
+    gbt_fit_pool_3279 = _ops_per_sec(lambda: _gbt_autoscale_fit(xg_big, yg_big), min_time=1.0)
     gbt = _gbt_autoscale_fit(xg, yg)
     gbt_predict = _ops_per_sec(lambda: gbt.predict(xg[:30]))
 
@@ -502,6 +515,8 @@ def test_perf_smoke_kernel_snapshot(rng):
             "holt_predict_n1": "predict of a model fitted that way, 1 window of 12, 1 feature",
             "holt_predict_n4096": "predict of that model, 4096 windows of 12, 1 feature",
             "gbt_fit": "GradientBoostedTrees.fit, 1431 windows of 8, 40 trees, depth 3",
+            "gbt_fit_pool_3279": "GradientBoostedTrees.fit, 3279 windows of 8, 40 trees, "
+            "depth 3 (the largest autoscale refit pool)",
             "gbt_predict": "predict of that model, 30 rows",
             "rptcn_fit": "RPTCNForecaster.fit, 907 windows of 12, 1 feature, 2 epochs",
             "rptcn_predict": "predict of that model, 253 rows",
@@ -532,6 +547,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "holt_predict_n1": round(holt_predict_n1, 1),
             "holt_predict_n4096": round(holt_predict_n4096, 1),
             "gbt_fit": round(gbt_fit, 1),
+            "gbt_fit_pool_3279": round(gbt_fit_pool_3279, 1),
             "gbt_predict": round(gbt_predict, 1),
             "rptcn_fit": round(rptcn_fit, 2),
             "rptcn_predict": round(rptcn_predict, 1),
@@ -567,7 +583,7 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0 and holt_fit > 0
     assert holt_predict_n1 > 0 and holt_predict_n4096 > 0
-    assert gbt_fit > 0 and gbt_predict > 0
+    assert gbt_fit > 0 and gbt_fit_pool_3279 > 0 and gbt_predict > 0
     assert rptcn_fit > 0 and rptcn_predict > 0 and rptcn_predict_n1 > 0 and adam_step > 0
     assert block_step > 0 and last_step_train > 0
     assert ring_gather > 0 and ring_append > 0

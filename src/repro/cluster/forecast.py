@@ -133,8 +133,8 @@ class FleetForecastSource(ForecastSource):
         self.residuals = MatrixRingBuffer(n_jobs, residual_history, 1)
         self._pending_point: np.ndarray | None = None
         #: residual quantiles are recomputed every this many forecasts —
-        #: they drift slowly, and the nanquantile over the whole error
-        #: ring is the one O(n_jobs * history) step in the loop
+        #: they drift slowly, and the row sort of the whole error ring
+        #: is the one O(n_jobs * history log history) step in the loop
         self.headroom_every = headroom_every
         self.fleet = FleetPredictor(n_streams=n_jobs, **fleet_kwargs)
         self._ticks_seen = 0
@@ -203,5 +203,35 @@ class FleetForecastSource(ForecastSource):
         idx = np.flatnonzero(self.residuals.sizes >= self.min_errors)
         if idx.size:
             retained = self.residuals.filled_matrix()[idx, :, 0]
-            out[idx] = np.nanquantile(retained, self.tau, axis=1)
+            out[idx] = nan_quantile_rows(retained, self.tau)
         return np.maximum(out, 0.0)
+
+
+def nan_quantile_rows(a: np.ndarray, tau: float) -> np.ndarray:
+    """``np.nanquantile(a, tau, axis=1)`` of a 2-D ``a``, from one row sort.
+
+    NumPy runs ``nanquantile`` row by row (``apply_along_axis``); this
+    sorts every row at once, NaNs last, and applies NumPy's ``linear``
+    rule to each row's ``n`` finite values: virtual index ``(n - 1) *
+    tau``, its floor and fraction ``gamma``, then NumPy's two-sided lerp.
+    The results equal NumPy's value for value; a zero may differ in sign
+    only, since NumPy's partition orders tied ``-0.0``/``0.0`` unlike a
+    sort. A row without a finite value reads NaN.
+    """
+    srt = np.sort(a, axis=1)
+    n = np.count_nonzero(~np.isnan(srt), axis=1)
+    virt = (n - 1) * tau
+    prev = np.floor(virt)
+    # at or past the last value NumPy takes it twice, with index -1 --
+    # which also enters its gamma; a row without a finite value (n = 0)
+    # so reads its last entry, a NaN
+    top = virt >= n - 1
+    lo = np.where(top, n - 1, prev).astype(np.intp)
+    hi = np.where(top, n - 1, prev + 1).astype(np.intp)
+    gamma = virt - np.where(top, -1.0, prev)
+    rows = np.arange(len(srt))
+    below, above = srt[rows, lo], srt[rows, hi]
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out

@@ -5,11 +5,14 @@ each tree greedily maximizes the regularized gain
 
     gain = 1/2 [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda) ] - gamma
 
-with leaf weights ``-G/(H+lambda)``. For the squared-error objective used
-here the hessian is 1, so this reduces exactly to XGBoost's regression
-path. Other objectives (the pinball loss in :mod:`repro.models.quantile`)
-override :meth:`GradientBoostedTrees._base_score` and
-:meth:`GradientBoostedTrees._gradient` and share the boosting loop.
+with leaf weights ``-G/(H+lambda)``. **The hessian is 1** for every
+objective here: squared error, and the pinball loss of
+:mod:`repro.models.quantile`, which overrides
+:meth:`GradientBoostedTrees._base_score` and
+:meth:`GradientBoostedTrees._gradient` and shares the boosting loop. So
+``H`` of a node is its row count, the trees take only gradients, and
+``min_child_weight`` is the least number of rows a child may hold. For
+squared error this is exactly XGBoost's regression path.
 
 **Split search is exact greedy over presorted columns.** Each column is
 stable-sorted once per fit, or once per tree when rows are subsampled: a
@@ -17,21 +20,31 @@ subsampled tree numbers its rows by their position in the sample, and
 ties must break in that order. A node keeps its rows in every candidate
 column's sorted order, a ``(C, m)`` array; one call gathers the
 gradients in that order, takes prefix sums along each row and scores
-every split of every column. The column is the first one, in
+every split of every column. The left child's weight after position
+``i`` is ``i + 1`` in every column, one shared vector: the exact
+integers a prefix sum of ones gives. The column is the first one, in
 ``feature_ids`` order, whose best gain strictly beats the running best
 (starting at 0); a NaN gain never wins. Children take their orders by a
-stable boolean partition of the parent's. This is bit-exact against
-stable-sorting each node's rows afresh: a stable sort restricted to an
-ascending subset of rows is that subset's own stable sort, so every node
-sees the same order, the same sequential prefix sums and so the same
-gains.
+stable boolean partition of the parent's, one gather of the split mask
+serving both. This is bit-exact against stable-sorting each node's rows
+afresh: a stable sort restricted to an ascending subset of rows is that
+subset's own stable sort, so every node sees the same order, the same
+sequential prefix sums and so the same gains.
 
-**Prediction routes every tree at once.** After ``fit`` the trees' node
-arrays are stacked into ``(T, K)`` arrays in which leaves route to
-themselves, so all rows walk all trees together, one step per depth
-level. The trees' shrunken leaf values are then summed by a cumulative
-sum along the tree axis: the same sequential ``base + lr * leaf_1 +
-lr * leaf_2 + ...`` as adding the trees one at a time.
+**Training rows are never routed when every row grew the tree.** Growing
+a tree already sends each row to its leaf, so without row subsampling
+the tree writes each training row's leaf value as it makes the leaf, and
+the boosting loop adds those; a subsampled tree routes the training
+matrix through the tree instead.
+
+**Prediction routes every tree at once.** At the end of ``fit`` the
+trees' node arrays are stacked into ``(T, K)`` arrays in which leaves
+route to themselves, so all rows walk all trees together, one step per
+depth level. The trees' shrunken leaf values are then summed by a
+cumulative sum along the tree axis: the same sequential ``base + lr *
+leaf_1 + lr * leaf_2 + ...`` as adding the trees one at a time. A single
+tree stacks its own arrays on its first ``predict``, not when it is
+grown.
 """
 
 from __future__ import annotations
@@ -73,10 +86,10 @@ def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partition(
-    order: np.ndarray, vals: np.ndarray, mask: np.ndarray
+    order: np.ndarray, vals: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the rows where ``mask`` holds, in each column's order."""
-    pos = np.flatnonzero(mask[order])
+    """Entries of ``order``/``vals`` where the ``(C, m)`` mask ``keep`` holds."""
+    pos = np.flatnonzero(keep)
     c = len(order)
     return order.ravel()[pos].reshape(c, -1), vals.ravel()[pos].reshape(c, -1)
 
@@ -131,7 +144,7 @@ def _route(forest: _Forest, x: np.ndarray) -> np.ndarray:
 
 
 class RegressionTree:
-    """One CART-style tree grown on gradients/hessians.
+    """One CART-style tree grown on gradients (unit hessian).
 
     Nodes are stored in parallel arrays (feature, threshold, children,
     value); prediction routes all samples through the arrays with a loop
@@ -157,40 +170,44 @@ class RegressionTree:
         return len(self.feature) - 1
 
     @staticmethod
-    def _leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
-        return -g_sum / (h_sum + reg_lambda)
+    def _leaf_weight(g_sum: float, n_rows: float, reg_lambda: float) -> float:
+        return -g_sum / (n_rows + reg_lambda)
 
     def _best_split(
-        self,
-        g: np.ndarray,
-        h: np.ndarray,
-        order: np.ndarray,
-        vals: np.ndarray,
-        g_total: float,
-        h_total: float,
+        self, g: np.ndarray, order: np.ndarray, vals: np.ndarray, g_total: float
     ) -> tuple[float, int, float] | None:
         """Return (gain, column, threshold) of the node's best split, or None.
 
         ``order``/``vals`` hold the node's rows and values in each
         candidate column's sorted order; ``column`` indexes their rows.
         """
-        if not len(order):
+        m = order.shape[1]
+        if not m:
             return None
         p = self.params
+        # unit hessian: a node's weight is its row count, and the left
+        # child's weight after position i is i + 1 in every column
+        h_total = float(m)
         parent_score = g_total**2 / (h_total + p.reg_lambda)
-        gs = np.cumsum(g[order], axis=1)[:, :-1]
-        hs = np.cumsum(h[order], axis=1)[:, :-1]
+        hs = np.arange(1.0, m)
+        hr = h_total - hs
         # split between positions i and i+1 only where the value changes
         valid = vals[:, 1:] != vals[:, :-1]
-        gr, hr = g_total - gs, h_total - hs
         valid &= (hs >= p.min_child_weight) & (hr >= p.min_child_weight)
+        # gain = 0.5 * (gl**2 / (hl + lambda) + gr**2 / (hr + lambda)
+        # - parent_score) - gamma, in place: gains starts as gl
+        gains = np.cumsum(g[order[:, :-1]], axis=1)
+        right = g_total - gains
         with np.errstate(all="ignore"):
-            gains = 0.5 * (
-                gs**2 / (hs + p.reg_lambda)
-                + gr**2 / (hr + p.reg_lambda)
-                - parent_score
-            ) - p.gamma
-        gains[~valid] = -np.inf
+            np.square(gains, out=gains)
+            gains /= hs + p.reg_lambda
+            np.square(right, out=right)
+            right /= hr + p.reg_lambda
+            gains += right
+            gains -= parent_score
+            gains *= 0.5
+            gains -= p.gamma
+        np.copyto(gains, -np.inf, where=~valid)
         k = np.argmax(gains, axis=1)
         best = gains[np.arange(len(k)), k]
         # first column whose gain strictly beats the running best (from 0);
@@ -203,46 +220,44 @@ class RegressionTree:
         return float(best[c]), c, float(thr)
 
     def fit(
-        self,
-        x: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        feature_ids: np.ndarray | None = None,
+        self, x: np.ndarray, g: np.ndarray, feature_ids: np.ndarray | None = None
     ) -> "RegressionTree":
         x = np.asarray(x, float)
         g = np.asarray(g, float)
-        h = np.asarray(h, float)
-        if x.ndim != 2 or len(x) != len(g) or len(g) != len(h):
-            raise ValueError("x must be (N, F) with aligned g, h")
+        if x.ndim != 2 or len(x) != len(g):
+            raise ValueError("x must be (N, F) with aligned g")
         feature_ids = (
             np.arange(x.shape[1]) if feature_ids is None else np.asarray(feature_ids)
         )
-        return self._grow(g, h, feature_ids, *_presort(x[:, feature_ids]))
+        return self._grow(g, feature_ids, *_presort(x[:, feature_ids]))
 
     def _grow(
         self,
         g: np.ndarray,
-        h: np.ndarray,
         feature_ids: np.ndarray,
         order: np.ndarray,
         vals: np.ndarray,
+        leaf_out: np.ndarray | None = None,
     ) -> "RegressionTree":
         """Grow on presorted columns: ``order[c]`` is the stable sort of
-        column ``feature_ids[c]`` over the rows of ``g``/``h``, ``vals[c]``
-        its sorted values."""
+        column ``feature_ids[c]`` over the rows of ``g``, ``vals[c]`` its
+        sorted values. ``leaf_out``, if given, receives each row's leaf
+        value: what :meth:`predict` returns for the rows the tree grew on."""
         p = self.params
         root = self._new_node()
         stack = [(root, np.arange(len(g)), order, vals, 0)]
         while stack:
             node, idx, order, vals, depth = stack.pop()
-            g_sum, h_sum = g[idx].sum(), h[idx].sum()
+            g_sum = g[idx].sum()
             split = (
-                self._best_split(g, h, order, vals, g_sum, h_sum)
+                self._best_split(g, order, vals, g_sum)
                 if depth < p.max_depth and len(idx) >= 2
                 else None
             )
             if split is None:
-                self.value[node] = self._leaf_weight(g_sum, h_sum, p.reg_lambda)
+                self.value[node] = value = self._leaf_weight(g_sum, float(len(idx)), p.reg_lambda)
+                if leaf_out is not None:
+                    leaf_out[idx] = value
                 continue
             gain, c, thr = split
             self.feature[node] = int(feature_ids[c])
@@ -252,12 +267,16 @@ class RegressionTree:
             go_left[order[c]] = vals[c] <= thr
             self.left[node] = left_id = self._new_node()
             self.right[node] = right_id = self._new_node()
-            for child, mask in ((left_id, go_left), (right_id, ~go_left)):
-                # a child at max_depth is a leaf: it needs no column order
-                sorted_rows = (
-                    _partition(order, vals, mask) if depth + 1 < p.max_depth else (None, None)
-                )
-                stack.append((child, idx[mask[idx]], *sorted_rows, depth + 1))
+            on_left = go_left[idx]
+            # a child at max_depth is a leaf: it needs no column order
+            if depth + 1 < p.max_depth:
+                side = go_left[order]
+                left_rows = _partition(order, vals, side)
+                right_rows = _partition(order, vals, ~side)
+            else:
+                left_rows = right_rows = (None, None)
+            stack.append((left_id, idx[on_left], *left_rows, depth + 1))
+            stack.append((right_id, idx[~on_left], *right_rows, depth + 1))
         self._freeze()
         return self
 
@@ -267,11 +286,12 @@ class RegressionTree:
         self._left = np.asarray(self.left)
         self._right = np.asarray(self.right)
         self._value = np.asarray(self.value)
-        self._forest = _stack([self])
+        self._forest: _Forest | None = None  # stacked on first predict
 
     def _routing(self) -> _Forest:
+        # absent in pickles from before trees were stacked
         forest = getattr(self, "_forest", None)
-        if forest is None:  # unpickled from before trees were stacked
+        if forest is None:
             forest = self._forest = _stack([self])
         return forest
 
@@ -349,10 +369,9 @@ class GradientBoostedTrees:
         """Constant prediction the boosting starts from (squared loss: the mean)."""
         return float(y.mean())
 
-    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row gradient and hessian of the loss at ``pred``."""
-        # squared loss: g = pred - y, h = 1
-        return pred - y, np.ones(len(y))
+    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-row gradient of the loss at ``pred``; its hessian must be 1."""
+        return pred - y  # squared loss
 
     def fit(
         self,
@@ -382,8 +401,10 @@ class GradientBoostedTrees:
         n, f = x.shape
         # without row subsampling every tree splits the same rows: sort once
         presorted = _presort(x) if self.subsample == 1.0 else None
+        # ... and every row's leaf value falls out of growing the tree
+        leaf = np.empty(n) if self.subsample == 1.0 else None
         for it in range(self.n_estimators):
-            g, h = self._gradient(pred, y)
+            g = self._gradient(pred, y)
             rows = (
                 rng.choice(n, size=max(1, int(n * self.subsample)), replace=False)
                 if self.subsample < 1.0
@@ -396,14 +417,14 @@ class GradientBoostedTrees:
             )
             if rows is not None:
                 order, vals = _presort(x[np.ix_(rows, cols)])
-                g, h = g[rows], h[rows]
+                g = g[rows]
             elif self.colsample < 1.0:
                 order, vals = presorted[0][cols], presorted[1][cols]
             else:  # the fit-level sort as is: a gather would copy it per tree
                 order, vals = presorted
-            tree = RegressionTree(self.tree_params)._grow(g, h, cols, order, vals)
+            tree = RegressionTree(self.tree_params)._grow(g, cols, order, vals, leaf)
             self.trees.append(tree)
-            pred += self.learning_rate * tree.predict(x)
+            pred += self.learning_rate * (tree.predict(x) if leaf is None else leaf)
 
             if has_val:
                 val_pred += self.learning_rate * tree.predict(x_val)

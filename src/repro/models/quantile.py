@@ -72,9 +72,9 @@ class _QuantileGBT(GradientBoostedTrees):
     def _base_score(self, y: np.ndarray) -> float:
         return float(np.quantile(y, self.tau))
 
-    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _gradient(self, pred: np.ndarray, y: np.ndarray) -> np.ndarray:
         # pinball gradient: d/dpred = (1 - tau) where pred > y else -tau
-        return np.where(pred >= y, 1.0 - self.tau, -self.tau), np.ones(len(y))
+        return np.where(pred >= y, 1.0 - self.tau, -self.tau)
 
     def fit(self, x, y, x_val=None, y_val=None) -> "_QuantileGBT":
         """Boost for all ``n_estimators`` rounds; validation data is not

@@ -40,7 +40,10 @@ import numpy as np
 
 from ..ioutil import atomic_write_bytes
 
-__all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint", "try_read_checkpoint"]
+__all__ = [
+    "CheckpointError", "refused_option", "write_checkpoint", "read_checkpoint",
+    "try_read_checkpoint",
+]
 
 _MAGIC = b"RPTCNCKP"
 _VERSION = 1
@@ -56,6 +59,18 @@ _R = TypeVar("_R", bound="Restorable")
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, truncated, corrupt or incompatible."""
+
+
+def refused_option(message: str, *options: str) -> ValueError:
+    """The ``ValueError`` a constructor raises for the value of ``options``.
+
+    It records the refused options (one, or a combination), so that
+    :meth:`Restorable.restore` can tell a bad saved value from a bad
+    override; it stays a plain ``ValueError`` to every other caller.
+    """
+    exc = ValueError(message)
+    exc.options = options  # type: ignore[attr-defined]
+    return exc
 
 
 class Stateful:
@@ -205,10 +220,13 @@ class Restorable:
         option are checked: a retired option is dropped, an unknown one,
         a value of the wrong type or a missing identity entry refuses the
         artifact, and any other option left out takes the constructor
-        default (older checkpoints lack the options added since). A load
-        refused after the build releases the predictor. ``overrides``
-        patch process-local constructor arguments that are deliberately
-        not persisted (``refit_fault_hook``, ``registry``, ...).
+        default (older checkpoints lack the options added since). A
+        constructor that refuses saved values (:func:`refused_option`)
+        refuses the artifact too; one that refuses an ``overrides`` value
+        raises its own error. A load refused after the build releases the
+        predictor. ``overrides`` patch process-local constructor arguments
+        that are deliberately not persisted (``refit_fault_hook``,
+        ``registry``, ...).
         """
         artifact = read_checkpoint(path)
         if not isinstance(artifact, dict) or artifact.get("kind") != cls._CHECKPOINT_KIND:
@@ -222,7 +240,14 @@ class Restorable:
             options = cls._options(dict(state["config"]))
         except Exception as exc:  # noqa: BLE001 — nothing is built yet: any fault refuses
             raise CheckpointError(f"{path} config refused: {type(exc).__name__}: {exc}") from exc
-        predictor = cls(**{**options, **overrides})
+        try:
+            predictor = cls(**{**options, **overrides})
+        except ValueError as exc:
+            refused = getattr(exc, "options", ())
+            if not refused or any(key in overrides for key in refused):
+                raise
+            saved = ", ".join(f"{key}={options.get(key)!r}" for key in refused)
+            raise CheckpointError(f"{path} option {saved} refused: {exc}") from exc
         try:
             predictor._load(state)
         except BaseException:

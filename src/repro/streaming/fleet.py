@@ -54,7 +54,7 @@ import numpy as np
 
 from ..obs.registry import MetricRegistry
 from .buffer import MatrixRingBuffer
-from .checkpoint import Stateful, parse_fields, parse_options
+from .checkpoint import Stateful, parse_fields, parse_options, refused_option
 from .drift import PageHinkley
 from .online import _HEALTH_LEVEL, PredictionRecord, _page_hinkley, _ServingPredictor
 from .refit import AsyncRefitEngine, RefitTask
@@ -352,13 +352,16 @@ class FleetPredictor(_ServingPredictor):
         warm_epochs: int | None = None,
     ) -> None:
         if n_streams < 1:
-            raise ValueError(f"n_streams must be >= 1, got {n_streams}")
-        if refit_streams < 1 or max_fit_windows < 1:
-            raise ValueError("refit_streams and max_fit_windows must be >= 1")
+            raise refused_option(f"n_streams must be >= 1, got {n_streams}", "n_streams")
+        for name, value in (("refit_streams", refit_streams), ("max_fit_windows", max_fit_windows)):
+            if value < 1:
+                raise refused_option(f"{name} must be >= 1, got {value}", name)
         if refit_mode not in ("sync", "async"):
-            raise ValueError(f"refit_mode must be 'sync' or 'async', got {refit_mode!r}")
+            raise refused_option(
+                f"refit_mode must be 'sync' or 'async', got {refit_mode!r}", "refit_mode"
+            )
         if warm_epochs is not None and warm_epochs < 1:
-            raise ValueError(f"warm_epochs must be >= 1, got {warm_epochs}")
+            raise refused_option(f"warm_epochs must be >= 1, got {warm_epochs}", "warm_epochs")
         proto = PageHinkley() if detector is None else _page_hinkley(detector)
         super().__init__(
             forecaster_name, forecaster_kwargs, window, buffer_capacity, refit_interval,

@@ -41,7 +41,14 @@ from ..obs.registry import Gauge as MetricGauge
 from ..obs.registry import Histogram as MetricHistogram
 from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import RollingBuffer
-from .checkpoint import CheckpointError, Restorable, Stateful, parse_fields, write_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    Restorable,
+    Stateful,
+    parse_fields,
+    refused_option,
+    write_checkpoint,
+)
 from .drift import PageHinkley
 from .refit import AsyncRefitEngine, RefitTask, fit_task
 from .resilience import GatePolicy, HealthStatus, InputGate, Supervisor, SupervisorPolicy
@@ -218,11 +225,15 @@ class _ServingPredictor(Stateful, Restorable):
         registry: MetricRegistry | None,
     ) -> None:
         if buffer_capacity < window + 2:
-            raise ValueError(
-                f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})"
+            raise refused_option(
+                f"buffer_capacity ({buffer_capacity}) must exceed window+1 ({window + 1})",
+                "buffer_capacity",
+                "window",
             )
         if refit_interval < 1:
-            raise ValueError(f"refit_interval must be >= 1, got {refit_interval}")
+            raise refused_option(
+                f"refit_interval must be >= 1, got {refit_interval}", "refit_interval"
+            )
         self.forecaster_name = forecaster_name
         self.forecaster_kwargs = dict(forecaster_kwargs or {})
         self.forecaster_kwargs.setdefault("target_col", target_col)

@@ -676,8 +676,10 @@ class Supervisor(Stateful):
     Call/retry/failure counts live in :mod:`repro.obs` instruments
     labelled by ``duty`` and registered with ``registry`` (default: the
     process-global one); the historical ``n_calls``/``total_retries``/
-    ``total_failures``/``n_budget_exceeded``/``consecutive_failures``
-    attributes remain as exact per-instance views.
+    ``total_failures``/``n_budget_exceeded`` attributes remain as exact
+    per-instance views. The failure streak ``consecutive_failures`` is a
+    plain int, read on every served record; the gauge is set from it
+    wherever it changes.
     """
 
     def __init__(
@@ -718,6 +720,7 @@ class Supervisor(Stateful):
         ):
             reg.register(inst)
         self.last_error: str | None = None
+        self.consecutive_failures = 0
 
     # -- counter views ----------------------------------------------------------
 
@@ -738,10 +741,6 @@ class Supervisor(Stateful):
         return int(self._c_budget.value)
 
     @property
-    def consecutive_failures(self) -> int:
-        return int(self._g_consecutive.value)
-
-    @property
     def should_fall_back(self) -> bool:
         return self.consecutive_failures >= self.policy.fallback_after
 
@@ -760,7 +759,7 @@ class Supervisor(Stateful):
                     self.policy.time_budget is not None and elapsed >= self.policy.time_budget
                 )
                 if attempt >= self.policy.max_retries or out_of_budget:
-                    self._g_consecutive.inc()
+                    self._set_streak(self.consecutive_failures + 1)
                     self._c_failures.inc()
                     return False, None
                 delay = min(
@@ -775,7 +774,7 @@ class Supervisor(Stateful):
                 elapsed = time.perf_counter() - start
                 if self.policy.time_budget is not None and elapsed > self.policy.time_budget:
                     self._c_budget.inc()
-                self._g_consecutive.set(0)
+                self._set_streak(0)
                 return True, result
 
     def record(self, ok: bool, error: str | None = None) -> None:
@@ -788,15 +787,19 @@ class Supervisor(Stateful):
         """
         self._c_calls.inc()
         if ok:
-            self._g_consecutive.set(0)
+            self._set_streak(0)
         else:
             self.last_error = error
-            self._g_consecutive.inc()
+            self._set_streak(self.consecutive_failures + 1)
             self._c_failures.inc()
+
+    def _set_streak(self, streak: int) -> None:
+        self.consecutive_failures = streak
+        self._g_consecutive.set(streak)
 
     # -- checkpointing ---------------------------------------------------------
 
-    #: the checkpointed counts, each read through its view property
+    #: the checkpointed counts: the streak, then the counter views
     _COUNTS = ("consecutive_failures", "total_failures", "total_retries", "n_calls",
                "n_budget_exceeded")  # fmt: skip
 
@@ -813,7 +816,7 @@ class Supervisor(Stateful):
         counters = (self._c_failures, self._c_retries, self._c_calls, self._c_budget)
 
         def commit() -> None:
-            self._g_consecutive.set(saved["consecutive_failures"])
+            self._set_streak(saved["consecutive_failures"])
             for key, counter in zip(self._COUNTS[1:], counters):
                 counter.restore(saved[key])
             self.last_error = last_error

@@ -120,6 +120,7 @@ from .checkpoint import (
     Restorable,
     parse_fields,
     parse_options,
+    refused_option,
     try_read_checkpoint,
     write_checkpoint,
 )
@@ -179,8 +180,8 @@ class RespawnPolicy:
 def shard_boundaries(n_streams: int, shards: int) -> tuple[int, ...]:
     """Contiguous, balanced partition bounds: shard ``i`` owns ``[b[i], b[i+1])``."""
     if shards < 1 or shards > n_streams:
-        raise ValueError(
-            f"shards must be in [1, n_streams={n_streams}], got {shards}"
+        raise refused_option(
+            f"shards must be in [1, n_streams={n_streams}], got {shards}", "shards", "n_streams"
         )
     return tuple((i * n_streams) // shards for i in range(shards + 1))
 
@@ -601,18 +602,23 @@ class ShardedFleetPredictor(Restorable):
         **fleet_kwargs: Any,
     ) -> None:
         if n_streams < 1:
-            raise ValueError(f"n_streams must be >= 1, got {n_streams}")
+            raise refused_option(f"n_streams must be >= 1, got {n_streams}", "n_streams")
         for forbidden in ("n_streams", "registry", "refit_fault_hook"):
             if forbidden in fleet_kwargs:
                 raise ValueError(
                     f"{forbidden!r} cannot be passed through to shard workers"
                 )
         if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
+            raise refused_option(
+                f"checkpoint_interval must be >= 1, got {checkpoint_interval}",
+                "checkpoint_interval",
             )
         if checkpoint_interval is not None and checkpoint_dir is None:
-            raise ValueError("checkpoint_interval requires checkpoint_dir")
+            raise refused_option(
+                "checkpoint_interval requires checkpoint_dir",
+                "checkpoint_interval",
+                "checkpoint_dir",
+            )
         self.n_streams = n_streams
         self.shards = shards
         self.boundaries = shard_boundaries(n_streams, shards)
@@ -621,9 +627,10 @@ class ShardedFleetPredictor(Restorable):
         self.control_timeout = control_timeout
         self.respawn = respawn
         if chaos is not None and chaos.max_shard() >= shards:
-            raise ValueError(
-                f"chaos schedule references shard {chaos.max_shard()}, "
-                f"fleet has {shards}"
+            raise refused_option(
+                f"chaos schedule references shard {chaos.max_shard()}, fleet has {shards}",
+                "chaos",
+                "shards",
             )
         self.chaos = chaos
         if checkpoint_dir is not None:

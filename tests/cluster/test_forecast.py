@@ -1,9 +1,14 @@
 """FleetForecastSource: staleness, residual calibration, censor handling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FleetForecastSource
+from repro.cluster.forecast import nan_quantile_rows
 
 #: cheap deterministic fleet settings used throughout (no GBT fitting)
 FLEET = dict(forecaster_name="holt", window=4, refit_interval=6, refit_streams=4)
@@ -103,3 +108,63 @@ class TestCensorMultiplier:
         for _ in range(10):
             src.observe(row, censored=np.zeros(3, bool))
         assert src._censor_mult[0] == pytest.approx(1.0)  # decayed to identity
+
+
+def _nanquantile(a, tau):
+    """NumPy's row quantiles, the oracle (an all-NaN row warns and reads NaN)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanquantile(a, tau, axis=1)
+
+
+@st.composite
+def _residuals(draw, max_rows=8, max_cols=40):
+    """A residual matrix: NaN holes, heavy ties, signed zeros, all-NaN rows."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "ties", "zeros"]))
+    if values == "normal":
+        a = rng.standard_normal((rows, cols))
+    elif values == "ties":
+        a = rng.integers(-2, 3, (rows, cols)) / 4.0
+    else:
+        a = rng.choice([0.0, -0.0, 0.5, -0.5], (rows, cols))
+    a[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.nan
+    if draw(st.booleans()):
+        a[rng.integers(rows)] = np.nan
+    return a
+
+
+TAUS = st.one_of(st.sampled_from([0.5, 0.9, 0.99]), st.floats(0.001, 0.999))
+
+
+class TestResidualQuantiles:
+    """The one-sort row quantile against ``np.nanquantile``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_residuals(), tau=TAUS)
+    def test_matches_nanquantile(self, a, tau):
+        got, want = nan_quantile_rows(a, tau), _nanquantile(a, tau)
+        # NumPy's partition may order tied -0.0/0.0 unlike a sort: the sign
+        # of a zero may differ, never a value
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=_residuals(max_rows=6, max_cols=24),
+        min_errors=st.integers(1, 30),
+        tau=TAUS,
+    )
+    def test_source_band_matches_nanquantile(self, a, min_errors, tau):
+        """Rows below ``min_errors`` read NaN; the rest are the floored quantile."""
+        rows, cols = a.shape
+        src = source(n_jobs=rows, min_errors=min_errors, tau=tau, residual_history=cols)
+        for col in a.T:
+            have = ~np.isnan(col)
+            if have.any():
+                src.residuals.append_tick(col[:, None], mask=have)
+        retained = src.residuals.filled_matrix()[:, :, 0]
+        want = np.where(src.residuals.sizes >= min_errors, _nanquantile(retained, tau), np.nan)
+        assert src._residual_quantiles().tobytes() == np.maximum(want, 0.0).tobytes()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.models import gbt
 from repro.models.gbt import (
     GBTForecaster,
     GradientBoostedTrees,
@@ -26,9 +27,7 @@ class TestRegressionTree:
         x = rng.random((200, 1))
         y = np.where(x[:, 0] > 0.5, 1.0, -1.0)
         g = 0.0 - y  # gradients of squared loss from pred=0
-        tree = RegressionTree(TreeParams(max_depth=1, reg_lambda=0.0)).fit(
-            x, g, np.ones(200)
-        )
+        tree = RegressionTree(TreeParams(max_depth=1, reg_lambda=0.0)).fit(x, g)
         pred = tree.predict(x)
         assert np.corrcoef(pred, y)[0, 1] > 0.99
         assert tree.threshold[0] == pytest.approx(0.5, abs=0.05)
@@ -37,46 +36,39 @@ class TestRegressionTree:
         x = rng.random((300, 3))
         g = rng.standard_normal(300)
         for depth in (1, 2, 3):
-            tree = RegressionTree(TreeParams(max_depth=depth)).fit(x, g, np.ones(300))
+            tree = RegressionTree(TreeParams(max_depth=depth)).fit(x, g)
             assert tree.depth <= depth
 
     def test_pure_node_becomes_leaf(self):
         x = np.ones((10, 1))  # no split possible on a constant feature
         g = np.arange(10.0)
-        tree = RegressionTree(TreeParams(max_depth=3)).fit(x, g, np.ones(10))
+        tree = RegressionTree(TreeParams(max_depth=3)).fit(x, g)
         assert tree.n_nodes == 1
 
     def test_leaf_weight_formula(self):
         """Leaf value must be -G/(H+lambda)."""
         x = np.ones((4, 1))
         g = np.array([1.0, 2.0, 3.0, 4.0])
-        h = np.ones(4)
-        tree = RegressionTree(TreeParams(max_depth=2, reg_lambda=2.0)).fit(x, g, h)
+        tree = RegressionTree(TreeParams(max_depth=2, reg_lambda=2.0)).fit(x, g)
         assert tree.predict(x)[0] == pytest.approx(-10.0 / (4.0 + 2.0))
 
     def test_min_child_weight_blocks_tiny_splits(self, rng):
         x = rng.random((20, 1))
         g = rng.standard_normal(20)
-        tree = RegressionTree(TreeParams(max_depth=5, min_child_weight=15.0)).fit(
-            x, g, np.ones(20)
-        )
+        tree = RegressionTree(TreeParams(max_depth=5, min_child_weight=15.0)).fit(x, g)
         assert tree.n_nodes == 1  # no split can give both children >= 15 weight
 
     def test_gamma_prunes_weak_splits(self, rng):
         x = rng.random((200, 1))
         g = rng.normal(0, 0.01, 200)  # almost nothing to gain
-        tree = RegressionTree(TreeParams(max_depth=3, gamma=100.0)).fit(
-            x, g, np.ones(200)
-        )
+        tree = RegressionTree(TreeParams(max_depth=3, gamma=100.0)).fit(x, g)
         assert tree.n_nodes == 1
 
     def test_column_subset_respected(self, rng):
         x = rng.random((300, 4))
         y = 10.0 * x[:, 2]  # only feature 2 matters
         g = -y
-        tree = RegressionTree(TreeParams(max_depth=2)).fit(
-            x, g, np.ones(300), feature_ids=np.array([0, 1])
-        )
+        tree = RegressionTree(TreeParams(max_depth=2)).fit(x, g, feature_ids=np.array([0, 1]))
         used = {f for f in tree.feature if f != -1}
         assert used <= {0, 1}
 
@@ -84,7 +76,7 @@ class TestRegressionTree:
         with pytest.raises(ValueError):
             RegressionTree(TreeParams(max_depth=0))
         with pytest.raises(ValueError):
-            RegressionTree(TreeParams()).fit(rng.random((5, 2)), np.zeros(4), np.ones(4))
+            RegressionTree(TreeParams()).fit(rng.random((5, 2)), np.zeros(4))
 
 
 class TestBoosting:
@@ -348,12 +340,9 @@ class TestPresortedParity:
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
         gamma=st.sampled_from([0.0, 0.1]),
         grads=st.sampled_from(["normal", "constant", "sign"]),
-        hessian=st.booleans(),
         permute=st.booleans(),
     )
-    def test_tree_matches_oracle(
-        self, design, depth, mcw, reg_lambda, gamma, grads, hessian, permute
-    ):
+    def test_tree_matches_oracle(self, design, depth, mcw, reg_lambda, gamma, grads, permute):
         x, rng = design
         n, f = x.shape
         g = {  # constant gradients give splits of gain exactly 0, which must lose
@@ -361,12 +350,11 @@ class TestPresortedParity:
             "constant": np.ones(n),
             "sign": rng.choice([-1.0, 1.0], n),
         }[grads]
-        h = rng.random(n) + 0.5 if hessian else np.ones(n)
         fids = rng.permutation(f)[: rng.integers(1, f + 1)] if permute else np.arange(f)
         p = TreeParams(max_depth=depth, min_child_weight=mcw, reg_lambda=reg_lambda, gamma=gamma)
         with np.errstate(all="ignore"):
-            tree = RegressionTree(p).fit(x, g, h, fids)
-            oracle = _oracle_tree(x, g, h, fids, p)
+            tree = RegressionTree(p).fit(x, g, fids)
+            oracle = _oracle_tree(x, g, np.ones(n), fids, p)
             _assert_same_tree(tree, oracle)
             probe = np.vstack([x, rng.standard_normal((5, f))])
             assert _bits(tree.predict(probe)) == _bits(_oracle_route(oracle, probe))
@@ -376,7 +364,7 @@ class TestPresortedParity:
         x = np.hstack([x, x, x])  # identical gains on every column
         g = np.where(x[:, 0] > 0.5, 1.0, -1.0)
         for fids in ([0, 1, 2], [2, 0, 1], [1, 2]):
-            tree = RegressionTree(TreeParams(max_depth=1)).fit(x, g, np.ones(50), fids)
+            tree = RegressionTree(TreeParams(max_depth=1)).fit(x, g, fids)
             assert tree.feature[0] == fids[0]
 
     @settings(max_examples=60, deadline=None)
@@ -442,3 +430,63 @@ class TestPresortedParity:
         assert _bits(old.trees[3].predict(probe)) == _bits(model.trees[3].predict(probe))
         assert _bits(old.predict(probe)) == _bits(want)
         assert old.staged_train_loss(x, y) == model.staged_train_loss(x, y)
+
+    @staticmethod
+    def _count_routes(monkeypatch):
+        """Record the row count of every matrix the forest router walks."""
+        routed = []
+        route = gbt._route
+
+        def counting(forest, x):
+            routed.append(len(x))
+            return route(forest, x)
+
+        monkeypatch.setattr(gbt, "_route", counting)
+        return routed
+
+    def test_full_sample_fit_never_routes_the_training_matrix(self, rng, monkeypatch):
+        """Without row subsampling the leaf each training row lands in is
+        known from growing the tree, so the fit routes only validation rows."""
+        x = np.round(rng.standard_normal((120, 4)), 1)
+        y = x[:, 0] + np.sin(x[:, 1])
+        x_val = rng.standard_normal((17, 4))
+        y_val = x_val[:, 0]
+        kw = dict(n_estimators=6, max_depth=3, early_stopping_rounds=None)
+        routed = self._count_routes(monkeypatch)
+        model = GradientBoostedTrees(**kw).fit(x, y)
+        assert routed == []
+        model_val = GradientBoostedTrees(**kw).fit(x, y, x_val, y_val)
+        assert routed == [17] * 6
+        trees, base, history = _oracle_boost(x, y, x_val, y_val, kw)
+        for fitted in (model, model_val):
+            for tree, oracle in zip(fitted.trees, trees, strict=True):
+                _assert_same_tree(tree, oracle)
+        assert _bits(model_val.eval_history_) == _bits(history)
+        assert _bits(model.predict(x)) == _bits(_oracle_predict(trees, base, 0.1, x))
+
+    def test_subsampled_fit_routes_the_training_matrix_and_matches_oracle(
+        self, rng, monkeypatch
+    ):
+        x = np.round(rng.standard_normal((150, 5)), 1)
+        y = 2.0 * x[:, 0] - x[:, 3] ** 2
+        kw = dict(n_estimators=7, max_depth=4, subsample=0.6, colsample=0.8, seed=3)
+        routed = self._count_routes(monkeypatch)
+        model = GradientBoostedTrees(**kw).fit(x, y)
+        assert routed == [150] * 7
+        trees, base, _ = _oracle_boost(x, y, None, None, kw)
+        for tree, oracle in zip(model.trees, trees, strict=True):
+            _assert_same_tree(tree, oracle)
+        assert _bits(model.predict(x)) == _bits(_oracle_predict(trees, base, 0.1, x))
+
+    def test_pickle_round_trip_of_a_never_routed_tree(self, rng):
+        x = rng.random((80, 3))
+        g = x[:, 1] - 0.5
+        tree = RegressionTree(TreeParams(max_depth=3)).fit(x, g)
+        assert tree._forest is None  # stacked on first predict only
+        loaded = pickle.loads(pickle.dumps(tree))
+        assert loaded._forest is None
+        oracle = _oracle_tree(x, g, np.ones(80), np.arange(3), tree.params)
+        _assert_same_tree(loaded, oracle)
+        probe = np.vstack([x, rng.random((9, 3))])
+        assert _bits(loaded.predict(probe)) == _bits(_oracle_route(oracle, probe))
+        assert _bits(tree.predict(probe)) == _bits(_oracle_route(oracle, probe))

@@ -439,6 +439,38 @@ def test_restore_refuses_a_missing_identity_entry(artifacts, tmp_path, cls, name
 
 
 @pytest.mark.parametrize(
+    "cls, name, option, bad",
+    [
+        (OnlinePredictor, "online", "refit_interval", 0),
+        (FleetPredictor, "fleet", "refit_interval", 0),
+        (FleetPredictor, "fleet", "refit_streams", 0),
+        (FleetPredictor, "fleet", "refit_mode", "eventually"),
+        (ShardedFleetPredictor, "sharded", "checkpoint_interval", 0),
+        (ShardedFleetPredictor, "sharded", "shards", 5),
+    ],
+)
+def test_restore_refuses_a_saved_value_the_constructor_refuses(artifacts, tmp_path, cls, name,
+                                                               option, bad):
+    """A well-typed saved value out of range refuses the artifact, named."""
+    path = _edited(artifacts, tmp_path, name, (), lambda cfg: cfg.update({option: bad}))
+    _refused_before_building(cls, path, f"option {option}={bad!r}")
+
+
+@pytest.mark.parametrize(
+    "cls, name, option, bad",
+    [
+        (OnlinePredictor, "online", "refit_interval", 0),
+        (FleetPredictor, "fleet", "refit_streams", 0),
+        (ShardedFleetPredictor, "sharded", "checkpoint_interval", 0),
+    ],
+)
+def test_a_bad_override_keeps_its_own_error(artifacts, cls, name, option, bad):
+    with pytest.raises(ValueError, match=option) as info:
+        cls.restore(artifacts / f"{name}.ckpt", registry=MetricRegistry(), **{option: bad})
+    assert not isinstance(info.value, CheckpointError)
+
+
+@pytest.mark.parametrize(
     "cls, name, option, default",
     [
         (OnlinePredictor, "online", "refit_interval", 100),
